@@ -42,12 +42,11 @@ from .finite import (
     BipartiteOptimum,
     EpsilonBudget,
     FiniteSizeParams,
+    KeyLengthModel,
     KeyLengthResult,
     bipartite_optimal,
     epsilon_budget,
     expected_key_length,
-    expected_key_length_cka,
-    expected_key_length_qss,
     xi1,
     xi2,
 )
@@ -59,7 +58,6 @@ from .analysis import (
     advantage_profile,
     best_cka_fraction,
     find_threshold,
-    optimize_pkey,
     optimized_fraction,
     scenario_asymptotic_rate,
     scenario_qbers,

@@ -6,15 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .finite import (
-    FiniteSizeParams,
-    KeyLengthResult,
-    bipartite_optimal,
-    expected_key_length,
-)
+from .finite import FiniteSizeParams, KeyLengthModel, KeyLengthResult, bipartite_optimal
 from .memory import as_rng, expected_memory_qbers
 from .network import (
-    CHECK_RULE_PRINTED,
     BasisStrategy,
     Family,
     NetworkConfig,
@@ -57,31 +51,18 @@ def scenario_asymptotic_rate(
     return asymptotic_rate(cfg, spec, scenario_qbers(cfg, spec, noise, mc_samples, seed))
 
 
-def optimize_pkey(objective: Callable[[float], float], tol: float = 1e-5) -> ScalarMaximum:
-    """Maximize an expected-key objective over the key-basis probability."""
-    return maximize_unit_interval(objective, tol=tol)
-
-
 def optimized_fraction(
     cfg: NetworkConfig,
     family: Family,
     fsp: FiniteSizeParams,
     qbers: QberPair,
     memories: bool = False,
-    check_rule: str = CHECK_RULE_PRINTED,
-    tol: float = 1e-5,
     basis_strategy: BasisStrategy | None = None,
 ) -> tuple[ScalarMaximum, KeyLengthResult]:
     """Secret fraction of one protocol family, optimized over p_key."""
-
-    def fraction(p_key: float) -> float:
-        spec = ProtocolSpec(family, memories, basis_strategy, p_key)
-        return expected_key_length(cfg, spec, fsp, qbers, check_rule).secret_fraction
-
-    opt = optimize_pkey(fraction, tol=tol)
-    p_eval = 0.5 if opt.indeterminate else opt.x
-    spec = ProtocolSpec(family, memories, basis_strategy, p_eval)
-    return opt, expected_key_length(cfg, spec, fsp, qbers, check_rule)
+    model = KeyLengthModel(cfg, family, fsp, qbers, memories, basis_strategy)
+    opt = maximize_unit_interval(model.fraction, model.fractions)
+    return opt, model.result(0.5 if opt.indeterminate else opt.x)
 
 
 def best_cka_fraction(
@@ -89,8 +70,6 @@ def best_cka_fraction(
     fsp: FiniteSizeParams,
     qbers: QberPair,
     memories: bool = False,
-    check_rule: str = CHECK_RULE_PRINTED,
-    tol: float = 1e-5,
 ) -> tuple[ScalarMaximum, KeyLengthResult, BasisStrategy]:
     """Best multipartite conference-key strategy at one block size.
 
@@ -101,9 +80,7 @@ def best_cka_fraction(
     """
     results = {}
     for strategy in (BasisStrategy.PRESHARED, BasisStrategy.SWITCHING):
-        results[strategy] = optimized_fraction(
-            cfg, Family.MCKA, fsp, qbers, memories, check_rule, tol, strategy
-        )
+        results[strategy] = optimized_fraction(cfg, Family.MCKA, fsp, qbers, memories, strategy)
     best = max(results, key=lambda s: results[s][1].secret_fraction)
     opt, result = results[best]
     return opt, result, best

@@ -1,26 +1,38 @@
-"""Composable finite-size key lengths: statistical penalties, expected key
-lengths for both protocol styles, the security budget and the bipartite
-baseline optimized over strategy and basis probability."""
+"""Composable finite-size key lengths: statistical penalties, one expected
+key-length model for both protocol styles, the security budget and the
+bipartite baseline optimized over strategy and basis probability."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import binary_entropy
 from .network import (
-    CHECK_RULE_PRINTED,
     BasisStrategy,
     Family,
     NetworkConfig,
     ProtocolSpec,
-    expected_counts,
     formula_party_count,
-    sifting,
+    sifting_fractions,
     yields,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import ScalarMaximum, maximize_unit_interval
+from .optimize import maximize_unit_interval
+
+
+# The penalty formulas of xi1 / xi2, shared with KeyLengthModel, which works
+# out log(1/eps) once and passes np.sqrt on its array path.
+def _hoeffding(log_inv_eps, m, sqrt=math.sqrt):
+    return sqrt(log_inv_eps / m)
+
+
+def _serfling(log_inv_eps, m, k, sqrt=math.sqrt):
+    # (m+k)(k+1)/(m k^2), factored to avoid overflow for huge k
+    ratio = (1.0 + k / m) * ((k + 1.0) / k / k)
+    return sqrt(ratio * log_inv_eps)
 
 
 def xi1(eps: float, m: float) -> float:
@@ -30,7 +42,7 @@ def xi1(eps: float, m: float) -> float:
         raise ValueError("need m >= 1")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    return math.sqrt(math.log(1.0 / eps) / m)
+    return _hoeffding(math.log(1.0 / eps), m)
 
 
 def xi2(eps: float, m: float, k: float) -> float:
@@ -40,9 +52,7 @@ def xi2(eps: float, m: float, k: float) -> float:
         raise ValueError("need m >= 1 and k >= 1")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    # (m+k)(k+1)/(m k^2), factored to avoid overflow for huge k
-    ratio = (1.0 + k / m) * ((k + 1.0) / k / k)
-    return math.sqrt(ratio * math.log(1.0 / eps))
+    return _serfling(math.log(1.0 / eps), m, k)
 
 
 @dataclass(frozen=True)
@@ -93,10 +103,10 @@ class FiniteSizeParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if (self.rounds is None) == (self.block_size is None):
             raise ValueError("set exactly one of rounds / block_size")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.block_size is not None and self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        for name in ("rounds", "block_size"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 1):
+                raise ValueError(f"{name} must be finite and >= 1")
         for name in ("eps_rob", "eps_ec"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
@@ -155,154 +165,173 @@ def _entropy_penalty(q_eff: float) -> float:
     return binary_entropy(q_eff)
 
 
-def _rounds_for(
-    cfg: NetworkConfig, spec: ProtocolSpec, fsp: FiniteSizeParams, check_rule: str
-) -> float:
-    if fsp.rounds is not None:
-        return fsp.rounds
-    eta = sifting(spec, formula_party_count(cfg, spec), check_rule)
-    per_round = eta.eta_key * yields(cfg, spec)
-    if per_round <= 0.0:
-        return math.inf
-    return max(fsp.block_size / per_round, 1.0)
+def _entropy_array(q: np.ndarray) -> np.ndarray:
+    """binary_entropy over an array of probabilities, 0 at both ends."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
+    return np.where((q > 0.0) & (q < 1.0), h, 0.0)
 
 
-def _assemble(
-    rounds: float,
-    m: float,
-    k: float,
-    q_x_eff: float,
-    q_z_eff: float,
-    pe_pen: float,
-    ec_pen: float,
-    log_term: float,
-    preshared_term: float,
-    eps_rob: float,
-) -> KeyLengthResult:
-    raw = (1.0 - eps_rob) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
-    ell = max(raw, 0.0)
-    if m < 1.0 or k < 1.0:
-        status = STATUS_INSUFFICIENT
-    elif ell > 0.0:
-        status = STATUS_OK
-    else:
-        status = STATUS_ABORT
-    fraction = ell / rounds if math.isfinite(rounds) and rounds > 0 else 0.0
-    return KeyLengthResult(
-        ell=ell,
-        raw=raw,
-        rounds=rounds,
-        secret_fraction=fraction,
-        status=status,
-        m=m,
-        k=k,
-        q_x_eff=q_x_eff,
-        q_z_eff=q_z_eff,
-        pe_term=m * pe_pen,
-        ec_term=m * ec_pen,
-        log_term=log_term,
-        preshared_term=preshared_term,
-    )
+def _entropy_penalty_array(q_eff: np.ndarray) -> np.ndarray:
+    return np.where(q_eff < 0.5, _entropy_array(q_eff), 1.0)
 
 
-def expected_key_length_cka(
-    cfg: NetworkConfig,
-    spec: ProtocolSpec,
-    fsp: FiniteSizeParams,
-    qbers: QberPair,
-    check_rule: str = CHECK_RULE_PRINTED,
-) -> KeyLengthResult:
-    """Expected key length of a pre-shared-basis conference-key run.
+class KeyLengthModel:
+    """Expected key length of one protocol as a function of p_key alone.
 
-    The key lives in the Z basis, checks are the collective X parity, the
-    pre-shared basis string consumes h2(p_key) bits per network use and the
-    per-Bob union bound rescales the robustness parameter.
+    Everything that does not depend on the key-basis probability is worked
+    out once: the formula party count, the security budget, the yield, the
+    basis whose check rounds take the Serfling penalty (xi2) and the basis
+    that takes the Hoeffding penalty (xi1), their log(1/eps) factors, the
+    log term and whether a pre-shared basis string is charged.
+
+    The two protocol styles differ only in those choices.  A pre-shared
+    conference key lives in Z: the collective X parity checks take xi2 at
+    eps_pe, the per-Bob union bound gives Z xi1 at eps_rob/sqrt(N-1), the
+    log term uses eps_c and the basis string consumes h2(p_key) bits per
+    network use.  Basis-switching secret sharing keeps the key in X: the
+    per-Bob Z checks take xi2 at eps_pe/sqrt(N-1), X takes xi1 at eps_rob,
+    the log term uses eps_ec and no basis string exists to replenish.
+
+    `result` evaluates one p_key in float arithmetic (the path of every
+    single-point call and of the optimizer's refinement); `fractions`
+    evaluates the secret fraction over a numpy array of p_key values.
     """
-    if spec.basis_strategy is not BasisStrategy.PRESHARED:
-        raise ValueError("conference-key formula assumes the pre-shared basis strategy")
-    n_formula = formula_party_count(cfg, spec)
-    budget = fsp.budget()
-    rounds = _rounds_for(cfg, spec, fsp, check_rule)
-    if not math.isfinite(rounds):
-        return _assemble(rounds, 0.0, 0.0, qbers.q_x, qbers.q_z, 1.0, 1.0, 0.0, 0.0, budget.eps_rob)
-    counts = expected_counts(cfg, spec, rounds, check_rule)
-    m, k = counts.m, counts.k
-    log_term = math.log2((n_formula - 1) / (2.0 * budget.eps_c * budget.eps_pa**2))
-    preshared_term = rounds * binary_entropy(spec.p_key)
-    if m <= 0.0 or k <= 0.0:
-        return _assemble(
-            rounds, m, k, qbers.q_x, qbers.q_z, 1.0, 1.0, log_term, preshared_term, budget.eps_rob
+
+    def __init__(
+        self,
+        cfg: NetworkConfig,
+        family: Family,
+        fsp: FiniteSizeParams,
+        qbers: QberPair,
+        memories: bool = False,
+        basis_strategy: BasisStrategy | None = None,
+    ) -> None:
+        spec = ProtocolSpec(family, memories, basis_strategy)
+        n_formula = formula_party_count(cfg, spec)
+        budget = fsp.budget()
+        self.strategy = spec.basis_strategy
+        self.n_formula = n_formula
+        self.rounds = fsp.rounds
+        self.block_size = fsp.block_size
+        self.per_use = yields(cfg, spec)
+        self.eps_rob = budget.eps_rob
+        self.preshared = self.strategy is BasisStrategy.PRESHARED
+        if self.preshared:
+            self.q_pe, self.q_ec = qbers.q_x, qbers.q_z
+            eps_pe, eps_ec = budget.eps_pe, budget.eps_rob / math.sqrt(n_formula - 1)
+            eps_log = budget.eps_c
+        else:
+            self.q_pe, self.q_ec = qbers.q_z, qbers.q_x
+            eps_pe, eps_ec = budget.eps_pe / math.sqrt(n_formula - 1), budget.eps_rob
+            eps_log = budget.eps_ec
+        self.log_pe = math.log(1.0 / eps_pe)
+        self.log_ec = math.log(1.0 / eps_ec)
+        self.log_term = math.log2((n_formula - 1) / (2.0 * eps_log * budget.eps_pa**2))
+
+    def result(self, p_key: float) -> KeyLengthResult:
+        eta_key, eta_check = sifting_fractions(self.strategy, self.n_formula, p_key)
+        per_key = eta_key * self.per_use
+        rounds = self.rounds
+        if rounds is None:
+            rounds = max(self.block_size / per_key, 1.0) if per_key > 0.0 else math.inf
+        if not math.isfinite(rounds):
+            return self._assemble(rounds, 0.0, 0.0, self.q_pe, self.q_ec, 1.0, 1.0, 0.0, 0.0)
+        m = per_key * rounds
+        k = eta_check * self.per_use * rounds
+        preshared_term = rounds * binary_entropy(p_key) if self.preshared else 0.0
+        if m <= 0.0 or k <= 0.0:
+            return self._assemble(
+                rounds, m, k, self.q_pe, self.q_ec, 1.0, 1.0, self.log_term, preshared_term
+            )
+        m_pen = max(m, 1.0)
+        q_pe_eff = self.q_pe + _serfling(self.log_pe, m_pen, max(k, 1.0))
+        q_ec_eff = self.q_ec + _hoeffding(self.log_ec, m_pen)
+        return self._assemble(
+            rounds,
+            m,
+            k,
+            q_pe_eff,
+            q_ec_eff,
+            _entropy_penalty(q_pe_eff),
+            _entropy_penalty(q_ec_eff),
+            self.log_term,
+            preshared_term,
         )
-    eps_z = budget.eps_rob / math.sqrt(n_formula - 1)
-    q_x_eff = qbers.q_x + xi2(budget.eps_pe, max(m, 1.0), max(k, 1.0))
-    q_z_eff = qbers.q_z + xi1(eps_z, max(m, 1.0))
-    return _assemble(
-        rounds,
-        m,
-        k,
-        q_x_eff,
-        q_z_eff,
-        _entropy_penalty(q_x_eff),
-        _entropy_penalty(q_z_eff),
-        log_term,
-        preshared_term,
-        budget.eps_rob,
-    )
 
+    def fraction(self, p_key: float) -> float:
+        return self.result(p_key).secret_fraction
 
-def expected_key_length_qss(
-    cfg: NetworkConfig,
-    spec: ProtocolSpec,
-    fsp: FiniteSizeParams,
-    qbers: QberPair,
-    check_rule: str = CHECK_RULE_PRINTED,
-    per_pair_checks: bool = False,
-) -> KeyLengthResult:
-    """Expected key length of a basis-switching secret-sharing run.
+    def fractions(self, p_key: np.ndarray) -> np.ndarray:
+        p = np.asarray(p_key, dtype=float)
+        eta_key, eta_check = sifting_fractions(self.strategy, self.n_formula, p)
+        per_key = eta_key * self.per_use
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.rounds is None:
+                rounds = np.where(per_key > 0.0, np.maximum(self.block_size / per_key, 1.0), np.inf)
+            else:
+                rounds = np.full_like(p, self.rounds)
+            m = per_key * rounds
+            k = eta_check * self.per_use * rounds
+            m_pen = np.maximum(m, 1.0)
+            xi_pe = _serfling(self.log_pe, m_pen, np.maximum(k, 1.0), np.sqrt)
+            pe_pen = _entropy_penalty_array(self.q_pe + xi_pe)
+            ec_pen = _entropy_penalty_array(self.q_ec + _hoeffding(self.log_ec, m_pen, np.sqrt))
+            preshared_term = rounds * _entropy_array(p) if self.preshared else 0.0
+            # Without key or check detections the penalties need no mask:
+            # one check round already saturates the Serfling penalty and the
+            # log term is positive, so raw < 0 there as in `result`.
+            raw = (1.0 - self.eps_rob) * (
+                m * (1.0 - pe_pen - ec_pen) - preshared_term - self.log_term
+            )
+            return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
 
-    Dual basis roles: the key lives in X, the per-Bob Z checks carry the
-    sampling penalty, and no pre-shared basis string exists to replenish.
-    """
-    if spec.basis_strategy is not BasisStrategy.SWITCHING:
-        raise ValueError("secret-sharing formula assumes active basis switching")
-    n_formula = formula_party_count(cfg, spec)
-    budget = fsp.budget()
-    rounds = _rounds_for(cfg, spec, fsp, check_rule)
-    if not math.isfinite(rounds):
-        return _assemble(rounds, 0.0, 0.0, qbers.q_x, qbers.q_z, 1.0, 1.0, 0.0, 0.0, budget.eps_rob)
-    counts = expected_counts(cfg, spec, rounds, check_rule, per_pair_checks)
-    m, k = counts.m, counts.k_per_bob
-    log_term = math.log2((n_formula - 1) / (2.0 * budget.eps_ec * budget.eps_pa**2))
-    if m <= 0.0 or k <= 0.0:
-        return _assemble(rounds, m, k, qbers.q_x, qbers.q_z, 1.0, 1.0, log_term, 0.0, budget.eps_rob)
-    eps_z = budget.eps_pe / math.sqrt(n_formula - 1)
-    q_z_eff = qbers.q_z + xi2(eps_z, max(m, 1.0), max(k, 1.0))
-    q_x_eff = qbers.q_x + xi1(budget.eps_rob, max(m, 1.0))
-    return _assemble(
-        rounds,
-        m,
-        k,
-        q_x_eff,
-        q_z_eff,
-        _entropy_penalty(q_z_eff),
-        _entropy_penalty(q_x_eff),
-        log_term,
-        0.0,
-        budget.eps_rob,
-    )
+    def _assemble(
+        self,
+        rounds: float,
+        m: float,
+        k: float,
+        q_pe_eff: float,
+        q_ec_eff: float,
+        pe_pen: float,
+        ec_pen: float,
+        log_term: float,
+        preshared_term: float,
+    ) -> KeyLengthResult:
+        raw = (1.0 - self.eps_rob) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
+        # +0.0 also when raw is -0.0 (no rounds at all), where max(raw, 0.0)
+        # would keep the sign
+        ell = raw if raw > 0.0 else 0.0
+        if m < 1.0 or k < 1.0:
+            status = STATUS_INSUFFICIENT
+        elif ell > 0.0:
+            status = STATUS_OK
+        else:
+            status = STATUS_ABORT
+        q_x_eff, q_z_eff = (q_pe_eff, q_ec_eff) if self.preshared else (q_ec_eff, q_pe_eff)
+        return KeyLengthResult(
+            ell=ell,
+            raw=raw,
+            rounds=rounds,
+            secret_fraction=ell / rounds if math.isfinite(rounds) else 0.0,
+            status=status,
+            m=m,
+            k=k,
+            q_x_eff=q_x_eff,
+            q_z_eff=q_z_eff,
+            pe_term=m * pe_pen,
+            ec_term=m * ec_pen,
+            log_term=log_term,
+            preshared_term=preshared_term,
+        )
 
 
 def expected_key_length(
-    cfg: NetworkConfig,
-    spec: ProtocolSpec,
-    fsp: FiniteSizeParams,
-    qbers: QberPair,
-    check_rule: str = CHECK_RULE_PRINTED,
+    cfg: NetworkConfig, spec: ProtocolSpec, fsp: FiniteSizeParams, qbers: QberPair
 ) -> KeyLengthResult:
-    """Dispatch on the basis strategy of the protocol."""
-    if spec.basis_strategy is BasisStrategy.PRESHARED:
-        return expected_key_length_cka(cfg, spec, fsp, qbers, check_rule)
-    return expected_key_length_qss(cfg, spec, fsp, qbers, check_rule)
+    """Expected key length of one protocol at the spec's p_key."""
+    model = KeyLengthModel(cfg, spec.family, fsp, qbers, spec.memories, spec.basis_strategy)
+    return model.result(spec.p_key)
 
 
 @dataclass(frozen=True)
@@ -323,8 +352,6 @@ def bipartite_optimal(
     fsp: FiniteSizeParams,
     memory_qbers: QberPair | None = None,
     include_memoryless: bool = True,
-    check_rule: str = CHECK_RULE_PRINTED,
-    p_key_tol: float = 1e-5,
 ) -> BipartiteOptimum:
     """N-1 parallel two-party links as the baseline for an N-party task.
 
@@ -346,22 +373,18 @@ def bipartite_optimal(
     best: tuple[float, KeyLengthResult, Family, bool, float] | None = None
     for family in (Family.BCKA, Family.BQSS):
         for memories, qbers in modes:
-            def fraction(p_key: float) -> float:
-                spec = ProtocolSpec(family, memories=memories, p_key=p_key)
-                return expected_key_length(cfg, spec, fsp_link, qbers, check_rule).secret_fraction
-
-            opt: ScalarMaximum = maximize_unit_interval(fraction, tol=p_key_tol)
+            model = KeyLengthModel(cfg, family, fsp_link, qbers, memories)
+            opt = maximize_unit_interval(model.fraction, model.fractions)
             candidates[(family.value, memories)] = (opt.x, opt.value)
             if opt.indeterminate:
                 continue
-            spec = ProtocolSpec(family, memories=memories, p_key=opt.x)
-            result = expected_key_length(cfg, spec, fsp_link, qbers, check_rule)
+            result = model.result(opt.x)
             if best is None or result.secret_fraction > best[0]:
                 best = (result.secret_fraction, result, family, memories, opt.x)
     if best is None:
         # Every strategy aborts; report a concrete dead evaluation.
         family, memories, qbers = Family.BQSS, modes[0][0], modes[0][1]
         spec = ProtocolSpec(family, memories=memories, p_key=0.5)
-        result = expected_key_length(cfg, spec, fsp_link, qbers, check_rule)
+        result = expected_key_length(cfg, spec, fsp_link, qbers)
         return BipartiteOptimum(result, family, memories, math.nan, True, candidates)
     return BipartiteOptimum(best[1], best[2], best[3], best[4], False, candidates)

@@ -149,57 +149,49 @@ def yields(cfg: NetworkConfig, spec: ProtocolSpec) -> float:
     return p_a * p_b ** (n - 1)
 
 
-def sifting(
-    spec: ProtocolSpec, n_parties: int, check_rule: str = CHECK_RULE_PRINTED
-) -> SiftingEfficiencies:
-    """Probability that a delivered round is usable for key / for checks."""
-    p = spec.p_key
-    if n_parties < 2:
-        raise ValueError("need at least 2 parties")
-    if spec.basis_strategy is BasisStrategy.PRESHARED:
-        return SiftingEfficiencies(p, 1.0 - p)
+def sifting_fractions(
+    strategy: BasisStrategy, n_parties: int, p_key, check_rule: str = CHECK_RULE_PRINTED
+):
+    """Key and check sifting fractions for a float or a numpy array of p_key."""
+    p = p_key
+    if strategy is BasisStrategy.PRESHARED:
+        return p, 1.0 - p
     if n_parties == 2:
         # Two-party switching: both in key basis / both in check basis.
-        return SiftingEfficiencies(p * p, (1.0 - p) ** 2)
+        return p * p, (1.0 - p) ** 2
     if check_rule == CHECK_RULE_PRINTED:
         eta_check = (1.0 - p) * (1.0 - p ** (n_parties - 2))
     elif check_rule == CHECK_RULE_ALL_BOBS:
         eta_check = (1.0 - p) * (1.0 - p ** (n_parties - 1))
     else:
         raise ValueError(f"unknown check rule {check_rule!r}")
-    return SiftingEfficiencies(p**n_parties, eta_check)
+    return p**n_parties, eta_check
+
+
+def sifting(
+    spec: ProtocolSpec, n_parties: int, check_rule: str = CHECK_RULE_PRINTED
+) -> SiftingEfficiencies:
+    """Probability that a delivered round is usable for key / for checks."""
+    if n_parties < 2:
+        raise ValueError("need at least 2 parties")
+    return SiftingEfficiencies(
+        *sifting_fractions(spec.basis_strategy, n_parties, spec.p_key, check_rule)
+    )
 
 
 @dataclass(frozen=True)
 class ExpectedCounts:
     m: float
     k: float
-    k_per_bob: float
 
 
-def expected_counts(
-    cfg: NetworkConfig,
-    spec: ProtocolSpec,
-    rounds: float,
-    check_rule: str = CHECK_RULE_PRINTED,
-    per_pair_checks: bool = False,
-) -> ExpectedCounts:
-    """Expected key/check detections in `rounds` network uses.
-
-    `per_pair_checks` switches the per-Bob check count from the global
-    check count to the (1-p_key)^2 pairwise coincidence alternative.
-    """
+def expected_counts(cfg: NetworkConfig, spec: ProtocolSpec, rounds: float) -> ExpectedCounts:
+    """Expected key/check detections in `rounds` network uses."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds!r}")
     y = yields(cfg, spec)
-    eta = sifting(spec, formula_party_count(cfg, spec), check_rule)
-    m = eta.eta_key * y * rounds
-    k = eta.eta_check * y * rounds
-    if per_pair_checks:
-        k_per_bob = (1.0 - spec.p_key) ** 2 * y * rounds
-    else:
-        k_per_bob = k
-    return ExpectedCounts(m, k, k_per_bob)
+    eta = sifting(spec, formula_party_count(cfg, spec))
+    return ExpectedCounts(eta.eta_key * y * rounds, eta.eta_check * y * rounds)
 
 
 def simulate_sifting(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,32 +38,39 @@ class ScalarMaximum:
     indeterminate: bool
 
 
+# Coarse grid over (0, 1): linear spacing plus points crowding both
+# endpoints, so near-boundary optima (common for basis probabilities) are
+# bracketed tightly before refining.
+# Sorted through a set: np.unique would import numpy.ma (about 1.2 MB) into
+# every process that imports ghznet.
+_EDGES = np.logspace(-8, math.log10(0.4), 60)
+UNIT_GRID = np.array(
+    sorted(set(np.concatenate([np.linspace(0.005, 0.995, 199), _EDGES, 1.0 - _EDGES]).tolist()))
+)
+
+
 def maximize_unit_interval(
     f: Callable[[float], float],
-    grid: Sequence[float] | None = None,
+    f_array: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-5,
 ) -> ScalarMaximum:
     """Coarse grid over (0, 1) followed by golden-section refinement.
 
-    The grid mixes linear spacing with points crowding both endpoints so
-    near-boundary optima (common for basis probabilities) are bracketed
-    tightly before refining.  The refined value never falls below the best
-    grid value; an everywhere non-positive objective is flagged
-    indeterminate.
+    `f_array` evaluates the objective over the whole of UNIT_GRID in one
+    call; `f` is the same objective at one point and drives the
+    golden-section tail.  The refined value never falls below the best grid
+    value, and the value returned is always one of `f`; an everywhere
+    non-positive objective is flagged indeterminate.
     """
-    if grid is None:
-        edges = np.concatenate(
-            [np.logspace(-8, math.log10(0.4), 60), 1.0 - np.logspace(-8, math.log10(0.4), 60)]
-        )
-        grid = np.unique(np.concatenate([np.linspace(0.005, 0.995, 199), edges]))
-    xs = np.asarray(sorted(grid), dtype=float)
-    values = np.array([f(x) for x in xs])
+    values = f_array(UNIT_GRID)
     best = int(values.argmax())
     if values[best] <= 0.0:
         return ScalarMaximum(math.nan, 0.0, True)
-    lo = xs[best - 1] if best > 0 else xs[0]
-    hi = xs[best + 1] if best + 1 < len(xs) else xs[-1]
+    lo = float(UNIT_GRID[max(best - 1, 0)])
+    hi = float(UNIT_GRID[min(best + 1, len(UNIT_GRID) - 1)])
     x_ref, v_ref = golden_section_max(f, lo, hi, tol)
-    if v_ref >= values[best]:
+    x_grid = float(UNIT_GRID[best])
+    v_grid = f(x_grid)
+    if v_ref >= v_grid:
         return ScalarMaximum(float(x_ref), float(v_ref), False)
-    return ScalarMaximum(float(xs[best]), float(values[best]), False)
+    return ScalarMaximum(x_grid, float(v_grid), False)

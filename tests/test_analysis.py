@@ -7,13 +7,13 @@ from ghznet.analysis import (
     ThresholdQuery,
     advantage_profile,
     find_threshold,
-    optimize_pkey,
     optimized_fraction,
     scenario_qbers,
 )
 from ghznet.finite import FiniteSizeParams
 from ghznet.network import Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, memoryless_qber
+from ghznet.optimize import maximize_unit_interval
 from ghznet.rates import asymptotic_rate
 
 
@@ -95,16 +95,16 @@ def test_finite_cka_threshold_at_least_qss():
 def test_optimize_pkey_grid_guarantee():
     # the refined optimum can never undercut the coarse grid
     def spiky(p):
-        return max(0.0, 1.0 - 400.0 * (p - 0.731) ** 2)
+        return np.maximum(0.0, 1.0 - 400.0 * (p - 0.731) ** 2)
 
-    best = optimize_pkey(spiky)
+    best = maximize_unit_interval(spiky, spiky)
     assert not best.indeterminate
     assert best.value >= spiky(0.731) - 1e-6
     assert best.x == pytest.approx(0.731, abs=1e-4)
 
 
 def test_optimize_pkey_flags_dead_objective():
-    best = optimize_pkey(lambda p: 0.0)
+    best = maximize_unit_interval(lambda p: 0.0, np.zeros_like)
     assert best.indeterminate
     assert best.value == 0.0
     assert math.isnan(best.x)
@@ -112,9 +112,9 @@ def test_optimize_pkey_flags_dead_objective():
 
 def test_optimize_pkey_near_boundary_optimum():
     def near_one(p):
-        return max(0.0, 1.0 - abs(math.log(max(1.0 - p, 1e-300)) + math.log(1e4)))
+        return np.maximum(0.0, 1.0 - np.abs(np.log(np.maximum(1.0 - p, 1e-300)) + math.log(1e4)))
 
-    best = optimize_pkey(near_one)
+    best = maximize_unit_interval(near_one, near_one)
     assert best.x == pytest.approx(1.0 - 1e-4, rel=1e-2)
 
 

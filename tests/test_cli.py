@@ -149,6 +149,14 @@ def test_cli_optimize_pkey_needs_finite(config_file, capsys):
     assert main(["optimize-pkey", "--config", config_file]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting", ["finite.block_size=nan", "finite.block_size=inf", "finite.L=nan"])
+def test_cli_rejects_non_finite_sizes(config_file, capsys, setting):
+    assert main(["rate", "--config", config_file, "--set", setting]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert main(["sweep", "--config", config_file, "--set", setting, "--set", "sweep.parameter=noise.f_D",
+                 "--set", "sweep.from=0", "--set", "sweep.to=0.01", "--set", "sweep.steps=2"]) == EXIT_CONFIG
+
+
 def test_cli_reproduce_fig2(tmp_path):
     outdir = tmp_path / "rep"
     assert main(["reproduce", "--figure", "fig2", "--outdir", str(outdir)]) == EXIT_OK

@@ -1,20 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghznet.finite import (
     FiniteSizeParams,
+    KeyLengthModel,
     bipartite_optimal,
     epsilon_budget,
     expected_key_length,
-    expected_key_length_cka,
-    expected_key_length_qss,
     xi1,
     xi2,
 )
-from ghznet.network import Family, NetworkConfig, ProtocolSpec
+from ghznet.network import BasisStrategy, Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, QberPair, memoryless_qber
+from ghznet.optimize import maximize_unit_interval
 
 CFG = NetworkConfig(3, 50.0, 4.0)
 NOISE = NoiseParams(0.01, t2_s=1.0, prep_time_s=2e-6)
@@ -73,10 +74,86 @@ def test_finite_size_params_validation():
     assert fsp.budget().eps_rob == 1e-3
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["rounds", "block_size"])
+def test_finite_size_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        FiniteSizeParams(epsilon=1e-10, **{name: value})
+
+
+def test_ell_is_positive_zero_without_rounds():
+    # no key-basis detections per use means infinitely many rounds for the
+    # block; ell must be +0.0, not -0.0 from max(-0.0, 0.0)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6)
+    no_key = expected_key_length(CFG, ProtocolSpec(Family.MCKA, p_key=0.0), fsp, QB_MULTI)
+    no_yield = expected_key_length(
+        NetworkConfig(3, 2e4, 2e4), ProtocolSpec(Family.MQSS, p_key=0.9), fsp, QB_MULTI
+    )
+    for result in (no_key, no_yield):
+        assert result.rounds == math.inf
+        assert result.ell == 0.0 and math.copysign(1.0, result.ell) == 1.0
+        assert result.secret_fraction == 0.0
+
+
+SPEC_CHOICES = [
+    (Family.MQSS, BasisStrategy.SWITCHING),
+    (Family.MCKA, BasisStrategy.PRESHARED),
+    (Family.MCKA, BasisStrategy.SWITCHING),
+    (Family.BQSS, BasisStrategy.SWITCHING),
+    (Family.BQSS, BasisStrategy.PRESHARED),
+    (Family.BCKA, BasisStrategy.PRESHARED),
+    (Family.BCKA, BasisStrategy.SWITCHING),
+]
+P_KEYS = (0.0, 1e-8, 0.5, 0.9999, 1.0)
+
+
+@pytest.mark.parametrize("n_parties", [2, 3, 5, 10])
+@pytest.mark.parametrize("family,strategy", SPEC_CHOICES)
+def test_key_length_model_matches_expected_key_length(n_parties, family, strategy):
+    # the array path agrees with the single-point path to 1e-12 relative and
+    # the scalar objective is the single-point fraction bit for bit
+    cfg = NetworkConfig(n_parties, 50.0, 4.0)
+    sizes = [{"block_size": b} for b in (1e4, 1e8, 1e10)] + [{"rounds": 1e9}]
+    for f_depol in (0.0, 0.01, 0.05, 0.3):
+        qbers = memoryless_qber(f_depol, 2 if family.bipartite else n_parties)
+        for size in sizes:
+            fsp = FiniteSizeParams(epsilon=1e-10, **size)
+            for memories in (False, True):
+                model = KeyLengthModel(cfg, family, fsp, qbers, memories, strategy)
+                grid = model.fractions(np.array(P_KEYS))
+                for p_key, from_grid in zip(P_KEYS, grid):
+                    spec = ProtocolSpec(family, memories, strategy, p_key)
+                    expected = expected_key_length(cfg, spec, fsp, qbers).secret_fraction
+                    assert model.fraction(p_key) == expected
+                    assert from_grid == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _pointwise_maximum(model):
+    return maximize_unit_interval(
+        model.fraction, lambda xs: np.array([model.fraction(float(x)) for x in xs])
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg,family,f_depol,block",
+    [
+        (NetworkConfig.make_symmetric(5, 4.0), Family.MCKA, 0.01, 1e8),
+        (NetworkConfig(3, 50.0, 4.0), Family.MQSS, 0.01, 1e12),
+        (NetworkConfig(3, 300.0, 4.0), Family.BQSS, 0.3, 1e4),
+    ],
+    ids=["cka-n5", "pkey-near-one", "dead"],
+)
+def test_array_grid_matches_pointwise_grid(cfg, family, f_depol, block):
+    qbers = memoryless_qber(f_depol, 2 if family.bipartite else cfg.n_parties)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
+    model = KeyLengthModel(cfg, family, fsp, qbers)
+    assert maximize_unit_interval(model.fraction, model.fractions) == _pointwise_maximum(model)
+
+
 def test_qss_abort_without_checks():
     fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e8)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=1.0)
-    result = expected_key_length_qss(CFG, spec, fsp, QB_MULTI)
+    result = expected_key_length(CFG, spec, fsp, QB_MULTI)
     assert result.status == "insufficient-detections"
     assert result.ell == 0.0
 
@@ -84,23 +161,28 @@ def test_qss_abort_without_checks():
 def test_abort_on_saturated_qber():
     fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e8)
     spec = ProtocolSpec(Family.MCKA, memories=True, p_key=0.9)
-    result = expected_key_length_cka(CFG, spec, fsp, QberPair(0.5, 0.01))
+    result = expected_key_length(CFG, spec, fsp, QberPair(0.5, 0.01))
     assert result.ell == 0.0
     assert result.status == "abort"
 
 
 def test_strategy_dispatch_guards():
+    # the formula follows the basis strategy, not the family name: a
+    # conference key run with basis switching is the secret-sharing formula,
+    # and secret sharing cannot be run with a pre-shared basis string
     fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e8)
+    switching_cka = ProtocolSpec(Family.MCKA, basis_strategy="switching", p_key=0.9)
+    assert expected_key_length(CFG, switching_cka, fsp, QB_MULTI) == expected_key_length(
+        CFG, ProtocolSpec(Family.MQSS, p_key=0.9), fsp, QB_MULTI
+    )
     with pytest.raises(ValueError):
-        expected_key_length_cka(CFG, ProtocolSpec(Family.MQSS, p_key=0.9), fsp, QB_MULTI)
-    with pytest.raises(ValueError):
-        expected_key_length_qss(CFG, ProtocolSpec(Family.MCKA, p_key=0.9), fsp, QB_MULTI)
+        ProtocolSpec(Family.MQSS, basis_strategy="preshared", p_key=0.9)
 
 
 def test_penalty_terms_non_negative_and_breakdown():
     fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e10)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=0.95)
-    result = expected_key_length_qss(CFG, spec, fsp, QB_MULTI)
+    result = expected_key_length(CFG, spec, fsp, QB_MULTI)
     assert result.status == "ok"
     assert result.pe_term >= 0 and result.ec_term >= 0
     assert result.log_term > 0 and result.preshared_term == 0.0
@@ -111,10 +193,10 @@ def test_penalty_terms_non_negative_and_breakdown():
 
 def test_preshared_term_scales_with_rounds():
     spec = ProtocolSpec(Family.MCKA, memories=True, p_key=0.99)
-    small = expected_key_length_cka(
+    small = expected_key_length(
         CFG, spec, FiniteSizeParams(epsilon=1e-10, rounds=1e9), QB_MULTI
     )
-    large = expected_key_length_cka(
+    large = expected_key_length(
         CFG, spec, FiniteSizeParams(epsilon=1e-10, rounds=2e9), QB_MULTI
     )
     assert large.preshared_term == pytest.approx(2.0 * small.preshared_term, rel=1e-12)
@@ -160,28 +242,18 @@ def test_fraction_approaches_asymptote_from_below():
     assert gaps[-1] < 0.025
 
 
-def test_per_pair_check_counts_cost_key():
-    # per-Bob coincidence counting yields fewer checks than the global
-    # count once more than two Bobs exist, so the sampling penalty grows
-    cfg5 = NetworkConfig(5, 50.0, 4.0)
-    spec = ProtocolSpec(Family.MQSS, memories=True, p_key=0.9)
-    fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e9)
-    qb = memoryless_qber(0.01, 5)
-    global_k = expected_key_length_qss(cfg5, spec, fsp, qb)
-    per_pair = expected_key_length_qss(cfg5, spec, fsp, qb, per_pair_checks=True)
-    assert per_pair.k < global_k.k
-    assert per_pair.ell < global_k.ell
-
-
 def test_key_term_duality_at_formula_level():
-    # with robustness, pre-shared and log terms zeroed, both protocol styles
-    # reduce to m(1 - h(q_a) - h(q_b)); the basis roles only swap arguments
-    from ghznet.finite import _assemble
-
-    cka_like = _assemble(1e6, 1e5, 1e3, 0.02, 0.01, 0.3, 0.2, 0.0, 0.0, 0.0)
-    qss_like = _assemble(1e6, 1e5, 1e3, 0.01, 0.02, 0.2, 0.3, 0.0, 0.0, 0.0)
-    assert cka_like.ell == pytest.approx(qss_like.ell, rel=1e-15)
-    assert cka_like.ell == pytest.approx(1e5 * (1.0 - 0.3 - 0.2), rel=1e-12)
+    # with the pre-shared and log terms zeroed, both protocol styles reduce
+    # to (1 - eps_rob) m (1 - h(q_a) - h(q_b)); the basis roles only swap
+    # which error rate takes which penalty
+    fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e6)
+    cka = KeyLengthModel(CFG, Family.MCKA, fsp, QB_MULTI)
+    qss = KeyLengthModel(CFG, Family.MQSS, fsp, QB_MULTI)
+    cka_like = cka._assemble(1e6, 1e5, 1e3, 0.02, 0.01, 0.3, 0.2, 0.0, 0.0)
+    qss_like = qss._assemble(1e6, 1e5, 1e3, 0.02, 0.01, 0.3, 0.2, 0.0, 0.0)
+    assert cka_like.ell == qss_like.ell
+    assert cka_like.ell == pytest.approx((1.0 - cka.eps_rob) * 1e5 * (1.0 - 0.3 - 0.2), rel=1e-12)
+    assert (cka_like.q_x_eff, cka_like.q_z_eff) == (qss_like.q_z_eff, qss_like.q_x_eff)
 
 
 def test_two_party_baseline_uses_full_budget():

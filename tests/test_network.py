@@ -135,15 +135,17 @@ def test_expected_counts_qss_memory():
     counts = expected_counts(cfg, spec, 1e6)
     assert counts.m == pytest.approx(12_500.0)
     assert counts.k == pytest.approx(25_000.0)
-    assert counts.k_per_bob == counts.k
 
 
 def test_expected_counts_per_pair_option():
+    # counting checks per Alice-Bob pair, (1-p)^2 of the delivered rounds,
+    # would give fewer checks than the global count the key length uses
     cfg = NetworkConfig(4, 50.0, 4.0)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=0.5)
-    counts = expected_counts(cfg, spec, 1e6, per_pair_checks=True)
-    assert counts.k_per_bob == pytest.approx(0.25 * 0.1 * 1e6)
-    assert counts.k_per_bob < counts.k
+    counts = expected_counts(cfg, spec, 1e6)
+    per_pair = (1.0 - spec.p_key) ** 2 * yields(cfg, spec) * 1e6
+    assert per_pair == pytest.approx(0.25 * 0.1 * 1e6)
+    assert per_pair < counts.k
 
 
 def test_expected_counts_no_checks():
