@@ -59,14 +59,5 @@ from .analysis import (
     best_cka_fraction,
     find_threshold,
     optimized_fraction,
-    scenario_asymptotic_rate,
     scenario_qbers,
 )
-
-import types as _types
-
-__all__ = [
-    name
-    for name, obj in list(globals().items())
-    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
-]

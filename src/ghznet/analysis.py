@@ -17,7 +17,7 @@ from .network import (
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
 from .optimize import ScalarMaximum, maximize_unit_interval
-from .rates import AsymptoticRate, asymptotic_rate
+from .rates import asymptotic_rate
 
 
 def scenario_qbers(
@@ -39,16 +39,6 @@ def scenario_qbers(
     cfg_eff = cfg if n_formula == cfg.n_parties else cfg.with_parties(2)
     qbers, _ = expected_memory_qbers(cfg_eff, noise, mc_samples, as_rng([seed, n_formula]))
     return qbers
-
-
-def scenario_asymptotic_rate(
-    cfg: NetworkConfig,
-    spec: ProtocolSpec,
-    noise: NoiseParams,
-    mc_samples: int = 1000,
-    seed: int = 1,
-) -> AsymptoticRate:
-    return asymptotic_rate(cfg, spec, scenario_qbers(cfg, spec, noise, mc_samples, seed))
 
 
 def optimized_fraction(
@@ -84,6 +74,17 @@ def best_cka_fraction(
     best = max(results, key=lambda s: results[s][1].secret_fraction)
     opt, result = results[best]
     return opt, result, best
+
+
+def _multi_fraction(
+    cfg: NetworkConfig, task: str, fsp: FiniteSizeParams, qbers: QberPair, memories: bool
+) -> tuple[ScalarMaximum, KeyLengthResult]:
+    """Best multipartite secret fraction for a task: the better conference
+    key strategy for CKA, switching secret sharing for QSS."""
+    if task == "CKA":
+        opt, result, _ = best_cka_fraction(cfg, fsp, qbers, memories)
+        return opt, result
+    return optimized_fraction(cfg, Family.MQSS, fsp, qbers, memories)
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,7 @@ def _rate_pair(query: ThresholdQuery) -> Callable[[float], tuple[float, float]]:
             return rate_multi.raw, rate_bi.raw
         noise = NoiseParams(f_depol=f_depol)
         fsp = FiniteSizeParams(epsilon=query.epsilon, block_size=query.block_size)
-        if query.task == "CKA":
-            _, multi, _ = best_cka_fraction(cfg, fsp, qb_multi)
-        else:
-            _, multi = optimized_fraction(cfg, multi_family, fsp, qb_multi)
+        _, multi = _multi_fraction(cfg, query.task, fsp, qb_multi, memories=False)
         bi = bipartite_optimal(cfg, noise, fsp)
         return multi.secret_fraction, bi.result.secret_fraction
 
@@ -158,16 +156,13 @@ def find_threshold(
     query: ThresholdQuery,
     bracket: tuple[float, float],
     xtol: float = 1e-6,
-    gap_rtol: float | None = None,
 ) -> ThresholdResult:
     """Locate the boundary of the multipartite-advantage region by bisection.
 
     The bracket must contain the boundary: the advantage predicate
     (multipartite rate strictly above bipartite) must differ between its
     ends, otherwise the result reports no-sign-change, distinguishing
-    always-advantage from never-advantage brackets.  With `gap_rtol` set,
-    bisection continues beyond `xtol` until the re-evaluated rate gap is
-    below gap_rtol * max(rates) or the bracket is exhausted.
+    always-advantage from never-advantage brackets.
     """
     rates = _rate_pair(query)
     lo, hi = bracket
@@ -182,16 +177,7 @@ def find_threshold(
     if adv_lo == advantaged(hi):
         return ThresholdResult(None, "no-sign-change", bracket)
 
-    def small_enough(width: float, x: float) -> bool:
-        if width > xtol:
-            return False
-        if gap_rtol is None:
-            return True
-        multi, bi = rates(x)
-        scale = max(abs(multi), abs(bi), 1e-300)
-        return abs(multi - bi) <= gap_rtol * scale or width <= 1e-15 * max(abs(x), 1.0)
-
-    while not small_enough(hi - lo, 0.5 * (lo + hi)):
+    while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -243,19 +229,18 @@ def advantage_profile(
     task: str = "QSS",
     mc_samples: int = 1000,
     seed: int = 1,
-    bipartite_best_of_both: bool | None = None,
 ) -> AdvantageProfile:
     """Multipartite-to-bipartite rate ratio for every player count up to n_max.
 
-    With memories the baseline takes the better of the memory-assisted and
-    the memoryless bipartite implementation (override via
-    `bipartite_best_of_both`).  Finite-size mode compares secret fractions
-    at the block size carried by `fsp`, optimizing p_key on both sides.
+    The baseline is the better of the memoryless bipartite implementation
+    and, with memories, the memory-assisted one.  Finite-size mode compares
+    secret fractions at the block size carried by `fsp`, optimizing p_key on
+    both sides.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if bipartite_best_of_both is None:
-        bipartite_best_of_both = memories
+    if task not in ("QSS", "CKA"):
+        raise ValueError("task must be 'QSS' or 'CKA'")
     multi_family = Family.MQSS if task == "QSS" else Family.MCKA
     rows: list[AdvantageRow] = []
     for n in range(2, n_max + 1):
@@ -275,29 +260,15 @@ def advantage_profile(
             if memories:
                 spec_mem = ProtocolSpec(Family.BQSS, memories=True)
                 bi_rates["memory"] = asymptotic_rate(cfg_n, spec_mem, qb_bi_mem).rate
-            if bipartite_best_of_both or not memories:
-                spec_nomem = ProtocolSpec(Family.BQSS, memories=False)
-                qb_bi = memoryless_qber(noise.f_depol, 2)
-                bi_rates["memoryless"] = asymptotic_rate(cfg_n, spec_nomem, qb_bi).rate
+            spec_nomem = ProtocolSpec(Family.BQSS, memories=False)
+            qb_bi = memoryless_qber(noise.f_depol, 2)
+            bi_rates["memoryless"] = asymptotic_rate(cfg_n, spec_nomem, qb_bi).rate
             bi_choice, bi_rate = max(bi_rates.items(), key=lambda kv: kv[1])
         else:
-            if task == "CKA":
-                opt, multi_result, _ = best_cka_fraction(
-                    cfg_n, fsp, qb_multi, memories=memories
-                )
-            else:
-                opt, multi_result = optimized_fraction(
-                    cfg_n, multi_family, fsp, qb_multi, memories=memories
-                )
+            opt, multi_result = _multi_fraction(cfg_n, task, fsp, qb_multi, memories)
             multi_rate = multi_result.secret_fraction
             p_key_multi = None if opt.indeterminate else opt.x
-            bi = bipartite_optimal(
-                cfg_n,
-                noise,
-                fsp,
-                memory_qbers=qb_bi_mem,
-                include_memoryless=bipartite_best_of_both or not memories,
-            )
+            bi = bipartite_optimal(cfg_n, noise, fsp, memory_qbers=qb_bi_mem)
             bi_rate = bi.result.secret_fraction
             bi_choice = f"{bi.family.value}{'+mem' if bi.memories else ''}"
         if multi_rate <= 0.0 and bi_rate <= 0.0:

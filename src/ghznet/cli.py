@@ -184,28 +184,21 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         if scenario.finite.block_size is None:
             raise ConfigError("finite thresholds need finite.block_size (not finite.L)")
         block_size = scenario.finite.block_size
-    if args.target == "noise":
-        fixed_distance = args.fixed if args.fixed is not None else scenario.network.d_b_km
-        query = ThresholdQuery(
-            "noise",
-            args.n or scenario.network.n_parties,
-            fixed_distance_km=fixed_distance,
-            task=args.task,
-            block_size=block_size,
-            epsilon=scenario.finite.epsilon if scenario.finite else 1e-10,
-        )
-        bracket = tuple(args.bracket) if args.bracket else (1e-9, 0.5)
-    else:
-        fixed_noise = args.fixed if args.fixed is not None else scenario.noise.f_depol
-        query = ThresholdQuery(
-            "distance",
-            args.n or scenario.network.n_parties,
-            fixed_noise=fixed_noise,
-            task=args.task,
-            block_size=block_size,
-            epsilon=scenario.finite.epsilon if scenario.finite else 1e-10,
-        )
-        bracket = tuple(args.bracket) if args.bracket else (1e-3, 60.0)
+    noise_target = args.target == "noise"
+    fixed = args.fixed
+    if fixed is None:
+        fixed = scenario.network.d_b_km if noise_target else scenario.noise.f_depol
+    query = ThresholdQuery(
+        args.target,
+        args.n or scenario.network.n_parties,
+        fixed_noise=None if noise_target else fixed,
+        fixed_distance_km=fixed if noise_target else None,
+        task=args.task,
+        block_size=block_size,
+        epsilon=scenario.finite.epsilon if scenario.finite else 1e-10,
+    )
+    default_bracket = (1e-9, 0.5) if noise_target else (1e-3, 60.0)
+    bracket = tuple(args.bracket) if args.bracket else default_bracket
     result = find_threshold(query, bracket)
     table = ResultTable(
         ["target", "task", "n_parties", "regime", "fixed_value", "bracket_lo", "bracket_hi", "threshold", "status"],
@@ -216,7 +209,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         query.task,
         query.n_parties,
         "asymptotic" if block_size is None else f"block={block_size:g}",
-        query.fixed_distance_km if args.target == "noise" else query.fixed_noise,
+        fixed,
         bracket[0],
         bracket[1],
         result.value,

@@ -197,6 +197,13 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         d_a = _value(items, "network.d_A_km", 50.0)
         d_b = _value(items, "network.d_B_km", 4.0)
         network = NetworkConfig(n_parties, d_a, d_b)
+    memories = _value(items, "protocol.memories", False)
+    if memories and network.p_a > network.p_b:
+        key = "network.d_A_km" if "network.d_A_km" in items else "network.d_B_km"
+        _fail_on(items, key, "memory-assisted networks need d_A_km >= d_B_km")
+    mc_samples = _value(items, "mc.samples", 1000)
+    if mc_samples < 1:
+        _fail_on(items, "mc.samples", "mc.samples must be >= 1")
     noise = NoiseParams(
         f_depol=_value(items, "noise.f_D", 0.01),
         t2_s=_value(items, "memory.T2_s", 1.0),
@@ -229,8 +236,6 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
             block_size=block,
             eps_rob=_value(items, "finite.eps_rob"),
             eps_ec=_value(items, "finite.eps_EC"),
-            mc_samples=_value(items, "mc.samples", 1000),
-            seed=_value(items, "mc.seed", 1),
         )
     elif any(key.startswith("finite.") for key in items):
         _fail_on(
@@ -262,11 +267,11 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         network=network,
         noise=noise,
         families=families,
-        memories=_value(items, "protocol.memories", False),
+        memories=memories,
         basis_strategy=strategy,
         p_key=p_key,
         finite=finite,
-        mc_samples=_value(items, "mc.samples", 1000),
+        mc_samples=mc_samples,
         seed=_value(items, "mc.seed", 1),
         sweep=sweep,
         output_path=_value(items, "output.path"),

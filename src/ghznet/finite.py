@@ -5,7 +5,7 @@ bipartite baseline optimized over strategy and basis probability."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,14 +122,13 @@ class FiniteSizeParams:
         return budget
 
     def scaled(self, factor: float) -> "FiniteSizeParams":
-        """Budget for one of several parallel sub-protocols (epsilon/factor);
-        explicit eps overrides are re-derived from the scaled default."""
-        return FiniteSizeParams(
+        """Budget for one of several parallel sub-protocols: epsilon and any
+        explicit eps_rob / eps_ec overrides divided by factor."""
+        return replace(
+            self,
             epsilon=self.epsilon / factor,
-            rounds=self.rounds,
-            block_size=self.block_size,
-            mc_samples=self.mc_samples,
-            seed=self.seed,
+            eps_rob=None if self.eps_rob is None else self.eps_rob / factor,
+            eps_ec=None if self.eps_ec is None else self.eps_ec / factor,
         )
 
 
@@ -351,24 +350,19 @@ def bipartite_optimal(
     noise: NoiseParams,
     fsp: FiniteSizeParams,
     memory_qbers: QberPair | None = None,
-    include_memoryless: bool = True,
 ) -> BipartiteOptimum:
     """N-1 parallel two-party links as the baseline for an N-party task.
 
     Each link runs with security parameter epsilon/(N-1); the basis
     probability is optimized independently for the pre-shared and the
-    switching strategy, with and without memories where error rates for
-    the memory-assisted link are supplied.
+    switching strategy, without memories and, where error rates for the
+    memory-assisted link are supplied, with them.
     """
     n = cfg.n_parties
     fsp_link = fsp.scaled(n - 1) if n > 2 else fsp
-    modes: list[tuple[bool, QberPair]] = []
-    if include_memoryless:
-        modes.append((False, memoryless_qber(noise.f_depol, 2)))
+    modes = [(False, memoryless_qber(noise.f_depol, 2))]
     if memory_qbers is not None:
         modes.append((True, memory_qbers))
-    if not modes:
-        raise ValueError("no bipartite mode selected")
     candidates: dict = {}
     best: tuple[float, KeyLengthResult, Family, bool, float] | None = None
     for family in (Family.BCKA, Family.BQSS):
@@ -382,9 +376,8 @@ def bipartite_optimal(
             if best is None or result.secret_fraction > best[0]:
                 best = (result.secret_fraction, result, family, memories, opt.x)
     if best is None:
-        # Every strategy aborts; report a concrete dead evaluation.
-        family, memories, qbers = Family.BQSS, modes[0][0], modes[0][1]
-        spec = ProtocolSpec(family, memories=memories, p_key=0.5)
-        result = expected_key_length(cfg, spec, fsp_link, qbers)
-        return BipartiteOptimum(result, family, memories, math.nan, True, candidates)
+        # Every strategy aborts; report a concrete dead memoryless evaluation.
+        spec = ProtocolSpec(Family.BQSS, p_key=0.5)
+        result = expected_key_length(cfg, spec, fsp_link, modes[0][1])
+        return BipartiteOptimum(result, Family.BQSS, False, math.nan, True, candidates)
     return BipartiteOptimum(best[1], best[2], best[3], best[4], False, candidates)

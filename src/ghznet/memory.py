@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import FIBER_LIGHT_SPEED_M_S
 from .network import NetworkConfig
 from .noise import (
     NoiseParams,
@@ -57,9 +58,9 @@ def trial_times(cfg: NetworkConfig, noise: NoiseParams) -> TimingConfig:
     classical round trip on a Bob link."""
     d_a_m = cfg.d_a_km * 1e3
     d_b_m = cfg.d_b_km * 1e3
-    tau_a = noise.prep_time_s + d_a_m / noise.fiber_speed_m_s
-    tau_b = noise.prep_time_s + 2.0 * d_b_m / noise.fiber_speed_m_s
-    comm_b = 2.0 * d_b_m / noise.fiber_speed_m_s
+    tau_a = noise.prep_time_s + d_a_m / FIBER_LIGHT_SPEED_M_S
+    tau_b = noise.prep_time_s + 2.0 * d_b_m / FIBER_LIGHT_SPEED_M_S
+    comm_b = 2.0 * d_b_m / FIBER_LIGHT_SPEED_M_S
     return TimingConfig(tau_a, tau_b, comm_b, noise.t2_s)
 
 

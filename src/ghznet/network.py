@@ -8,6 +8,7 @@ players in one network use; bipartite baselines spend N-1 uses, one per Bob.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,19 +48,17 @@ class NetworkConfig:
     n_parties: int
     d_a_km: float
     d_b_km: float
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
         if self.n_parties < 2:
             raise ValueError(f"need at least 2 parties, got {self.n_parties}")
-        if self.d_a_km < 0 or self.d_b_km < 0:
-            raise ValueError("link distances must be non-negative")
-        if self.symmetric and self.d_a_km != self.d_b_km:
-            raise ValueError("symmetric networks need d_a_km == d_b_km")
+        for distance in (self.d_a_km, self.d_b_km):
+            if not (math.isfinite(distance) and distance >= 0):
+                raise ValueError(f"link distances must be finite and >= 0, got {distance!r}")
 
     @classmethod
     def make_symmetric(cls, n_parties: int, d_km: float) -> "NetworkConfig":
-        return cls(n_parties, d_km, d_km, symmetric=True)
+        return cls(n_parties, d_km, d_km)
 
     @property
     def p_a(self) -> float:
@@ -70,7 +69,7 @@ class NetworkConfig:
         return transmission(self.d_b_km)
 
     def with_parties(self, n_parties: int) -> "NetworkConfig":
-        return NetworkConfig(n_parties, self.d_a_km, self.d_b_km, self.symmetric)
+        return NetworkConfig(n_parties, self.d_a_km, self.d_b_km)
 
 
 def _default_strategy(family: Family) -> BasisStrategy:

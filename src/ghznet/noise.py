@@ -29,7 +29,6 @@ class NoiseParams:
     f_depol: float
     t2_s: float = math.inf
     prep_time_s: float = 0.0
-    fiber_speed_m_s: float = 2.0e8
 
     def __post_init__(self) -> None:
         check_probability(self.f_depol, "f_depol")
@@ -37,8 +36,6 @@ class NoiseParams:
             raise ValueError(f"dephasing time must be positive, got {self.t2_s!r}")
         if self.prep_time_s < 0:
             raise ValueError("pair preparation time must be non-negative")
-        if not self.fiber_speed_m_s > 0:
-            raise ValueError("fiber light speed must be positive")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ standard scenario panels, one CSV per panel plus a manifest of the choices."""
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -121,19 +122,53 @@ def _fig4(outdir: str, seed: int, manifest: list[str]) -> None:
     _write(table, outdir, "fig4_advantage_profiles.csv", manifest)
 
 
-def _block_sweep_rows(seed: int, split_bipartite: bool) -> ResultTable:
+def _block_sweep(seed: int):
+    """The asymmetric memory network at every BLOCK_GRID block.
+
+    One row of named cells per block, of which the fig5, figC1 and figC2
+    tables are column projections; also returns the network and its
+    multipartite error rates for the one optimum figC2 adds.
+    """
     noise = _memory_noise()
     cfg = NetworkConfig(DEFAULT_N, ASYM_D_A_KM, ASYM_D_B_KM)
-    qb_multi = scenario_qbers(cfg, ProtocolSpec(Family.MQSS, memories=True), noise, MC_SAMPLES, seed)
-    qb_bi = scenario_qbers(cfg, ProtocolSpec(Family.BQSS, memories=True), noise, MC_SAMPLES, seed)
-    asym_multi = asymptotic_rate(cfg, ProtocolSpec(Family.MQSS, memories=True), qb_multi).rate
-    asym_bi = asymptotic_rate(cfg, ProtocolSpec(Family.BQSS, memories=True), qb_bi).rate
+    spec_multi = ProtocolSpec(Family.MQSS, memories=True)
+    spec_bi = ProtocolSpec(Family.BQSS, memories=True)
+    qb_multi = scenario_qbers(cfg, spec_multi, noise, MC_SAMPLES, seed)
+    qb_bi = scenario_qbers(cfg, spec_bi, noise, MC_SAMPLES, seed)
+    asym_multi = asymptotic_rate(cfg, spec_multi, qb_multi).rate
+    asym_bi = asymptotic_rate(cfg, spec_bi, qb_bi).rate
+    rows = []
+    for block in BLOCK_GRID:
+        fsp = FiniteSizeParams(epsilon=EPSILON, block_size=block)
+        opt_qss, res_qss = optimized_fraction(cfg, Family.MQSS, fsp, qb_multi, memories=True)
+        opt_cka, res_cka, strategy_cka = best_cka_fraction(cfg, fsp, qb_multi, memories=True)
+        bi = bipartite_optimal(cfg, noise, fsp, memory_qbers=qb_bi)
+        # an indeterminate link optimum has p_key nan
+        pre_p, pre_v = bi.candidates[(Family.BCKA.value, True)]
+        sw_p, sw_v = bi.candidates[(Family.BQSS.value, True)]
+        rows.append({
+            "block_size": block,
+            "mQSS": res_qss.secret_fraction,
+            "mCKA": res_cka.secret_fraction,
+            "mCKA_strategy": strategy_cka.value,
+            "p_key_mQSS": None if opt_qss.indeterminate else opt_qss.x,
+            "p_key_mCKA": None if opt_cka.indeterminate else opt_cka.x,
+            "bipartite_optimal": bi.result.secret_fraction,
+            "bipartite_choice": f"{bi.family.value}{'+mem' if bi.memories else ''}",
+            "b_preshared": pre_v,
+            "b_switching": sw_v,
+            "p_key_b_preshared": pre_p,
+            "p_key_b_switching": sw_p,
+            "asymptote_multi": asym_multi,
+            "asymptote_bipartite": asym_bi,
+        })
+    return cfg, qb_multi, rows
+
+
+def _block_table(seed: int, bi_columns: list[str]) -> ResultTable:
+    _, _, rows = _block_sweep(seed)
     columns = ["block_size", "mQSS", "mCKA", "mCKA_strategy", "p_key_mQSS", "p_key_mCKA"]
-    if split_bipartite:
-        columns += ["b_preshared", "b_switching", "p_key_b_preshared", "p_key_b_switching"]
-    else:
-        columns += ["bipartite_optimal", "bipartite_choice"]
-    columns += ["asymptote_multi", "asymptote_bipartite"]
+    columns += bi_columns + ["asymptote_multi", "asymptote_bipartite"]
     table = ResultTable(
         columns,
         metadata=_meta(
@@ -142,48 +177,30 @@ def _block_sweep_rows(seed: int, split_bipartite: bool) -> ResultTable:
             memories="true",
         ),
     )
-    for block in BLOCK_GRID:
-        fsp = FiniteSizeParams(epsilon=EPSILON, block_size=block, mc_samples=MC_SAMPLES, seed=seed)
-        opt_qss, res_qss = optimized_fraction(cfg, Family.MQSS, fsp, qb_multi, memories=True)
-        opt_cka, res_cka, strategy_cka = best_cka_fraction(cfg, fsp, qb_multi, memories=True)
-        row = [
-            block,
-            res_qss.secret_fraction,
-            res_cka.secret_fraction,
-            strategy_cka.value,
-            None if opt_qss.indeterminate else opt_qss.x,
-            None if opt_cka.indeterminate else opt_cka.x,
-        ]
-        bi = bipartite_optimal(cfg, noise, fsp, memory_qbers=qb_bi)
-        if split_bipartite:
-            pre_p, pre_v = bi.candidates[(Family.BCKA.value, True)]
-            sw_p, sw_v = bi.candidates[(Family.BQSS.value, True)]
-            row += [pre_v, sw_v, pre_p, sw_p]
-        else:
-            choice = f"{bi.family.value}{'+mem' if bi.memories else ''}"
-            row += [bi.result.secret_fraction, choice]
-        row += [asym_multi, asym_bi]
-        table.rows.append(row)
+    for row in rows:
+        table.add_row(*(row[column] for column in columns))
     return table
 
 
 def _fig5(outdir: str, seed: int, manifest: list[str]) -> None:
     """Secret fraction versus block size, bipartite collapsed to its best."""
-    _write(_block_sweep_rows(seed, split_bipartite=False), outdir, "fig5_blocksize.csv", manifest)
+    table = _block_table(seed, ["bipartite_optimal", "bipartite_choice"])
+    _write(table, outdir, "fig5_blocksize.csv", manifest)
 
 
 def _fig_c1(outdir: str, seed: int, manifest: list[str]) -> None:
     """Secret fraction versus block size with both bipartite strategies shown."""
-    _write(_block_sweep_rows(seed, split_bipartite=True), outdir, "figC1_blocksize_full.csv", manifest)
+    columns = ["b_preshared", "b_switching", "p_key_b_preshared", "p_key_b_switching"]
+    _write(_block_table(seed, columns), outdir, "figC1_blocksize_full.csv", manifest)
 
 
 def _fig_c2(outdir: str, seed: int, manifest: list[str]) -> None:
-    """Optimal key-basis probability versus block size."""
-    noise = _memory_noise()
-    cfg = NetworkConfig(DEFAULT_N, ASYM_D_A_KM, ASYM_D_B_KM)
-    qb_multi = scenario_qbers(cfg, ProtocolSpec(Family.MQSS, memories=True), noise, MC_SAMPLES, seed)
-    qb_bi = scenario_qbers(cfg, ProtocolSpec(Family.BQSS, memories=True), noise, MC_SAMPLES, seed)
-    fsp_link_scale = cfg.n_parties - 1
+    """Optimal key-basis probability versus block size.
+
+    p_key_mCKA is the pre-shared conference-key optimum, which differs from
+    the sweep's best mCKA wherever switching wins, so it is optimized here.
+    """
+    cfg, qb_multi, rows = _block_sweep(seed)
     table = ResultTable(
         ["block_size", "p_key_mCKA", "p_key_mQSS", "p_key_bCKA", "p_key_bQSS"],
         metadata=_meta(
@@ -191,19 +208,15 @@ def _fig_c2(outdir: str, seed: int, manifest: list[str]) -> None:
             f_depol=F_DEPOL, epsilon=EPSILON, memories="true",
         ),
     )
-    for block in BLOCK_GRID:
-        fsp = FiniteSizeParams(epsilon=EPSILON, block_size=block, mc_samples=MC_SAMPLES, seed=seed)
-        fsp_link = fsp.scaled(fsp_link_scale)
+    for row in rows:
+        fsp = FiniteSizeParams(epsilon=EPSILON, block_size=row["block_size"])
         opt_cka, _ = optimized_fraction(cfg, Family.MCKA, fsp, qb_multi, memories=True)
-        opt_qss, _ = optimized_fraction(cfg, Family.MQSS, fsp, qb_multi, memories=True)
-        opt_bcka, _ = optimized_fraction(cfg, Family.BCKA, fsp_link, qb_bi, memories=True)
-        opt_bqss, _ = optimized_fraction(cfg, Family.BQSS, fsp_link, qb_bi, memories=True)
+        p_links = (row["p_key_b_preshared"], row["p_key_b_switching"])
         table.add_row(
-            block,
+            row["block_size"],
             None if opt_cka.indeterminate else opt_cka.x,
-            None if opt_qss.indeterminate else opt_qss.x,
-            None if opt_bcka.indeterminate else opt_bcka.x,
-            None if opt_bqss.indeterminate else opt_bqss.x,
+            row["p_key_mQSS"],
+            *(None if math.isnan(p) else p for p in p_links),
         )
     _write(table, outdir, "figC2_optimal_pkey.csv", manifest)
 
@@ -258,9 +271,7 @@ def _fig7(outdir: str, seed: int, manifest: list[str]) -> None:
     )
     for memories in (True, False):
         for block in THRESHOLD_BLOCKS:
-            fsp = FiniteSizeParams(
-                epsilon=EPSILON, block_size=block, mc_samples=MC_SAMPLES, seed=seed
-            )
+            fsp = FiniteSizeParams(epsilon=EPSILON, block_size=block)
             for task in ("QSS", "CKA"):
                 profile = advantage_profile(
                     cfg, noise, 20, memories=memories, fsp=fsp, task=task,

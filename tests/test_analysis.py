@@ -26,7 +26,7 @@ def test_noiseless_distance_thresholds():
 
 def test_threshold_gap_refinement():
     query = ThresholdQuery("distance", 3, fixed_noise=0.0)
-    res = find_threshold(query, (1.0, 30.0), gap_rtol=1e-9)
+    res = find_threshold(query, (1.0, 30.0), xtol=1e-12)
     cfg = NetworkConfig.make_symmetric(3, res.value)
     multi = asymptotic_rate(cfg, ProtocolSpec(Family.MQSS), memoryless_qber(0.0, 3))
     bi = asymptotic_rate(cfg, ProtocolSpec(Family.BQSS), memoryless_qber(0.0, 2))

@@ -157,6 +157,19 @@ def test_cli_rejects_non_finite_sizes(config_file, capsys, setting):
                  "--set", "sweep.from=0", "--set", "sweep.to=0.01", "--set", "sweep.steps=2"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting", ["network.d_A_km=nan", "network.d_B_km=inf", "network.d_km=nan"])
+def test_cli_rejects_non_finite_distances(capsys, setting):
+    assert main(["rate", "--set", setting]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["network.d_A_km=2", "mc.samples=0"])
+def test_cli_memory_settings_are_config_errors(capsys, setting):
+    # memory yields assume d_A >= d_B; zero samples leave the dephasing undefined
+    assert main(["rate", "--set", setting, "--set", "protocol.memories=true"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --set[1]:1: ")
+
+
 def test_cli_reproduce_fig2(tmp_path):
     outdir = tmp_path / "rep"
     assert main(["reproduce", "--figure", "fig2", "--outdir", str(outdir)]) == EXIT_OK

@@ -74,6 +74,15 @@ def test_finite_size_params_validation():
     assert fsp.budget().eps_rob == 1e-3
 
 
+def test_scaled_budget_divides_explicit_overrides():
+    fsp = FiniteSizeParams(1e-10, block_size=1e8, eps_rob=1e-6, eps_ec=1e-8)
+    link = fsp.scaled(4)
+    assert link.block_size == 1e8
+    budget = link.budget()
+    assert (budget.eps_rob, budget.eps_ec) == (2.5e-7, 2.5e-9)
+    assert FiniteSizeParams(1e-10, block_size=1e8).scaled(4).budget() == epsilon_budget(2.5e-11)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("name", ["rounds", "block_size"])
 def test_finite_size_params_reject_non_finite(name, value):

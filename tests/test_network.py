@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,8 +25,13 @@ def test_network_config_validation():
         NetworkConfig(1, 10.0, 10.0)
     with pytest.raises(ValueError):
         NetworkConfig(3, -1.0, 4.0)
-    with pytest.raises(ValueError):
-        NetworkConfig(3, 10.0, 4.0, symmetric=True)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            NetworkConfig(3, bad, 4.0)
+        with pytest.raises(ValueError, match="finite"):
+            NetworkConfig(3, 10.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            NetworkConfig.make_symmetric(3, bad)
 
 
 def test_protocol_spec_defaults_and_guard():
