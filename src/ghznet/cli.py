@@ -185,6 +185,23 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             raise ConfigError("finite thresholds need finite.block_size (not finite.L)")
         block_size = scenario.finite.block_size
     noise_target = args.target == "noise"
+    # one of f_D in [0, 1] and the distance in [0, inf) is scanned, the other held
+    noise_range, distance_range = (0.0, 1.0), (0.0, math.inf)
+    scanned, held = (
+        (noise_range, distance_range) if noise_target else (distance_range, noise_range)
+    )
+    if args.bracket:
+        lo, hi = args.bracket
+        if not (scanned[0] <= lo < hi <= scanned[1] and math.isfinite(hi)):
+            raise ConfigError(
+                f"--bracket needs finite lo < hi within {list(scanned)}, got {lo!r} {hi!r}"
+            )
+    if args.n is not None and args.n < 2:
+        raise ConfigError(f"--n needs at least 2 players, got {args.n}")
+    if args.fixed is not None and not (
+        held[0] <= args.fixed <= held[1] and math.isfinite(args.fixed)
+    ):
+        raise ConfigError(f"--fixed must be finite and within {list(held)}, got {args.fixed!r}")
     fixed = args.fixed
     if fixed is None:
         fixed = scenario.network.d_b_km if noise_target else scenario.noise.f_depol
@@ -330,6 +347,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     if max_n < 2:
         print("error: need max-n >= 2", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.sift_rounds < 1:
+        print("error: need sift-rounds >= 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        print(f"error: need a finite tol > 0, got {args.tol!r}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"density oracle vs analytic chain (N = 2..{max_n}, tolerance {args.tol:g})")
     rows = oracle_grid(max_n=max_n, tol=args.tol)

@@ -224,6 +224,8 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     if strategy is BasisStrategy.PRESHARED and Family.MQSS in families:
         _fail_on(items, "protocol.basis_strategy", "mQSS requires active basis switching")
     p_key = _value(items, "protocol.p_key", 1.0)
+    if not 0.0 <= p_key <= 1.0:
+        _fail_on(items, "protocol.p_key", f"protocol.p_key must lie in [0, 1], got {p_key!r}")
     finite = None
     rounds = _value(items, "finite.L")
     block = _value(items, "finite.block_size")

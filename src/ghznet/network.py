@@ -210,6 +210,8 @@ def simulate_sifting(
         key_round = rng.random(rounds) < spec.p_key
         return float(key_round.mean()), float(1.0 - key_round.mean())
     key_choice = rng.random((rounds, n_parties)) < spec.p_key
-    all_key = key_choice.all(axis=1)
-    check_usable = ~key_choice[:, 0] & (~key_choice[:, 1:]).any(axis=1)
-    return float(all_key.mean()), float(check_usable.mean())
+    alice_key = key_choice[:, 0]
+    bobs_key = np.count_nonzero(key_choice[:, 1:], axis=1)
+    all_key = np.count_nonzero(alice_key & (bobs_key == n_parties - 1))
+    check_usable = np.count_nonzero(~alice_key & (bobs_key < n_parties - 1))
+    return float(all_key / rounds), float(check_usable / rounds)

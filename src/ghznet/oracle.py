@@ -1,10 +1,12 @@
 """Exact density-operator check of the memory-network error-rate chain.
 
-Small-N verification path, not a performance path: it simulates the hub's
-GHZ production, the noisy resource pairs and the entanglement swapping
-with dense matrices and reads the error rates off the final state, so the
-closed-form chain in :mod:`ghznet.noise` can be checked to near machine
-precision.
+It simulates the hub's GHZ production, the noisy resource pairs and the
+entanglement swapping on the density operator and reads the error rates
+off the final state, so the closed-form chain in :mod:`ghznet.noise` can
+be checked to near machine precision.  States are kept as 2^n x 2^n
+matrices and worked on as qubit tensors: single-qubit channels act on one
+reshaped axis pair, and the swaps contract one resource pair at a time
+into the hub state, so the state never grows past the N parties' 2^N x 2^N.
 """
 
 from __future__ import annotations
@@ -32,21 +34,19 @@ def alpha_beta_subset_sum(pairs: Sequence[PairCoefficients]) -> tuple[float, flo
     """Even/odd parity sums by explicit enumeration of all flip subsets.
 
     Exponential reference used only to validate the closed form; the
-    production path is :func:`ghznet.noise.alpha_beta_closed_form`.
+    production path is :func:`ghznet.noise.alpha_beta_closed_form`.  Row r
+    of the (2^k, k) mask array is the subset whose bits are set in r.
     """
     if not pairs:
         raise ValueError("need at least one resource pair")
-    even = 0.0
-    odd = 0.0
-    for mask in range(2 ** len(pairs)):
-        term = 1.0
-        for index, pair in enumerate(pairs):
-            term *= pair.w_flip if (mask >> index) & 1 else pair.w_keep
-        if mask.bit_count() % 2 == 0:
-            even += term
-        else:
-            odd += term
-    return even, odd
+    k = len(pairs)
+    flips = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    keep = np.array([pair.w_keep for pair in pairs])
+    flip = np.array([pair.w_flip for pair in pairs])
+    terms = np.where(flips == 1, flip, keep).prod(axis=1)
+    odd = flips.sum(axis=1) % 2 == 1
+    return float(terms[~odd].sum()), float(terms[odd].sum())
+
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -70,10 +70,16 @@ def _num_qubits(rho: np.ndarray) -> int:
     return n
 
 
-def embed_one(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit index {qubit} out of range for {n_qubits} qubits")
-    return kron_all([op if i == qubit else I2 for i in range(n_qubits)])
+def apply_one_qubit(rho: np.ndarray, op: np.ndarray, qubit: int) -> np.ndarray:
+    """op . rho . op^dagger with the 2x2 `op` acting on one qubit of rho."""
+    n = _num_qubits(rho)
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
+    axes = (2**qubit, 2, 2 ** (n - qubit - 1))
+    tensor = rho.reshape(axes + axes)
+    tensor = np.einsum("ab,xbyuvw->xayuvw", op, tensor)
+    tensor = np.einsum("xayubw,cb->xayucw", tensor, op.conj())
+    return tensor.reshape(rho.shape)
 
 
 def validate_density(rho: np.ndarray, tol: float = 1e-12) -> None:
@@ -89,11 +95,9 @@ def validate_density(rho: np.ndarray, tol: float = 1e-12) -> None:
 
 def apply_depolarizing(rho: np.ndarray, qubit: int, f_depol: float) -> np.ndarray:
     """Single-qubit depolarizing channel with Pauli weight f_depol/4 each."""
-    n = _num_qubits(rho)
     out = (1.0 - 0.75 * f_depol) * rho
     for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-        op = embed_one(pauli, qubit, n)
-        out = out + 0.25 * f_depol * (op @ rho @ op.conj().T)
+        out = out + 0.25 * f_depol * apply_one_qubit(rho, pauli, qubit)
     return out
 
 
@@ -101,9 +105,7 @@ def apply_dephasing(rho: np.ndarray, qubit: int, lam: float) -> np.ndarray:
     """Single-qubit phase-flip channel; lam in [0, 1/2]."""
     if not 0.0 <= lam <= 0.5:
         raise ValueError(f"dephasing weight must lie in [0, 1/2], got {lam!r}")
-    n = _num_qubits(rho)
-    op = embed_one(PAULI_Z, qubit, n)
-    return (1.0 - lam) * rho + lam * (op @ rho @ op.conj().T)
+    return (1.0 - lam) * rho + lam * apply_one_qubit(rho, PAULI_Z, qubit)
 
 
 def controlled_flip_gate(control: int, target: int, n_qubits: int) -> np.ndarray:
@@ -116,14 +118,6 @@ def controlled_flip_gate(control: int, target: int, n_qubits: int) -> np.ndarray
     ops_minus[control] = proj_minus
     ops_minus[target] = PAULI_X
     return kron_all(ops_plus) + kron_all(ops_minus)
-
-
-def permute_qubits(rho: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Reorder qubits so new position i holds old qubit perm[i]."""
-    n = len(perm)
-    tensor = rho.reshape((2,) * (2 * n))
-    axes = list(perm) + [n + p for p in perm]
-    return np.ascontiguousarray(tensor.transpose(axes).reshape(2**n, 2**n))
 
 
 def build_hub_state(n_parties: int, f_depol: float) -> np.ndarray:
@@ -154,8 +148,7 @@ def build_hub_state(n_parties: int, f_depol: float) -> np.ndarray:
     blocks = rho.reshape(2, half, 2, half)
     branch0 = blocks[0, :, 0, :]
     branch1 = blocks[1, :, 1, :]
-    correction = embed_one(PAULI_Z, 1, n_qubits - 1)  # first fan-out qubit
-    return branch0 + correction @ branch1 @ correction.conj().T
+    return branch0 + apply_one_qubit(branch1, PAULI_Z, 1)  # first fan-out qubit
 
 
 def noisy_pair_state(exp_b: float, exp_c: float, f_depol: float) -> np.ndarray:
@@ -169,28 +162,29 @@ def noisy_pair_state(exp_b: float, exp_c: float, f_depol: float) -> np.ndarray:
 
 def swap_pairs(hub_state: np.ndarray, pair_states: Sequence[np.ndarray]) -> np.ndarray:
     """Project every (fan-out, hub-half) pair onto phi+ and renormalize,
-    leaving the (Alice, Bob_1..Bob_{N-1}) state."""
+    leaving the (Alice, Bob_1..Bob_{N-1}) state.
+
+    One pair at a time: with f the fan-out qubit i of the current state R
+    and P the (hub half, Bob half) pair state,
+    S[a,b,a',b'] = 1/2 sum_{f,f'} R[a,f,a',f'] P[f,b,f',b'],
+    so Bob i takes fan-out qubit i's place and the state keeps its size.
+    """
     n_parties = _num_qubits(hub_state)
     if len(pair_states) != n_parties - 1:
         raise ValueError("need one resource pair per Bob")
     rho = hub_state
-    for pair in pair_states:
+    for qubit, pair in enumerate(pair_states, start=1):
         if pair.shape != (4, 4):
             raise ValueError("resource pairs must be two-qubit states")
-        rho = np.kron(rho, pair)
-    # order: [alice, fanout_1..fanout_{n-1}, hub_1, bob_1, ..., hub_{n-1}, bob_{n-1}]
-    keep = [0] + [n_parties + 2 * i + 1 for i in range(n_parties - 1)]
-    project = []
-    for i in range(n_parties - 1):
-        project += [1 + i, n_parties + 2 * i]
-    rho = permute_qubits(rho, keep + project)
-    bra = _PHI_PLUS.conj().reshape(1, 4)
-    projector = np.kron(np.eye(2**n_parties, dtype=complex), kron_all([bra] * (n_parties - 1)))
-    projected = projector @ rho @ projector.conj().T
-    norm = float(np.real(np.trace(projected)))
+        axes = (2**qubit, 2, 2 ** (n_parties - qubit - 1))
+        tensor = np.einsum(
+            "xfyuFv,fbFB->xbyuBv", rho.reshape(axes + axes), pair.reshape(2, 2, 2, 2)
+        )
+        rho = 0.5 * tensor.reshape(hub_state.shape)
+    norm = float(np.real(np.trace(rho)))
     if norm < 1e-15:
         raise ValueError("entanglement swapping projection has zero norm")
-    return projected / norm
+    return rho / norm
 
 
 @dataclass(frozen=True)
@@ -222,18 +216,15 @@ def ghz_basis_vector(bits: int, sign: int, n_parties: int) -> np.ndarray:
 
 
 def decompose_ghz(rho: np.ndarray, n_parties: int) -> GhzDecomposition:
-    n_bobs = n_parties - 1
-    weights_plus = np.zeros(2**n_bobs)
-    weights_minus = np.zeros(2**n_bobs)
-    reconstructed = np.zeros_like(rho)
-    for bits in range(2**n_bobs):
-        for sign, target in ((+1, weights_plus), (-1, weights_minus)):
-            vec = ghz_basis_vector(bits, sign, n_parties)
-            weight = float(np.real(vec.conj() @ rho @ vec))
-            target[bits] = weight
-            reconstructed = reconstructed + weight * np.outer(vec, vec.conj())
+    half = 2 ** (n_parties - 1)
+    # columns: the + vectors for bits 0..half-1, then the - vectors
+    basis = np.column_stack(
+        [ghz_basis_vector(bits, sign, n_parties) for sign in (1, -1) for bits in range(half)]
+    )
+    weights = np.real(np.einsum("ik,ij,jk->k", basis.conj(), rho, basis))
+    reconstructed = (basis * weights) @ basis.conj().T
     residual = float(np.linalg.norm(rho - reconstructed))
-    return GhzDecomposition(n_parties, weights_plus, weights_minus, residual)
+    return GhzDecomposition(n_parties, weights[:half], weights[half:], residual)
 
 
 def swap_and_decompose(

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ghznet
 from ghznet.cli import EXIT_CONFIG, EXIT_OK, main
 from ghznet.config import ConfigError, load_config, parse_kv_text, resolve_scenario
 
@@ -170,6 +176,31 @@ def test_cli_memory_settings_are_config_errors(capsys, setting):
     assert capsys.readouterr().err.startswith("error: --set[1]:1: ")
 
 
+def test_cli_rejects_p_key_out_of_range(capsys):
+    assert main(["rate", "--set", "protocol.p_key=1.5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --set[1]:1: protocol.p_key must lie in [0, 1]")
+    sweep = ["sweep", "--set", "sweep.parameter=protocol.p_key", "--set", "sweep.from=0.5",
+             "--set", "sweep.to=1.5", "--set", "sweep.steps=3"]
+    assert main(sweep) == EXIT_CONFIG
+    assert "protocol.p_key must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--target", "distance", "--bracket", "5", "1"],
+        ["--target", "noise", "--bracket", "0", "2"],
+        ["--target", "distance", "--n", "1"],
+        ["--target", "noise", "--fixed", "nan"],
+        ["--target", "noise", "--fixed", "-1"],
+        ["--target", "distance", "--fixed", "2"],
+    ],
+)
+def test_cli_threshold_rejects_bad_arguments(capsys, argv):
+    assert main(["threshold", *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {argv[2]} ")
+
+
 def test_cli_reproduce_fig2(tmp_path):
     outdir = tmp_path / "rep"
     assert main(["reproduce", "--figure", "fig2", "--outdir", str(outdir)]) == EXIT_OK
@@ -192,3 +223,26 @@ def test_cli_oracle_check_guards(capsys):
     assert "oracle supports N <= 4" in capsys.readouterr().err
     assert main(["oracle-check", "--max-n", "4"]) == EXIT_CONFIG
     assert "--widen-guard" in capsys.readouterr().err
+    assert main(["oracle-check", "--max-n", "2", "--sift-rounds", "0"]) == EXIT_CONFIG
+    assert "sift-rounds >= 1" in capsys.readouterr().err
+    for tol in ("-1", "nan"):
+        assert main(["oracle-check", "--max-n", "2", "--tol", tol]) == EXIT_CONFIG
+        assert "finite tol > 0" in capsys.readouterr().err
+
+
+def test_cli_oracle_check_four_parties(capsys):
+    assert main(["oracle-check", "--max-n", "4", "--widen-guard"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "168/168 grid points passed" in out
+    assert "oracle-check: PASS" in out
+
+
+def test_python_m_ghznet_runs_the_cli():
+    src = str(Path(ghznet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "ghznet", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"ghznet {ghznet.__version__}"

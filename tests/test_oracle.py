@@ -1,7 +1,10 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from ghznet.noise import (
+    PairCoefficients,
     alpha_beta_closed_form,
     ghz_prefactors,
     memory_qbers,
@@ -9,8 +12,13 @@ from ghznet.noise import (
     pair_coefficients,
 )
 from ghznet.oracle import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    alpha_beta_subset_sum,
     apply_dephasing,
     apply_depolarizing,
+    apply_one_qubit,
     build_hub_state,
     decompose_ghz,
     direct_qbers,
@@ -30,6 +38,71 @@ def random_density(n_qubits: int, seed: int) -> np.ndarray:
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = mat @ mat.conj().T
     return rho / np.trace(rho)
+
+
+# Dense references: the oracle's channels and swaps written with full
+# kron-embedded operators, a qubit permutation of the joint state and one
+# global projector.  Slow and memory-hungry, but a direct transcription of
+# the physics to check the tensor contractions against.
+
+I2 = np.eye(2, dtype=complex)
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def dense_embed_one(op, qubit, n_qubits):
+    return reduce(np.kron, [op if i == qubit else I2 for i in range(n_qubits)])
+
+
+def dense_depolarizing(rho, qubit, f_depol):
+    n = int(np.log2(rho.shape[0]))
+    out = (1.0 - 0.75 * f_depol) * rho
+    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+        op = dense_embed_one(pauli, qubit, n)
+        out = out + 0.25 * f_depol * (op @ rho @ op.conj().T)
+    return out
+
+
+def dense_dephasing(rho, qubit, lam):
+    op = dense_embed_one(PAULI_Z, qubit, int(np.log2(rho.shape[0])))
+    return (1.0 - lam) * rho + lam * (op @ rho @ op.conj().T)
+
+
+def dense_permute_qubits(rho, perm):
+    """Reorder qubits so new position i holds old qubit perm[i]."""
+    n = len(perm)
+    tensor = rho.reshape((2,) * (2 * n))
+    axes = list(perm) + [n + p for p in perm]
+    return tensor.transpose(axes).reshape(2**n, 2**n)
+
+
+def dense_swap_pairs(hub_state, pair_states):
+    n_parties = int(np.log2(hub_state.shape[0]))
+    rho = reduce(np.kron, pair_states, hub_state)
+    # order: [alice, fanout_1..fanout_{n-1}, hub_1, bob_1, ..., hub_{n-1}, bob_{n-1}]
+    keep = [0] + [n_parties + 2 * i + 1 for i in range(n_parties - 1)]
+    project = []
+    for i in range(n_parties - 1):
+        project += [1 + i, n_parties + 2 * i]
+    rho = dense_permute_qubits(rho, keep + project)
+    bra = PHI_PLUS.conj().reshape(1, 4)
+    projector = np.kron(
+        np.eye(2**n_parties, dtype=complex), reduce(np.kron, [bra] * (n_parties - 1))
+    )
+    projected = projector @ rho @ projector.conj().T
+    return projected / np.real(np.trace(projected))
+
+
+def loop_subset_sum(pairs):
+    even = odd = 0.0
+    for mask in range(2 ** len(pairs)):
+        term = 1.0
+        for index, pair in enumerate(pairs):
+            term *= pair.w_flip if (mask >> index) & 1 else pair.w_keep
+        if mask.bit_count() % 2 == 0:
+            even += term
+        else:
+            odd += term
+    return even, odd
 
 
 BELL_PHI_PLUS = np.zeros((4, 4), dtype=complex)
@@ -209,3 +282,65 @@ def test_oracle_grid_catches_wrong_sign():
         max_n=2, f_grid=(0.05,), exponent_values=(0.5,), prefactor_fn=broken
     )
     assert any(not row.passed for row in rows)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_channels_match_dense_reference(n_qubits):
+    rho = random_density(n_qubits, 10 + n_qubits)
+    for qubit in range(n_qubits):
+        np.testing.assert_allclose(
+            apply_depolarizing(rho, qubit, 0.37), dense_depolarizing(rho, qubit, 0.37),
+            rtol=0, atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            apply_dephasing(rho, qubit, 0.21), dense_dephasing(rho, qubit, 0.21),
+            rtol=0, atol=1e-15,
+        )
+        for op in (PAULI_Y, np.array([[0.3, 1.0j], [-0.5, 2.0]])):
+            embedded = dense_embed_one(op, qubit, n_qubits)
+            np.testing.assert_allclose(
+                apply_one_qubit(rho, op, qubit), embedded @ rho @ embedded.conj().T,
+                rtol=0, atol=1e-14,
+            )
+    with pytest.raises(ValueError):
+        apply_one_qubit(rho, PAULI_Z, n_qubits)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_swap_matches_dense_reference(n):
+    # random hub and pair states, far from GHZ-diagonal
+    for seed in range(3):
+        hub = random_density(n, 100 * n + seed)
+        pairs = [random_density(2, 1000 * n + 10 * seed + i) for i in range(n - 1)]
+        swapped = swap_pairs(hub, pairs)
+        assert np.abs(swapped - dense_swap_pairs(hub, pairs)).max() <= 1e-13
+        validate_density(swapped)
+
+
+def test_decompose_matches_projector_loop():
+    n = 3
+    rho = random_density(n, 21)
+    dec = decompose_ghz(rho, n)
+    reconstructed = np.zeros_like(rho)
+    for bits in range(4):
+        for sign, weights in ((1, dec.weights_plus), (-1, dec.weights_minus)):
+            vec = ghz_basis_vector(bits, sign, n)
+            weight = np.real(vec.conj() @ rho @ vec)
+            assert weights[bits] == pytest.approx(weight, abs=1e-15)
+            reconstructed += weight * np.outer(vec, vec.conj())
+    assert dec.residual == pytest.approx(np.linalg.norm(rho - reconstructed), abs=1e-15)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_subset_sum_matches_plain_loop(k):
+    rng = np.random.default_rng(k)
+    pairs = [PairCoefficients(0.5, 0.5, float(t), float(p)) for t, p in rng.random((k, 2))]
+    even, odd = alpha_beta_subset_sum(pairs)
+    ref_even, ref_odd = loop_subset_sum(pairs)
+    assert even == pytest.approx(ref_even, rel=1e-14)
+    assert odd == pytest.approx(ref_odd, rel=1e-14)
+
+
+def test_subset_sum_rejects_empty():
+    with pytest.raises(ValueError):
+        alpha_beta_subset_sum([])
