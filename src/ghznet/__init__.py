@@ -29,13 +29,10 @@ from .noise import (
 )
 from .memory import (
     AlphaBetaEstimate,
-    RoundSample,
     TimingConfig,
     expected_alpha_beta,
     expected_memory_qbers,
-    sample_round,
     trial_times,
-    waiting_times,
 )
 from .rates import AsymptoticRate, asymptotic_rate, cka_equals_qss_check, hbb_rate
 from .finite import (

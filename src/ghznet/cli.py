@@ -21,15 +21,7 @@ from .analysis import (
 )
 from .config import ConfigError, Scenario, load_config, resolve_scenario
 from .finite import expected_key_length
-from .memory import trial_times
-from .network import (
-    CHECK_RULE_ALL_BOBS,
-    CHECK_RULE_PRINTED,
-    ProtocolSpec,
-    sifting,
-    simulate_sifting,
-    yields,
-)
+from .network import ProtocolSpec, sifting, simulate_sifting, yields
 from .noise import PairCoefficients, alpha_beta_closed_form
 from .oracle import MAX_ORACLE_PARTIES, alpha_beta_subset_sum, oracle_grid
 from .rates import asymptotic_rate
@@ -79,7 +71,7 @@ def _metadata(scenario: Scenario, command: str) -> dict[str, str]:
     return meta
 
 
-def _rate_row(scenario: Scenario, family, per_time: bool = False) -> list:
+def _rate_row(scenario: Scenario, family) -> list:
     spec = ProtocolSpec(family, scenario.memories, scenario.basis_strategy, scenario.p_key)
     cfg = scenario.network
     qbers = scenario_qbers(cfg, spec, scenario.noise, scenario.mc_samples, scenario.seed)
@@ -99,52 +91,48 @@ def _rate_row(scenario: Scenario, family, per_time: bool = False) -> list:
     if scenario.finite is None:
         rate = asymptotic_rate(cfg, spec, qbers)
         status = "ok" if rate.raw > 0 else "clamped"
-        row = base + ["asymptotic", rate.raw, rate.rate] + [None] * 7 + [status] + [None] * 6
-        per_use = rate.rate
-    else:
-        result = expected_key_length(cfg, spec, scenario.finite, qbers)
-        row = base + [
-            "finite",
-            None,
-            None,
-            result.rounds,
-            result.m,
-            result.k,
-            math.floor(result.m),
-            math.floor(result.k),
-            result.ell,
-            result.secret_fraction,
-            result.status,
-            result.q_x_eff,
-            result.q_z_eff,
-            result.pe_term,
-            result.ec_term,
-            result.log_term,
-            result.preshared_term,
-        ]
-        per_use = result.secret_fraction
-    if per_time:
-        # extension beyond the per-network-use benchmark: one network use per
-        # Alice-link trial period
-        period = trial_times(cfg, scenario.noise).tau_a_s
-        row.append(per_use / period if period > 0 else None)
-    return row
+        return base + ["asymptotic", rate.raw, rate.rate] + [None] * 7 + [status] + [None] * 6
+    result = expected_key_length(cfg, spec, scenario.finite, qbers)
+    return base + [
+        "finite",
+        None,
+        None,
+        result.rounds,
+        result.m,
+        result.k,
+        math.floor(result.m),
+        math.floor(result.k),
+        result.ell,
+        result.secret_fraction,
+        result.status,
+        result.q_x_eff,
+        result.q_z_eff,
+        result.pe_term,
+        result.ec_term,
+        result.log_term,
+        result.preshared_term,
+    ]
 
 
-def _emit(table: ResultTable, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(table: ResultTable, out: str | None, scenario: Scenario) -> None:
+    """Write the table to --out, else to output.path, else to stdout."""
+    path = out or scenario.output_path
+    if path is None:
         sys.stdout.write(table.render())
-    else:
-        table.write(out_path)
+        return
+    try:
+        table.write(path)
+    except OSError as exc:
+        source, line = ("--out", None) if out else scenario.output_source
+        raise ConfigError(f"cannot write {path}: {exc.strerror}", source, line) from exc
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(load_config(args.config, args.set or []))
-    columns = RATE_COLUMNS + (["rate_per_second_ext"] if args.per_time else [])
-    table = ResultTable(columns, metadata=_metadata(scenario, "rate"))
+    table = ResultTable(RATE_COLUMNS, metadata=_metadata(scenario, "rate"))
     for family in scenario.families:
-        table.add_row(*_rate_row(scenario, family, per_time=args.per_time))
-    _emit(table, args.out or scenario.output_path)
+        table.add_row(*_rate_row(scenario, family))
+    _emit(table, args.out, scenario)
     return EXIT_OK
 
 
@@ -173,7 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         point = resolve_scenario(point_items)
         for family in point.families:
             table.add_row(point_items[sweep.parameter][0], *_rate_row(point, family))
-    _emit(table, args.out or scenario.output_path)
+    _emit(table, args.out, scenario)
     return EXIT_OK
 
 
@@ -232,7 +220,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         result.value,
         result.status,
     )
-    _emit(table, args.out or scenario.output_path)
+    _emit(table, args.out, scenario)
     return EXIT_OK
 
 
@@ -266,14 +254,17 @@ def cmd_optimize_pkey(args: argparse.Namespace) -> int:
             result.secret_fraction,
             opt.indeterminate,
         )
-    _emit(table, args.out or scenario.output_path)
+    _emit(table, args.out, scenario)
     return EXIT_OK
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from .reproduce import run_reproduce
 
-    run_reproduce(args.figure, args.outdir, seed=args.seed)
+    try:
+        run_reproduce(args.figure, args.outdir, seed=args.seed)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or args.outdir}: {exc.strerror}", "--outdir") from exc
     return EXIT_OK
 
 
@@ -308,8 +299,10 @@ def _sifting_check_rows(rounds: int, seed: int) -> tuple[list, bool]:
         for p_key in (0.5, 0.9, 0.99):
             spec = ProtocolSpec("mQSS", p_key=p_key)
             emp_key, emp_check = simulate_sifting(spec, n, rounds, rng)
-            printed = sifting(spec, n, CHECK_RULE_PRINTED)
-            all_bobs = sifting(spec, n, CHECK_RULE_ALL_BOBS)
+            printed = sifting(spec, n)
+            # reference count: Alice plus at least one of the N-1 Bobs in the
+            # check basis
+            all_bobs_check = (1.0 - p_key) * (1.0 - p_key ** (n - 1))
 
             def within(emp: float, ref: float) -> bool:
                 sigma = max(np.sqrt(ref * (1.0 - ref) / rounds), 1e-12)
@@ -317,7 +310,7 @@ def _sifting_check_rows(rounds: int, seed: int) -> tuple[list, bool]:
 
             key_ok = within(emp_key, printed.eta_key)
             match_printed = within(emp_check, printed.eta_check)
-            match_all_bobs = within(emp_check, all_bobs.eta_check)
+            match_all_bobs = within(emp_check, all_bobs_check)
             if match_printed and match_all_bobs:
                 verdict = "both"
             elif match_all_bobs:
@@ -328,7 +321,7 @@ def _sifting_check_rows(rounds: int, seed: int) -> tuple[list, bool]:
                 verdict = "neither"
             ok = key_ok and verdict != "neither"
             all_pass &= ok
-            rows.append((n, p_key, emp_key, printed.eta_key, key_ok, emp_check, printed.eta_check, all_bobs.eta_check, verdict))
+            rows.append((n, p_key, emp_key, printed.eta_key, key_ok, emp_check, printed.eta_check, all_bobs_check, verdict))
     return rows, all_pass
 
 
@@ -417,11 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="single-point rate evaluation")
     add_common(p_rate)
-    p_rate.add_argument(
-        "--per-time",
-        action="store_true",
-        help="append a per-second rate column (one network use per Alice-link trial)",
-    )
     p_rate.set_defaults(func=cmd_rate)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter, one row per point")

@@ -75,6 +75,11 @@ SCHEMA: dict[str, Callable[[str], object]] = {
     "output.path": _parse_str,
 }
 
+# Smallest accepted security parameter: the key-length log term divides by
+# eps_c * eps_pa**2, about epsilon**3 / 32, which must not underflow to 0
+# even after the bipartite baseline splits epsilon over N-1 links.
+MIN_EPSILON = 1e-100
+
 SWEEPABLE = (
     "network.d_km",
     "network.d_A_km",
@@ -109,6 +114,7 @@ class Scenario:
     seed: int
     sweep: SweepSpec | None
     output_path: str | None
+    output_source: tuple[str, int] | None
     resolved: dict[str, str]
 
 
@@ -201,6 +207,10 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     if memories and network.p_a > network.p_b:
         key = "network.d_A_km" if "network.d_A_km" in items else "network.d_B_km"
         _fail_on(items, key, "memory-assisted networks need d_A_km >= d_B_km")
+    if memories and network.p_a == 0.0:
+        key = "network.d_A_km" if "network.d_A_km" in items else "network.d_km"
+        message = f"memory-assisted networks need p_a > 0; {key} = {network.d_a_km:g} gives 0"
+        _fail_on(items, key, message)
     mc_samples = _value(items, "mc.samples", 1000)
     if mc_samples < 1:
         _fail_on(items, "mc.samples", "mc.samples must be >= 1")
@@ -232,13 +242,16 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     if rounds is not None or block is not None:
         if rounds is not None and block is not None:
             _fail_on(items, "finite.L", "set only one of finite.L and finite.block_size")
-        finite = FiniteSizeParams(
-            epsilon=_value(items, "finite.epsilon", 1e-10),
-            rounds=rounds,
-            block_size=block,
-            eps_rob=_value(items, "finite.eps_rob"),
-            eps_ec=_value(items, "finite.eps_EC"),
-        )
+        budget = {}
+        for key, name, default in (
+            ("finite.epsilon", "epsilon", 1e-10),
+            ("finite.eps_rob", "eps_rob", None),
+            ("finite.eps_EC", "eps_ec", None),
+        ):
+            value = budget[name] = _value(items, key, default)
+            if value is not None and not MIN_EPSILON <= value < 1.0:
+                _fail_on(items, key, f"{key} must lie in [{MIN_EPSILON:g}, 1), got {value!r}")
+        finite = FiniteSizeParams(rounds=rounds, block_size=block, **budget)
     elif any(key.startswith("finite.") for key in items):
         _fail_on(
             items,
@@ -277,5 +290,6 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         seed=_value(items, "mc.seed", 1),
         sweep=sweep,
         output_path=_value(items, "output.path"),
+        output_source=items["output.path"][1:] if "output.path" in items else None,
         resolved={key: items[key][0] for key in sorted(items)},
     )

@@ -95,8 +95,9 @@ class FiniteSizeParams:
     block_size: float | None = None
     eps_rob: float | None = None
     eps_ec: float | None = None
+    # Read by nothing in ghznet; kept only because the benchmark's
+    # player-profiles workload passes it.
     mc_samples: int = 1000
-    seed: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:

@@ -17,14 +17,7 @@ import numpy as np
 
 from .core import FIBER_LIGHT_SPEED_M_S
 from .network import NetworkConfig
-from .noise import (
-    NoiseParams,
-    QberPair,
-    alpha_beta_closed_form,
-    ghz_prefactors,
-    memory_qbers,
-    pair_coefficients,
-)
+from .noise import NoiseParams, QberPair, ghz_prefactors, memory_qbers
 
 
 @dataclass(frozen=True)
@@ -41,18 +34,6 @@ class TimingConfig:
             raise ValueError("dephasing time must be positive")
 
 
-@dataclass(frozen=True)
-class RoundSample:
-    """Success trial indices for one distribution round (all >= 1)."""
-
-    n_a: int
-    n_b: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_a < 1 or any(n < 1 for n in self.n_b):
-            raise ValueError("trial indices count from 1")
-
-
 def trial_times(cfg: NetworkConfig, noise: NoiseParams) -> TimingConfig:
     """Trial periods of the Alice link and the Bob links, plus the
     classical round trip on a Bob link."""
@@ -64,37 +45,10 @@ def trial_times(cfg: NetworkConfig, noise: NoiseParams) -> TimingConfig:
     return TimingConfig(tau_a, tau_b, comm_b, noise.t2_s)
 
 
-def waiting_times(sample: RoundSample, timing: TimingConfig) -> list[tuple[float, float]]:
-    """Memory storage times (t_bob, t_hub) per Bob for one sampled round.
-
-    A pair established after Alice's photon arrived would give a negative
-    difference; storage cannot be negative, so the difference is clamped
-    at zero before the classical round trip is added.
-    """
-    out = []
-    for n_b in sample.n_b:
-        raw = sample.n_a * timing.tau_a_s - n_b * timing.tau_b_s
-        t = max(raw, 0.0) + timing.comm_b_s
-        out.append((t, t))
-    return out
-
-
 def as_rng(seed: int | np.random.Generator | Sequence[int]) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def sample_round(
-    p_a: float, p_b: float, n_parties: int, rng: int | np.random.Generator
-) -> RoundSample:
-    """Draw geometric success trial indices for one distribution round."""
-    if not 0.0 < p_a <= 1.0 or not 0.0 < p_b <= 1.0:
-        raise ValueError("success probabilities must lie in (0, 1]")
-    rng = as_rng(rng)
-    n_a = int(rng.geometric(p_a))
-    n_b = tuple(int(v) for v in rng.geometric(p_b, size=n_parties - 1))
-    return RoundSample(n_a, n_b)
 
 
 @dataclass(frozen=True)
@@ -113,10 +67,12 @@ def expected_alpha_beta(
 ) -> AlphaBetaEstimate:
     """Monte Carlo mean of the even/odd parity sums over waiting-time draws.
 
-    Per draw this equals the chain sample_round -> waiting_times ->
-    pair_coefficients -> alpha_beta_closed_form, vectorised over draws.
-    alpha + beta is dephasing-independent, so a single standard error
-    describes both estimates.
+    Each draw takes geometric success-trial indices for Alice and the N-1
+    Bobs; every pair is stored for its wait at both ends, and the draw's
+    alpha is alpha_beta_closed_form over pair_coefficients(e, e, f_depol)
+    with e = exp(-wait/T2), vectorised over draws.  alpha + beta is
+    dephasing-independent, so a single standard error describes both
+    estimates.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -126,6 +82,8 @@ def expected_alpha_beta(
     n_a = rng.geometric(cfg.p_a, size=samples)
     n_b = rng.geometric(cfg.p_b, size=(samples, n_pairs))
     raw = n_a[:, None] * timing.tau_a_s - n_b * timing.tau_b_s
+    # a pair established after Alice's photon arrived stores for no negative
+    # time, only for the classical round trip
     wait = np.maximum(raw, 0.0) + timing.comm_b_s
     # exp(-t_bob/T2) * exp(-t_hub/T2) with t_bob == t_hub == wait
     decay = np.exp(-2.0 * wait / timing.t2_s)
@@ -140,20 +98,6 @@ def expected_alpha_beta(
     else:
         stderr = 0.0
     return AlphaBetaEstimate(alpha, beta, stderr, samples)
-
-
-def single_draw_alpha_beta(
-    sample: RoundSample, timing: TimingConfig, f_depol: float
-) -> tuple[float, float]:
-    """Scalar reference path for one draw (exercised against the vector code)."""
-    pairs = []
-    for t_bob, t_hub in waiting_times(sample, timing):
-        pairs.append(
-            pair_coefficients(
-                math.exp(-t_bob / timing.t2_s), math.exp(-t_hub / timing.t2_s), f_depol
-            )
-        )
-    return alpha_beta_closed_form(pairs)
 
 
 def expected_memory_qbers(

@@ -33,14 +33,6 @@ class BasisStrategy(str, Enum):
     SWITCHING = "switching"
 
 
-# Check-round probability under basis switching.  PRINTED keeps the
-# conventional (1-p)(1-p^(N-2)) form; ALL_BOBS counts "Alice plus at least
-# one of the N-1 Bobs in the check basis" directly, giving the N-1
-# exponent.  The sifting Monte Carlo reports which one it reproduces.
-CHECK_RULE_PRINTED = "printed"
-CHECK_RULE_ALL_BOBS = "all-bobs"
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Star topology with one Alice link and N-1 identical Bob links."""
@@ -148,34 +140,28 @@ def yields(cfg: NetworkConfig, spec: ProtocolSpec) -> float:
     return p_a * p_b ** (n - 1)
 
 
-def sifting_fractions(
-    strategy: BasisStrategy, n_parties: int, p_key, check_rule: str = CHECK_RULE_PRINTED
-):
-    """Key and check sifting fractions for a float or a numpy array of p_key."""
+def sifting_fractions(strategy: BasisStrategy, n_parties: int, p_key):
+    """Key and check sifting fractions for a float or a numpy array of p_key.
+
+    Under switching a check round needs Alice in the check basis; for N >= 3
+    the key lengths use (1-p)(1-p^(N-2)) for it.  The sifting Monte Carlo
+    counts "Alice plus at least one of the N-1 Bobs", (1-p)(1-p^(N-1)),
+    which `oracle-check` prints beside it.
+    """
     p = p_key
     if strategy is BasisStrategy.PRESHARED:
         return p, 1.0 - p
     if n_parties == 2:
         # Two-party switching: both in key basis / both in check basis.
         return p * p, (1.0 - p) ** 2
-    if check_rule == CHECK_RULE_PRINTED:
-        eta_check = (1.0 - p) * (1.0 - p ** (n_parties - 2))
-    elif check_rule == CHECK_RULE_ALL_BOBS:
-        eta_check = (1.0 - p) * (1.0 - p ** (n_parties - 1))
-    else:
-        raise ValueError(f"unknown check rule {check_rule!r}")
-    return p**n_parties, eta_check
+    return p**n_parties, (1.0 - p) * (1.0 - p ** (n_parties - 2))
 
 
-def sifting(
-    spec: ProtocolSpec, n_parties: int, check_rule: str = CHECK_RULE_PRINTED
-) -> SiftingEfficiencies:
+def sifting(spec: ProtocolSpec, n_parties: int) -> SiftingEfficiencies:
     """Probability that a delivered round is usable for key / for checks."""
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
-    return SiftingEfficiencies(
-        *sifting_fractions(spec.basis_strategy, n_parties, spec.p_key, check_rule)
-    )
+    return SiftingEfficiencies(*sifting_fractions(spec.basis_strategy, n_parties, spec.p_key))
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,16 @@ from typing import Callable
 import numpy as np
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Width of the final golden-section bracket.
+TOL = 1e-5
 
 
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-5
-) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal f on [lo, hi]."""
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximum of a unimodal f on [lo, hi], to within TOL."""
     c = hi - INV_GOLDEN * (hi - lo)
     d = lo + INV_GOLDEN * (hi - lo)
     f_c, f_d = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > TOL:
         if f_c >= f_d:
             hi, d, f_d = d, c, f_c
             c = hi - INV_GOLDEN * (hi - lo)
@@ -50,9 +50,7 @@ UNIT_GRID = np.array(
 
 
 def maximize_unit_interval(
-    f: Callable[[float], float],
-    f_array: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-5,
+    f: Callable[[float], float], f_array: Callable[[np.ndarray], np.ndarray]
 ) -> ScalarMaximum:
     """Coarse grid over (0, 1) followed by golden-section refinement.
 
@@ -68,7 +66,7 @@ def maximize_unit_interval(
         return ScalarMaximum(math.nan, 0.0, True)
     lo = float(UNIT_GRID[max(best - 1, 0)])
     hi = float(UNIT_GRID[min(best + 1, len(UNIT_GRID) - 1)])
-    x_ref, v_ref = golden_section_max(f, lo, hi, tol)
+    x_ref, v_ref = golden_section_max(f, lo, hi)
     x_grid = float(UNIT_GRID[best])
     v_grid = f(x_grid)
     if v_ref >= v_grid:

@@ -20,8 +20,6 @@ from ghznet.analysis import (
 )
 from ghznet.finite import FiniteSizeParams, bipartite_optimal, xi1, xi2
 from ghznet.network import (
-    CHECK_RULE_ALL_BOBS,
-    CHECK_RULE_PRINTED,
     Family,
     NetworkConfig,
     ProtocolSpec,
@@ -115,8 +113,9 @@ def test_criterion_06_sifting_oracle():
             for p_key in (0.5, 0.9, 0.99):
                 spec = ProtocolSpec(Family.MQSS, p_key=p_key)
                 emp_key, emp_check = simulate_sifting(spec, n, rounds, rng)
-                printed = sifting(spec, n, CHECK_RULE_PRINTED)
-                all_bobs = sifting(spec, n, CHECK_RULE_ALL_BOBS)
+                printed = sifting(spec, n)
+                # reference: Alice plus at least one of the N-1 Bobs in the check basis
+                all_bobs_check = (1.0 - p_key) * (1.0 - p_key ** (n - 1))
 
                 def within(emp, ref):
                     sigma = max(math.sqrt(ref * (1.0 - ref) / rounds), 1e-12)
@@ -124,7 +123,7 @@ def test_criterion_06_sifting_oracle():
 
                 assert within(emp_key, printed.eta_key), (n, p_key, emp_key)
                 hit_printed = within(emp_check, printed.eta_check)
-                hit_all_bobs = within(emp_check, all_bobs.eta_check)
+                hit_all_bobs = within(emp_check, all_bobs_check)
                 verdict = {
                     (True, True): "both",
                     (False, True): "all-bobs",
@@ -132,7 +131,7 @@ def test_criterion_06_sifting_oracle():
                     (False, False): "neither",
                 }[(hit_printed, hit_all_bobs)]
                 verdicts.append((n, p_key, verdict))
-                assert hit_all_bobs, (n, p_key, emp_check, all_bobs.eta_check)
+                assert hit_all_bobs, (n, p_key, emp_check, all_bobs_check)
         print("\ncheck-round rule comparison (which analytic form matches the simulation):")
         for n, p_key, verdict in verdicts:
             print(f"  N={n} p_key={p_key:<4}: {verdict}")

@@ -169,9 +169,10 @@ def test_cli_rejects_non_finite_distances(capsys, setting):
     assert "must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["network.d_A_km=2", "mc.samples=0"])
+@pytest.mark.parametrize("setting", ["network.d_A_km=2", "mc.samples=0", "network.d_A_km=20000"])
 def test_cli_memory_settings_are_config_errors(capsys, setting):
-    # memory yields assume d_A >= d_B; zero samples leave the dephasing undefined
+    # memory yields assume d_A >= d_B; zero samples leave the dephasing
+    # undefined; at 20000 km p_a underflows to 0 and no trial ever succeeds
     assert main(["rate", "--set", setting, "--set", "protocol.memories=true"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: --set[1]:1: ")
 
@@ -183,6 +184,26 @@ def test_cli_rejects_p_key_out_of_range(capsys):
              "--set", "sweep.to=1.5", "--set", "sweep.steps=3"]
     assert main(sweep) == EXIT_CONFIG
     assert "protocol.p_key must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["rate", "--out", "{missing}"], "error: --out: cannot write {missing}: "),
+        (["rate", "--set", "output.path={missing}"], "error: --set[1]:1: cannot write {missing}: "),
+        (["reproduce", "--figure", "fig2", "--outdir", "{file}"], "error: --outdir: cannot write {file}: "),
+        (
+            ["rate", "--set", "finite.block_size=1e8", "--set", "finite.epsilon=1e-300"],
+            "error: --set[2]:1: finite.epsilon must lie in [1e-100, 1)",
+        ),
+    ],
+    ids=["out", "output.path", "outdir", "epsilon"],
+)
+def test_cli_unwritable_output_and_tiny_epsilon(tmp_path, capsys, argv, message):
+    paths = {"missing": str(tmp_path / "missing" / "x.csv"), "file": str(tmp_path / "file")}
+    (tmp_path / "file").write_text("")
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(message.format(**paths))
 
 
 @pytest.mark.parametrize(

@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ghznet.memory import (
-    RoundSample,
-    expected_alpha_beta,
-    expected_memory_qbers,
-    sample_round,
-    single_draw_alpha_beta,
-    trial_times,
-    waiting_times,
-)
+from ghznet.memory import expected_alpha_beta, expected_memory_qbers, trial_times
 from ghznet.network import NetworkConfig
-from ghznet.noise import NoiseParams
+from ghznet.noise import NoiseParams, alpha_beta_closed_form, pair_coefficients
 
 CFG = NetworkConfig(3, 50.0, 4.0)
 NOISE = NoiseParams(f_depol=0.01, t2_s=1.0, prep_time_s=2e-6)
@@ -29,51 +21,6 @@ def test_trial_times_default_setup():
 def test_trial_times_degenerate():
     timing = trial_times(NetworkConfig(3, 0.0, 0.0), NoiseParams(0.0, t2_s=1.0))
     assert (timing.tau_a_s, timing.tau_b_s, timing.comm_b_s) == (0.0, 0.0, 0.0)
-
-
-def test_waiting_times_first_try():
-    timing = trial_times(CFG, NOISE)
-    per_bob = waiting_times(RoundSample(1, (1, 1)), timing)
-    for t_bob, t_hub in per_bob:
-        assert t_bob == pytest.approx(250e-6)
-        assert t_hub == t_bob
-
-
-def test_waiting_times_zero_when_balanced():
-    from ghznet.memory import TimingConfig
-
-    timing = TimingConfig(1e-5, 1e-5, 0.0, 1.0)
-    assert waiting_times(RoundSample(1, (1,)), timing) == [(0.0, 0.0)]
-
-
-def test_waiting_times_clamped():
-    # a pair finishing after the Alice photon cannot store for negative time
-    timing = trial_times(CFG, NOISE)
-    (t_bob, _), = waiting_times(RoundSample(1, (10,)), timing)
-    assert t_bob == pytest.approx(timing.comm_b_s)
-
-
-def test_round_sample_validation():
-    with pytest.raises(ValueError):
-        RoundSample(0, (1,))
-    with pytest.raises(ValueError):
-        sample_round(0.0, 0.5, 3, 1)
-
-
-def test_sample_round_deterministic_success():
-    sample = sample_round(1.0, 1.0, 4, np.random.default_rng(0))
-    assert sample.n_a == 1
-    assert sample.n_b == (1, 1, 1)
-
-
-def test_sample_round_geometric_mean():
-    rng = np.random.default_rng(123)
-    draws = np.array([sample_round(0.1, 0.832, 2, rng).n_a for _ in range(20_000)])
-    sigma = math.sqrt((1 - 0.1) / 0.1**2 / draws.size)
-    assert abs(draws.mean() - 10.0) < 5.0 * sigma
-    rng = np.random.default_rng(7)
-    bobs = np.array([sample_round(0.5, 0.832, 2, rng).n_b[0] for _ in range(20_000)])
-    assert abs(bobs.mean() - 1.0 / 0.832) < 5.0 * math.sqrt((1 - 0.832) / 0.832**2 / bobs.size)
 
 
 def test_expected_alpha_beta_perfect_memory():
@@ -118,15 +65,59 @@ def test_alpha_monotone_in_dephasing_time_coupled_draws():
     assert values == sorted(values)
 
 
-def test_single_draw_matches_hand_expansion():
-    timing = trial_times(CFG, NOISE)
-    sample = RoundSample(3, (1, 2))
-    alpha, beta = single_draw_alpha_beta(sample, timing, NOISE.f_depol)
-    decays = [math.exp(-2.0 * t / timing.t2_s) for t, _ in waiting_times(sample, timing)]
+def _draws(cfg, samples, seed):
+    # the success-trial indices expected_alpha_beta draws from this seed
+    rng = np.random.default_rng(seed)
+    n_a = rng.geometric(cfg.p_a, size=samples)
+    n_b = rng.geometric(cfg.p_b, size=(samples, cfg.n_parties - 1))
+    return n_a, n_b
+
+
+def test_waiting_times_clamped():
+    # a pair finishing after the Alice photon cannot store for negative time:
+    # its wait is only the classical round trip.  With d_A = d_B the Alice
+    # trial is the shorter one, so such draws occur.
+    cfg = NetworkConfig(3, 4.0, 4.0)
+    timing = trial_times(cfg, NOISE)
+
+    def all_clamped(seed):
+        (n_a,), (n_b,) = _draws(cfg, 1, seed)
+        return all(n_a * timing.tau_a_s - n * timing.tau_b_s < 0.0 for n in n_b)
+
+    seed = next(s for s in range(1000) if all_clamped(s))
+    decay = math.exp(-2.0 * timing.comm_b_s / timing.t2_s)
     total = (1.0 - 0.005) ** 2
-    signed = (1.0 - 0.01) ** 2 * decays[0] * decays[1]
-    assert alpha == pytest.approx(0.5 * (total + signed), abs=1e-15)
-    assert beta == pytest.approx(0.5 * (total - signed), abs=1e-15)
+    signed = (1.0 - 0.01) ** 2 * decay * decay
+    estimate = expected_alpha_beta(cfg, NOISE, 1, seed)
+    assert estimate.alpha == pytest.approx(0.5 * (total + signed), abs=1e-15)
+    assert estimate.beta == pytest.approx(0.5 * (total - signed), abs=1e-15)
+
+
+def test_single_draw_matches_hand_expansion():
+    # Replay expected_alpha_beta's draws through the scalar chain that the
+    # density-matrix oracle verifies (storage wait -> pair_coefficients ->
+    # alpha_beta_closed_form) and, for one draw, through the hand expansion
+    # of the parity sums.
+    cfg = NetworkConfig(3, 4.0, 4.0)
+    samples, seed = 2000, 17
+    estimate = expected_alpha_beta(cfg, NOISE, samples, seed)
+    timing = trial_times(cfg, NOISE)
+    n_a, n_b = _draws(cfg, samples, seed)
+    alphas, clamped = [], 0
+    for trials_a, trials_b in zip(n_a, n_b):
+        pairs, decays = [], []
+        for trial_b in trials_b:
+            raw = trials_a * timing.tau_a_s - trial_b * timing.tau_b_s
+            clamped += raw < 0.0
+            decay = math.exp(-(max(raw, 0.0) + timing.comm_b_s) / timing.t2_s)
+            pairs.append(pair_coefficients(decay, decay, NOISE.f_depol))
+            decays.append(decay * decay)
+        alphas.append(alpha_beta_closed_form(pairs)[0])
+        total = (1.0 - 0.005) ** 2
+        signed = (1.0 - 0.01) ** 2 * decays[0] * decays[1]
+        assert alphas[-1] == pytest.approx(0.5 * (total + signed), abs=1e-15)
+    assert 0 < clamped < n_b.size
+    assert estimate.alpha == pytest.approx(math.fsum(alphas) / samples, rel=0.0, abs=1e-12)
 
 
 def test_expected_memory_qbers_reference_point():

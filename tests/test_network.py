@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ghznet.network import (
-    CHECK_RULE_ALL_BOBS,
     BasisStrategy,
     Family,
     NetworkConfig,
@@ -103,12 +102,17 @@ def test_sifting_switching_two_parties():
 
 
 def test_sifting_all_bobs_variant():
-    eta = sifting(ProtocolSpec(Family.MQSS, p_key=0.9), 3, CHECK_RULE_ALL_BOBS)
-    assert eta.eta_check == pytest.approx(0.1 * (1.0 - 0.81))
-    # the two rules coincide for two parties
-    printed = sifting(ProtocolSpec(Family.BQSS, p_key=0.7), 2)
-    all_bobs = sifting(ProtocolSpec(Family.BQSS, p_key=0.7), 2, CHECK_RULE_ALL_BOBS)
-    assert printed == all_bobs
+    # oracle-check's reference count: Alice plus at least one of the N-1 Bobs
+    # in the check basis.  It agrees with the key-length rule for two parties
+    # only.
+    def all_bobs(p, n):
+        return (1.0 - p) * (1.0 - p ** (n - 1))
+
+    two = sifting(ProtocolSpec(Family.BQSS, p_key=0.7), 2)
+    assert two.eta_check == pytest.approx(all_bobs(0.7, 2), rel=1e-15)
+    for n in range(3, 7):
+        printed = sifting(ProtocolSpec(Family.MQSS, p_key=0.9), n)
+        assert printed.eta_check < all_bobs(0.9, n)
 
 
 @given(
