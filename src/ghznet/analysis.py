@@ -242,16 +242,17 @@ def advantage_profile(
     if task not in ("QSS", "CKA"):
         raise ValueError("task must be 'QSS' or 'CKA'")
     multi_family = Family.MQSS if task == "QSS" else Family.MCKA
+    multi_spec = ProtocolSpec(multi_family, memories=memories, p_key=1.0)
+    # two-party links: the same draw serves every N
+    qb_bi_mem = (
+        scenario_qbers(cfg, ProtocolSpec(Family.BQSS, memories=True), noise, mc_samples, seed)
+        if memories
+        else None
+    )
     rows: list[AdvantageRow] = []
     for n in range(2, n_max + 1):
         cfg_n = cfg.with_parties(n)
-        multi_spec = ProtocolSpec(multi_family, memories=memories, p_key=1.0)
         qb_multi = scenario_qbers(cfg_n, multi_spec, noise, mc_samples, seed)
-        qb_bi_mem = (
-            scenario_qbers(cfg_n, ProtocolSpec(Family.BQSS, memories=True), noise, mc_samples, seed)
-            if memories
-            else None
-        )
         p_key_multi: float | None = None
         bi_choice: str | None = None
         if fsp is None:

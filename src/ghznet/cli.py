@@ -21,8 +21,8 @@ from .analysis import (
 )
 from .config import ConfigError, Scenario, load_config, resolve_scenario
 from .finite import expected_key_length
-from .network import ProtocolSpec, sifting, simulate_sifting, yields
-from .noise import PairCoefficients, alpha_beta_closed_form
+from .network import ProtocolSpec, formula_party_count, sifting, simulate_sifting, yields
+from .noise import PairCoefficients, QberPair, alpha_beta_closed_form
 from .oracle import MAX_ORACLE_PARTIES, alpha_beta_subset_sum, oracle_grid
 from .rates import asymptotic_rate
 from .tables import ResultTable
@@ -71,10 +71,31 @@ def _metadata(scenario: Scenario, command: str) -> dict[str, str]:
     return meta
 
 
-def _rate_row(scenario: Scenario, family) -> list:
+def _qbers(memo: dict, scenario: Scenario, spec: ProtocolSpec) -> QberPair:
+    """scenario_qbers, evaluated once per distinct sample within one command.
+
+    The error rates depend on the family only through the formula party
+    count, and not at all on p_key or the block size, so every row sharing
+    (memories, effective network, noise, samples, seed) reuses one Monte
+    Carlo draw.  The memo is created by the command and dropped with it.
+    """
+    cfg = scenario.network
+    key = (
+        spec.memories,
+        cfg.with_parties(formula_party_count(cfg, spec)),
+        scenario.noise,
+        scenario.mc_samples,
+        scenario.seed,
+    )
+    if key not in memo:
+        memo[key] = scenario_qbers(cfg, spec, scenario.noise, scenario.mc_samples, scenario.seed)
+    return memo[key]
+
+
+def _rate_row(scenario: Scenario, family, memo: dict) -> list:
     spec = ProtocolSpec(family, scenario.memories, scenario.basis_strategy, scenario.p_key)
     cfg = scenario.network
-    qbers = scenario_qbers(cfg, spec, scenario.noise, scenario.mc_samples, scenario.seed)
+    qbers = _qbers(memo, scenario, spec)
     base = [
         spec.family.value,
         spec.memories,
@@ -130,8 +151,9 @@ def _emit(table: ResultTable, out: str | None, scenario: Scenario) -> None:
 def cmd_rate(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(load_config(args.config, args.set or []))
     table = ResultTable(RATE_COLUMNS, metadata=_metadata(scenario, "rate"))
+    memo: dict = {}
     for family in scenario.families:
-        table.add_row(*_rate_row(scenario, family))
+        table.add_row(*_rate_row(scenario, family, memo))
     _emit(table, args.out, scenario)
     return EXIT_OK
 
@@ -151,6 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = ResultTable(
         [sweep.parameter] + RATE_COLUMNS, metadata=_metadata(scenario, "sweep")
     )
+    memo: dict = {}
     for value in values:
         if sweep.parameter == "network.N":
             text = str(int(round(value)))
@@ -160,7 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         point_items[sweep.parameter] = (text, "sweep", 0)
         point = resolve_scenario(point_items)
         for family in point.families:
-            table.add_row(point_items[sweep.parameter][0], *_rate_row(point, family))
+            table.add_row(point_items[sweep.parameter][0], *_rate_row(point, family, memo))
     _emit(table, args.out, scenario)
     return EXIT_OK
 
@@ -232,11 +255,10 @@ def cmd_optimize_pkey(args: argparse.Namespace) -> int:
         ["family", "memories", "epsilon", "rounds", "block_size", "p_key_opt", "secret_fraction", "indeterminate"],
         metadata=_metadata(scenario, "optimize-pkey"),
     )
+    memo: dict = {}
     for family in scenario.families:
         spec = ProtocolSpec(family, scenario.memories, scenario.basis_strategy, 0.5)
-        qbers = scenario_qbers(
-            scenario.network, spec, scenario.noise, scenario.mc_samples, scenario.seed
-        )
+        qbers = _qbers(memo, scenario, spec)
         opt, result = optimized_fraction(
             scenario.network,
             family,

@@ -114,6 +114,15 @@ class FiniteSizeParams:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        # KeyLengthModel's log term divides by eps_log * eps_pa**2, where
+        # eps_log is eps_c (pre-shared) or eps_ec (switching)
+        budget = epsilon_budget(self.epsilon, self.eps_rob, self.eps_ec)
+        for name, eps_log in (("epsilon", budget.eps_c), ("eps_ec", budget.eps_ec)):
+            if not 2.0 * eps_log * budget.eps_pa**2 > 0.0:
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} is too small: "
+                    "eps_log * eps_pa**2 underflows to 0 in the key-length log term"
+                )
 
     def budget(self) -> EpsilonBudget:
         budget = epsilon_budget(self.epsilon, self.eps_rob, self.eps_ec)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -125,6 +126,97 @@ def test_cli_sweep(config_file, capsys):
 
 def test_cli_sweep_without_sweep_keys_fails(config_file, capsys):
     assert main(["sweep", "--config", config_file]) == EXIT_CONFIG
+
+
+FAMILIES = ("mQSS", "mCKA", "bQSS", "bCKA")
+N_SWEEP = [
+    "--set", "protocol.family=" + ",".join(FAMILIES), "--set", "finite.block_size=1e8",
+    "--set", "protocol.p_key=0.9", "--set", "sweep.parameter=network.N",
+    "--set", "sweep.from=2", "--set", "sweep.to=6", "--set", "sweep.steps=5",
+]
+
+
+def _data_rows(out):
+    return [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+
+
+@pytest.fixture
+def memory_draws(monkeypatch):
+    """Party counts of every memory Monte Carlo run, in call order."""
+    calls = []
+    original = ghznet.analysis.expected_memory_qbers
+
+    def counted(cfg, *args, **kwargs):
+        calls.append(cfg.n_parties)
+        return original(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(ghznet.analysis, "expected_memory_qbers", counted)
+    return calls
+
+
+def test_cli_sweep_rows_equal_single_family_rates(config_file, capsys):
+    assert main(["sweep", "--config", config_file, *N_SWEEP]) == EXIT_OK
+    swept = _data_rows(capsys.readouterr().out)
+    assert len(swept) == 5 * len(FAMILIES)
+    for i, row in enumerate(swept):
+        n, family = 2 + i // len(FAMILIES), FAMILIES[i % len(FAMILIES)]
+        argv = ["rate", "--config", config_file, "--set", f"network.N={n}",
+                "--set", f"protocol.family={family}", "--set", "finite.block_size=1e8",
+                "--set", "protocol.p_key=0.9"]
+        assert main(argv) == EXIT_OK
+        (rate_row,) = _data_rows(capsys.readouterr().out)
+        assert row == f"{n},{rate_row}", (n, family)
+
+
+def test_cli_sweep_draws_each_memory_sample_once(config_file, capsys, memory_draws):
+    # the N = 2 multipartite sample is the two-party sample every bipartite
+    # row reuses, so one draw per N
+    assert main(["sweep", "--config", config_file, *N_SWEEP]) == EXIT_OK
+    assert memory_draws == [2, 3, 4, 5, 6]
+
+
+def test_cli_memo_lasts_one_command(config_file, capsys, memory_draws):
+    argv = ["sweep", "--config", config_file, *N_SWEEP]
+    assert main(argv) == EXIT_OK
+    first_out, first_calls = capsys.readouterr().out, len(memory_draws)
+    assert first_calls > 0
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first_out
+    assert len(memory_draws) == 2 * first_calls
+
+
+# sha256 of the stdout of two memory sweeps over all four families (the
+# benchmark's N/finite and block/memory sweeps); a change that moves them on
+# purpose re-pins the digest and says why.
+PINNED_SWEEP_COMMON = [
+    "protocol.family=mQSS,mCKA,bQSS,bCKA", "protocol.p_key=0.95", "network.d_A_km=50",
+    "network.d_B_km=4", "noise.f_D=0.01", "memory.T2_s=1", "memory.Tp_s=2e-06",
+    "mc.samples=1000", "protocol.memories=true",
+]
+PINNED_SWEEPS = {
+    "N/finite": (
+        [*PINNED_SWEEP_COMMON, "finite.block_size=1e8", "sweep.parameter=network.N",
+         "sweep.from=2", "sweep.to=30", "sweep.steps=29"],
+        "7d7f50d334620c985f9c962e9039d29e0ffc62746c26f1aa124a0c5caaf262e5",
+    ),
+    "block/memory": (
+        [*PINNED_SWEEP_COMMON, "sweep.parameter=finite.block_size", "sweep.from=1e4",
+         "sweep.to=1e12", "sweep.steps=65", "sweep.log=true"],
+        "b8bbc60d249794d2fcf833e33757477c4cfe60b29655766dd6e0a06b3c3b115a",
+    ),
+}
+
+
+def test_sweep_tables_are_pinned(capsys):
+    changed = []
+    for name, (settings, digest) in PINNED_SWEEPS.items():
+        argv = ["sweep"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == EXIT_OK
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != digest:
+            changed.append(name)
+    assert not changed, f"sweep tables differ from their pinned digests: {changed}"
 
 
 def test_cli_threshold_matches_analytic(capsys):

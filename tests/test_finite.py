@@ -74,6 +74,36 @@ def test_finite_size_params_validation():
     assert fsp.budget().eps_rob == 1e-3
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(epsilon=1e-300, block_size=1e8), "epsilon"),
+        (dict(epsilon=1e-10, eps_ec=1e-320, block_size=1e8), "eps_ec"),
+    ],
+)
+def test_finite_size_params_reject_underflowing_log_term(kwargs, name):
+    # eps_log * eps_pa**2 underflows to 0: a ValueError naming the field,
+    # not a ZeroDivisionError inside KeyLengthModel
+    with pytest.raises(ValueError, match=rf"^{name}=.*underflows"):
+        FiniteSizeParams(**kwargs)
+
+
+def test_smallest_config_epsilon_survives_the_link_split():
+    from ghznet.config import MIN_EPSILON
+
+    qbers = memoryless_qber(0.01, 2)
+    for fsp in (
+        FiniteSizeParams(MIN_EPSILON, block_size=1e8),
+        FiniteSizeParams(MIN_EPSILON, block_size=1e8, eps_rob=MIN_EPSILON, eps_ec=MIN_EPSILON),
+    ):
+        # every player count a recipe, a benchmark workload or a script default reaches
+        for n in range(2, 31):
+            link = fsp.scaled(n - 1)
+            for family in Family:
+                model = KeyLengthModel(NetworkConfig(n, 1.0, 1.0), family, link, qbers)
+                assert math.isfinite(model.log_term)
+
+
 def test_scaled_budget_divides_explicit_overrides():
     fsp = FiniteSizeParams(1e-10, block_size=1e8, eps_rob=1e-6, eps_ec=1e-8)
     link = fsp.scaled(4)
