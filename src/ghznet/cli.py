@@ -30,6 +30,8 @@ from .tables import ResultTable
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
+# largest |oracle - analytic| error-rate difference oracle-check accepts
+ORACLE_TOL = 1e-10
 
 RATE_COLUMNS = [
     "family",
@@ -92,8 +94,7 @@ def _qbers(memo: dict, scenario: Scenario, spec: ProtocolSpec) -> QberPair:
     return memo[key]
 
 
-def _rate_row(scenario: Scenario, family, memo: dict) -> list:
-    spec = ProtocolSpec(family, scenario.memories, scenario.basis_strategy, scenario.p_key)
+def _rate_row(scenario: Scenario, spec: ProtocolSpec, memo: dict) -> list:
     cfg = scenario.network
     qbers = _qbers(memo, scenario, spec)
     base = [
@@ -152,8 +153,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(load_config(args.config, args.set or []))
     table = ResultTable(RATE_COLUMNS, metadata=_metadata(scenario, "rate"))
     memo: dict = {}
-    for family in scenario.families:
-        table.add_row(*_rate_row(scenario, family, memo))
+    for spec in scenario.specs:
+        table.add_row(*_rate_row(scenario, spec, memo))
     _emit(table, args.out, scenario)
     return EXIT_OK
 
@@ -182,19 +183,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         point_items = dict(items)
         point_items[sweep.parameter] = (text, "sweep", 0)
         point = resolve_scenario(point_items)
-        for family in point.families:
-            table.add_row(point_items[sweep.parameter][0], *_rate_row(point, family, memo))
+        for spec in point.specs:
+            table.add_row(point_items[sweep.parameter][0], *_rate_row(point, spec, memo))
     _emit(table, args.out, scenario)
     return EXIT_OK
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(load_config(args.config, args.set or []))
-    block_size = None
-    if scenario.finite is not None:
-        if scenario.finite.block_size is None:
-            raise ConfigError("finite thresholds need finite.block_size (not finite.L)")
-        block_size = scenario.finite.block_size
+    items = load_config(args.config, args.set or [])
+    scenario = resolve_scenario(items)
+    for key in ("finite.eps_rob", "finite.eps_EC"):
+        if key in items:
+            _, source, line = items[key]
+            message = f"threshold splits finite.epsilon only and takes no {key}"
+            raise ConfigError(message, source, line)
+    block_size = scenario.finite.block_size if scenario.finite else None
     noise_target = args.target == "noise"
     # one of f_D in [0, 1] and the distance in [0, inf) is scanned, the other held
     noise_range, distance_range = (0.0, 1.0), (0.0, math.inf)
@@ -250,27 +253,26 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 def cmd_optimize_pkey(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(load_config(args.config, args.set or []))
     if scenario.finite is None:
-        raise ConfigError("optimize-pkey needs finite.L or finite.block_size")
+        raise ConfigError("optimize-pkey needs finite.block_size")
     table = ResultTable(
-        ["family", "memories", "epsilon", "rounds", "block_size", "p_key_opt", "secret_fraction", "indeterminate"],
+        ["family", "memories", "strategy", "epsilon", "block_size", "p_key_opt", "secret_fraction", "indeterminate"],
         metadata=_metadata(scenario, "optimize-pkey"),
     )
     memo: dict = {}
-    for family in scenario.families:
-        spec = ProtocolSpec(family, scenario.memories, scenario.basis_strategy, 0.5)
-        qbers = _qbers(memo, scenario, spec)
+    for spec in scenario.specs:
         opt, result = optimized_fraction(
             scenario.network,
-            family,
+            spec.family,
             scenario.finite,
-            qbers,
-            memories=scenario.memories,
+            _qbers(memo, scenario, spec),
+            memories=spec.memories,
+            basis_strategy=spec.basis_strategy,
         )
         table.add_row(
-            family.value,
-            scenario.memories,
+            spec.family.value,
+            spec.memories,
+            spec.basis_strategy.value,
             scenario.finite.epsilon,
-            scenario.finite.rounds,
             scenario.finite.block_size,
             None if opt.indeterminate else opt.x,
             result.secret_fraction,
@@ -313,7 +315,7 @@ def _parity_check_rows(seed: int, trials: int = 25) -> tuple[list, bool]:
     return rows, all_pass
 
 
-def _sifting_check_rows(rounds: int, seed: int) -> tuple[list, bool]:
+def _sifting_check_rows(seed: int, rounds: int = 200_000) -> tuple[list, bool]:
     rows = []
     all_pass = True
     rng = np.random.default_rng(seed)
@@ -350,27 +352,17 @@ def _sifting_check_rows(rounds: int, seed: int) -> tuple[list, bool]:
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     max_n = args.max_n
     if max_n > MAX_ORACLE_PARTIES:
-        print(f"error: oracle supports N <= {MAX_ORACLE_PARTIES}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"oracle supports N <= {MAX_ORACLE_PARTIES}")
     if max_n == MAX_ORACLE_PARTIES and not args.widen_guard:
-        print(
-            f"error: oracle-check limited to N <= {MAX_ORACLE_PARTIES - 1} by default "
+        raise ConfigError(
+            f"oracle-check limited to N <= {MAX_ORACLE_PARTIES - 1} by default "
             f"(oracle supports N <= {MAX_ORACLE_PARTIES}; pass --widen-guard for N = "
-            f"{MAX_ORACLE_PARTIES})",
-            file=sys.stderr,
+            f"{MAX_ORACLE_PARTIES})"
         )
-        return EXIT_CONFIG
     if max_n < 2:
-        print("error: need max-n >= 2", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.sift_rounds < 1:
-        print("error: need sift-rounds >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    if not (args.tol > 0 and math.isfinite(args.tol)):
-        print(f"error: need a finite tol > 0, got {args.tol!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(f"density oracle vs analytic chain (N = 2..{max_n}, tolerance {args.tol:g})")
-    rows = oracle_grid(max_n=max_n, tol=args.tol)
+        raise ConfigError("need max-n >= 2")
+    print(f"density oracle vs analytic chain (N = 2..{max_n}, tolerance {ORACLE_TOL:g})")
+    rows = oracle_grid(max_n=max_n, tol=ORACLE_TOL)
     failures = 0
     for row in rows:
         if not row.passed or args.verbose:
@@ -389,7 +381,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             print(f"  pairs={size:2d} worst rel err={worst:.3e} {'PASS' if passed else 'FAIL'}")
     print(f"  {sum(1 for r in parity_rows if r[2])}/{len(parity_rows)} sizes passed")
 
-    sift_rows, sift_pass = _sifting_check_rows(args.sift_rounds, args.seed)
+    sift_rows, sift_pass = _sifting_check_rows(args.seed)
     print("basis-switching sifting simulation (5 sigma binomial bands)")
     for n, p_key, emp_key, ref_key, key_ok, emp_check, printed_check, all_bobs_check, verdict in sift_rows:
         line = (
@@ -464,9 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle-check", help="run the verification oracles")
     p_orc.add_argument("--max-n", type=int, default=3)
     p_orc.add_argument("--widen-guard", action="store_true", help="allow the N=4 oracle run")
-    p_orc.add_argument("--tol", type=float, default=1e-10)
     p_orc.add_argument("--seed", type=int, default=1)
-    p_orc.add_argument("--sift-rounds", type=int, default=200_000)
     p_orc.add_argument("--verbose", action="store_true")
     p_orc.set_defaults(func=cmd_oracle_check)
     return parser

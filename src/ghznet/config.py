@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .finite import FiniteSizeParams
-from .network import BasisStrategy, Family, NetworkConfig
+from .network import BasisStrategy, Family, NetworkConfig, ProtocolSpec
 from .noise import NoiseParams
 
 
@@ -60,7 +60,6 @@ SCHEMA: dict[str, Callable[[str], object]] = {
     "protocol.memories": _parse_bool,
     "protocol.basis_strategy": _parse_str,
     "protocol.p_key": _parse_float,
-    "finite.L": _parse_float,
     "finite.block_size": _parse_float,
     "finite.epsilon": _parse_float,
     "finite.eps_rob": _parse_float,
@@ -87,7 +86,6 @@ SWEEPABLE = (
     "network.N",
     "noise.f_D",
     "protocol.p_key",
-    "finite.L",
     "finite.block_size",
 )
 
@@ -105,10 +103,7 @@ class SweepSpec:
 class Scenario:
     network: NetworkConfig
     noise: NoiseParams
-    families: tuple[Family, ...]
-    memories: bool
-    basis_strategy: BasisStrategy | None
-    p_key: float
+    specs: tuple[ProtocolSpec, ...]
     finite: FiniteSizeParams | None
     mc_samples: int
     seed: int
@@ -236,12 +231,10 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     p_key = _value(items, "protocol.p_key", 1.0)
     if not 0.0 <= p_key <= 1.0:
         _fail_on(items, "protocol.p_key", f"protocol.p_key must lie in [0, 1], got {p_key!r}")
+    specs = tuple(ProtocolSpec(family, memories, strategy, p_key) for family in families)
     finite = None
-    rounds = _value(items, "finite.L")
     block = _value(items, "finite.block_size")
-    if rounds is not None or block is not None:
-        if rounds is not None and block is not None:
-            _fail_on(items, "finite.L", "set only one of finite.L and finite.block_size")
+    if block is not None:
         budget = {}
         for key, name, default in (
             ("finite.epsilon", "epsilon", 1e-10),
@@ -251,13 +244,9 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
             value = budget[name] = _value(items, key, default)
             if value is not None and not MIN_EPSILON <= value < 1.0:
                 _fail_on(items, key, f"{key} must lie in [{MIN_EPSILON:g}, 1), got {value!r}")
-        finite = FiniteSizeParams(rounds=rounds, block_size=block, **budget)
+        finite = FiniteSizeParams(block_size=block, **budget)
     elif any(key.startswith("finite.") for key in items):
-        _fail_on(
-            items,
-            "finite.epsilon",
-            "finite.* keys need finite.L or finite.block_size",
-        )
+        _fail_on(items, "finite.epsilon", "finite.* keys need finite.block_size")
     sweep = None
     if "sweep.parameter" in items:
         parameter = _value(items, "sweep.parameter")
@@ -281,10 +270,7 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     return Scenario(
         network=network,
         noise=noise,
-        families=families,
-        memories=memories,
-        basis_strategy=strategy,
-        p_key=p_key,
+        specs=specs,
         finite=finite,
         mc_samples=mc_samples,
         seed=_value(items, "mc.seed", 1),

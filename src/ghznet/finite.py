@@ -87,12 +87,11 @@ def epsilon_budget(
 
 @dataclass(frozen=True)
 class FiniteSizeParams:
-    """Finite-run description: either total rounds L or a target block size
-    (expected key-basis detections), plus the security budget."""
+    """Finite-run description: the target block size (expected key-basis
+    detections) plus the security budget."""
 
     epsilon: float
-    rounds: float | None = None
-    block_size: float | None = None
+    block_size: float
     eps_rob: float | None = None
     eps_ec: float | None = None
     # Read by nothing in ghznet; kept only because the benchmark's
@@ -102,19 +101,15 @@ class FiniteSizeParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if (self.rounds is None) == (self.block_size is None):
-            raise ValueError("set exactly one of rounds / block_size")
-        for name in ("rounds", "block_size"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 1):
-                raise ValueError(f"{name} must be finite and >= 1")
+        if not (math.isfinite(self.block_size) and self.block_size >= 1):
+            raise ValueError("block_size must be finite and >= 1")
         for name in ("eps_rob", "eps_ec"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        # KeyLengthModel's log term divides by eps_log * eps_pa**2, where
+        # KeyLengthModel's log term is log2 of 1/(eps_log * eps_pa**2), where
         # eps_log is eps_c (pre-shared) or eps_ec (switching)
         budget = epsilon_budget(self.epsilon, self.eps_rob, self.eps_ec)
         for name, eps_log in (("epsilon", budget.eps_c), ("eps_ec", budget.eps_ec)):
@@ -221,7 +216,6 @@ class KeyLengthModel:
         budget = fsp.budget()
         self.strategy = spec.basis_strategy
         self.n_formula = n_formula
-        self.rounds = fsp.rounds
         self.block_size = fsp.block_size
         self.per_use = yields(cfg, spec)
         self.eps_rob = budget.eps_rob
@@ -236,14 +230,16 @@ class KeyLengthModel:
             eps_log = budget.eps_ec
         self.log_pe = math.log(1.0 / eps_pe)
         self.log_ec = math.log(1.0 / eps_ec)
-        self.log_term = math.log2((n_formula - 1) / (2.0 * eps_log * budget.eps_pa**2))
+        # log2((n-1) / (2 eps_log eps_pa^2)) as a sum of logs: the quotient
+        # overflows once the baseline splits a tiny epsilon over many links
+        self.log_term = (
+            math.log2(n_formula - 1) - 1.0 - math.log2(eps_log) - 2.0 * math.log2(budget.eps_pa)
+        )
 
     def result(self, p_key: float) -> KeyLengthResult:
         eta_key, eta_check = sifting_fractions(self.strategy, self.n_formula, p_key)
         per_key = eta_key * self.per_use
-        rounds = self.rounds
-        if rounds is None:
-            rounds = max(self.block_size / per_key, 1.0) if per_key > 0.0 else math.inf
+        rounds = max(self.block_size / per_key, 1.0) if per_key > 0.0 else math.inf
         if not math.isfinite(rounds):
             return self._assemble(rounds, 0.0, 0.0, self.q_pe, self.q_ec, 1.0, 1.0, 0.0, 0.0)
         m = per_key * rounds
@@ -276,10 +272,7 @@ class KeyLengthModel:
         eta_key, eta_check = sifting_fractions(self.strategy, self.n_formula, p)
         per_key = eta_key * self.per_use
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.rounds is None:
-                rounds = np.where(per_key > 0.0, np.maximum(self.block_size / per_key, 1.0), np.inf)
-            else:
-                rounds = np.full_like(p, self.rounds)
+            rounds = np.where(per_key > 0.0, np.maximum(self.block_size / per_key, 1.0), np.inf)
             m = per_key * rounds
             k = eta_check * self.per_use * rounds
             m_pen = np.maximum(m, 1.0)

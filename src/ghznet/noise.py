@@ -34,8 +34,8 @@ class NoiseParams:
         check_probability(self.f_depol, "f_depol")
         if not self.t2_s > 0:
             raise ValueError(f"dephasing time must be positive, got {self.t2_s!r}")
-        if self.prep_time_s < 0:
-            raise ValueError("pair preparation time must be non-negative")
+        if not (math.isfinite(self.prep_time_s) and self.prep_time_s >= 0):
+            raise ValueError(f"preparation time must be finite and >= 0, got {self.prep_time_s!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ def format_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.{SIGNIFICANT_DIGITS}g}"
+        # + 0.0 turns -0.0 into 0.0, so no column prints "-0"
+        return f"{value + 0.0:.{SIGNIFICANT_DIGITS}g}"
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
         return '"' + text.replace('"', '""') + '"'

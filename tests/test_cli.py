@@ -9,6 +9,7 @@ import pytest
 import ghznet
 from ghznet.cli import EXIT_CONFIG, EXIT_OK, main
 from ghznet.config import ConfigError, load_config, parse_kv_text, resolve_scenario
+from ghznet.tables import format_cell
 
 BASE_CFG = """
 # memory-network demo
@@ -59,8 +60,6 @@ def test_resolve_validates_values():
         )
     with pytest.raises(ConfigError, match="excludes"):
         resolve_scenario(parse_kv_text("network.d_km = 4\nnetwork.d_A_km = 2\n", "x"))
-    with pytest.raises(ConfigError, match="only one"):
-        resolve_scenario(parse_kv_text("finite.L = 1e6\nfinite.block_size = 1e4\n", "x"))
     with pytest.raises(ConfigError, match="sweep"):
         resolve_scenario(parse_kv_text("sweep.from = 1\n", "x"))
 
@@ -247,7 +246,52 @@ def test_cli_optimize_pkey_needs_finite(config_file, capsys):
     assert main(["optimize-pkey", "--config", config_file]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("setting", ["finite.block_size=nan", "finite.block_size=inf", "finite.L=nan"])
+def test_cli_optimize_pkey_follows_the_basis_strategy(capsys):
+    # a conference key run with basis switching is the secret-sharing
+    # protocol, so its optimum is the mQSS one
+    rows = {}
+    for family, strategy in (("mQSS", "switching"), ("mCKA", "switching"), ("mCKA", "preshared")):
+        argv = ["optimize-pkey", "--set", f"protocol.family={family}",
+                "--set", "finite.block_size=1e6", "--set", f"protocol.basis_strategy={strategy}"]
+        assert main(argv) == EXIT_OK
+        (row,) = _data_rows(capsys.readouterr().out)
+        cells = row.split(",")
+        assert cells[:3] == [family, "false", strategy]
+        rows[family, strategy] = cells[3:]
+    assert rows["mCKA", "switching"] == rows["mQSS", "switching"]
+    assert rows["mCKA", "switching"] != rows["mCKA", "preshared"]
+
+
+def test_cli_rejects_the_rounds_key(capsys):
+    # a finite run is stated by its block size alone
+    assert main(["rate", "--set", "finite.block_size=1e8", "--set", "finite.L=1e9"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --set[2]:1: unknown configuration key 'finite.L'")
+
+
+@pytest.mark.parametrize("key", ["finite.eps_rob", "finite.eps_EC"])
+def test_cli_threshold_rejects_unused_epsilon_overrides(capsys, key):
+    argv = ["threshold", "--target", "noise", "--set", "finite.block_size=1e8", "--set", f"{key}=1e-3"]
+    assert main(argv) == EXIT_CONFIG
+    message = f"error: --set[2]:1: threshold splits finite.epsilon only and takes no {key}"
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_preparation_time(capsys, value):
+    argv = ["rate", "--set", "protocol.memories=true", "--set", f"memory.Tp_s={value}"]
+    assert main(argv) == EXIT_CONFIG
+    assert "preparation time must be finite" in capsys.readouterr().err
+
+
+def test_negative_zero_prints_as_zero(capsys):
+    assert format_cell(-0.0) == "0" and format_cell(-1e-300) == "-1e-300"
+    # zero yield times a negative key fraction is -0.0 in both rate columns
+    assert main(["rate", "--set", "network.d_A_km=20000", "--set", "noise.f_D=0.5"]) == EXIT_OK
+    (row,) = _data_rows(capsys.readouterr().out)
+    assert ",asymptotic,0,0," in row and "-0" not in row
+
+
+@pytest.mark.parametrize("setting", ["finite.block_size=nan", "finite.block_size=inf"])
 def test_cli_rejects_non_finite_sizes(config_file, capsys, setting):
     assert main(["rate", "--config", config_file, "--set", setting]) == EXIT_CONFIG
     assert "must be finite" in capsys.readouterr().err
@@ -324,7 +368,7 @@ def test_cli_reproduce_fig2(tmp_path):
 
 
 def test_cli_oracle_check_fast(capsys):
-    code = main(["oracle-check", "--max-n", "2", "--sift-rounds", "20000"])
+    code = main(["oracle-check", "--max-n", "2"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "oracle-check: PASS" in out
@@ -336,11 +380,8 @@ def test_cli_oracle_check_guards(capsys):
     assert "oracle supports N <= 4" in capsys.readouterr().err
     assert main(["oracle-check", "--max-n", "4"]) == EXIT_CONFIG
     assert "--widen-guard" in capsys.readouterr().err
-    assert main(["oracle-check", "--max-n", "2", "--sift-rounds", "0"]) == EXIT_CONFIG
-    assert "sift-rounds >= 1" in capsys.readouterr().err
-    for tol in ("-1", "nan"):
-        assert main(["oracle-check", "--max-n", "2", "--tol", tol]) == EXIT_CONFIG
-        assert "finite tol > 0" in capsys.readouterr().err
+    assert main(["oracle-check", "--max-n", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: need max-n >= 2\n"
 
 
 def test_cli_oracle_check_four_parties(capsys):

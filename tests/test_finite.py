@@ -64,13 +64,11 @@ def test_epsilon_budget_values():
 
 
 def test_finite_size_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         FiniteSizeParams(epsilon=1e-10)
     with pytest.raises(ValueError):
-        FiniteSizeParams(epsilon=1e-10, rounds=1e6, block_size=1e4)
-    with pytest.raises(ValueError):
-        FiniteSizeParams(epsilon=2.0, rounds=1e6)
-    fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e6, eps_rob=1e-3)
+        FiniteSizeParams(epsilon=2.0, block_size=1e6)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6, eps_rob=1e-3)
     assert fsp.budget().eps_rob == 1e-3
 
 
@@ -96,8 +94,9 @@ def test_smallest_config_epsilon_survives_the_link_split():
         FiniteSizeParams(MIN_EPSILON, block_size=1e8),
         FiniteSizeParams(MIN_EPSILON, block_size=1e8, eps_rob=MIN_EPSILON, eps_ec=MIN_EPSILON),
     ):
-        # every player count a recipe, a benchmark workload or a script default reaches
-        for n in range(2, 31):
+        # every player count a recipe, a benchmark workload or a script default
+        # reaches, and past N ~ 225, where (N-1)/(2 eps_c eps_pa^2) overflows
+        for n in (*range(2, 31), 300):
             link = fsp.scaled(n - 1)
             for family in Family:
                 model = KeyLengthModel(NetworkConfig(n, 1.0, 1.0), family, link, qbers)
@@ -114,7 +113,7 @@ def test_scaled_budget_divides_explicit_overrides():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["rounds", "block_size"])
+@pytest.mark.parametrize("name", ["block_size"])
 def test_finite_size_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match="finite"):
         FiniteSizeParams(epsilon=1e-10, **{name: value})
@@ -152,11 +151,10 @@ def test_key_length_model_matches_expected_key_length(n_parties, family, strateg
     # the array path agrees with the single-point path to 1e-12 relative and
     # the scalar objective is the single-point fraction bit for bit
     cfg = NetworkConfig(n_parties, 50.0, 4.0)
-    sizes = [{"block_size": b} for b in (1e4, 1e8, 1e10)] + [{"rounds": 1e9}]
     for f_depol in (0.0, 0.01, 0.05, 0.3):
         qbers = memoryless_qber(f_depol, 2 if family.bipartite else n_parties)
-        for size in sizes:
-            fsp = FiniteSizeParams(epsilon=1e-10, **size)
+        for block in (1e4, 1e8, 1e10):
+            fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
             for memories in (False, True):
                 model = KeyLengthModel(cfg, family, fsp, qbers, memories, strategy)
                 grid = model.fractions(np.array(P_KEYS))
@@ -190,7 +188,7 @@ def test_array_grid_matches_pointwise_grid(cfg, family, f_depol, block):
 
 
 def test_qss_abort_without_checks():
-    fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e8)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e8)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=1.0)
     result = expected_key_length(CFG, spec, fsp, QB_MULTI)
     assert result.status == "insufficient-detections"
@@ -198,7 +196,7 @@ def test_qss_abort_without_checks():
 
 
 def test_abort_on_saturated_qber():
-    fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e8)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e8)
     spec = ProtocolSpec(Family.MCKA, memories=True, p_key=0.9)
     result = expected_key_length(CFG, spec, fsp, QberPair(0.5, 0.01))
     assert result.ell == 0.0
@@ -209,7 +207,7 @@ def test_strategy_dispatch_guards():
     # the formula follows the basis strategy, not the family name: a
     # conference key run with basis switching is the secret-sharing formula,
     # and secret sharing cannot be run with a pre-shared basis string
-    fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e8)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e8)
     switching_cka = ProtocolSpec(Family.MCKA, basis_strategy="switching", p_key=0.9)
     assert expected_key_length(CFG, switching_cka, fsp, QB_MULTI) == expected_key_length(
         CFG, ProtocolSpec(Family.MQSS, p_key=0.9), fsp, QB_MULTI
@@ -219,10 +217,11 @@ def test_strategy_dispatch_guards():
 
 
 def test_penalty_terms_non_negative_and_breakdown():
-    fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e10)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e9)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=0.95)
     result = expected_key_length(CFG, spec, fsp, QB_MULTI)
     assert result.status == "ok"
+    assert result.m == pytest.approx(1e9, rel=1e-12)  # the block's key-basis detections
     assert result.pe_term >= 0 and result.ec_term >= 0
     assert result.log_term > 0 and result.preshared_term == 0.0
     assert result.q_z_eff > QB_MULTI.q_z
@@ -231,13 +230,15 @@ def test_penalty_terms_non_negative_and_breakdown():
 
 
 def test_preshared_term_scales_with_rounds():
+    # doubling the block doubles the rounds it takes
     spec = ProtocolSpec(Family.MCKA, memories=True, p_key=0.99)
     small = expected_key_length(
-        CFG, spec, FiniteSizeParams(epsilon=1e-10, rounds=1e9), QB_MULTI
+        CFG, spec, FiniteSizeParams(epsilon=1e-10, block_size=1e8), QB_MULTI
     )
     large = expected_key_length(
-        CFG, spec, FiniteSizeParams(epsilon=1e-10, rounds=2e9), QB_MULTI
+        CFG, spec, FiniteSizeParams(epsilon=1e-10, block_size=2e8), QB_MULTI
     )
+    assert large.rounds == pytest.approx(2.0 * small.rounds, rel=1e-12)
     assert large.preshared_term == pytest.approx(2.0 * small.preshared_term, rel=1e-12)
 
 
@@ -245,23 +246,12 @@ def test_preshared_term_scales_with_rounds():
 def test_key_length_monotone_in_rounds(family, p_key):
     spec = ProtocolSpec(family, memories=True, p_key=p_key)
     previous = -1.0
-    for rounds in (1e8, 1e9, 1e10, 1e11):
-        fsp = FiniteSizeParams(epsilon=1e-10, rounds=rounds)
+    # a larger block takes more rounds
+    for block in (1e7, 1e8, 1e9, 1e10):
+        fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
         result = expected_key_length(CFG, spec, fsp, QB_MULTI)
         assert result.ell >= previous
         previous = result.ell
-
-
-def test_block_mode_matches_rounds_mode():
-    spec = ProtocolSpec(Family.MQSS, memories=True, p_key=0.9)
-    by_block = expected_key_length(
-        CFG, spec, FiniteSizeParams(epsilon=1e-10, block_size=1e6), QB_MULTI
-    )
-    assert by_block.m == pytest.approx(1e6, rel=1e-12)
-    by_rounds = expected_key_length(
-        CFG, spec, FiniteSizeParams(epsilon=1e-10, rounds=by_block.rounds), QB_MULTI
-    )
-    assert by_rounds.ell == pytest.approx(by_block.ell, rel=1e-12)
 
 
 def test_fraction_approaches_asymptote_from_below():
@@ -285,7 +275,7 @@ def test_key_term_duality_at_formula_level():
     # with the pre-shared and log terms zeroed, both protocol styles reduce
     # to (1 - eps_rob) m (1 - h(q_a) - h(q_b)); the basis roles only swap
     # which error rate takes which penalty
-    fsp = FiniteSizeParams(epsilon=1e-10, rounds=1e6)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6)
     cka = KeyLengthModel(CFG, Family.MCKA, fsp, QB_MULTI)
     qss = KeyLengthModel(CFG, Family.MQSS, fsp, QB_MULTI)
     cka_like = cka._assemble(1e6, 1e5, 1e3, 0.02, 0.01, 0.3, 0.2, 0.0, 0.0)
