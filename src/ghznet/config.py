@@ -177,6 +177,43 @@ def _fail_on(items, key, message):
     raise ConfigError(message)
 
 
+def _build(items, factory, keys: tuple[tuple[str, object], ...]):
+    """factory(*values of keys), each key read from items or its default.
+
+    A ValueError from the model names the key whose value it rejects: the
+    values are replayed over the defaults one key at a time, and the first
+    key whose value makes factory fail is blamed with its source and line.
+    The replay runs only on failure.
+    """
+    values = [_value(items, key, default) for key, default in keys]
+    try:
+        return factory(*values)
+    except ValueError:
+        probe = [default for _, default in keys]
+        for i, (key, _) in enumerate(keys):
+            probe[i] = values[i]
+            try:
+                factory(*probe)
+            except ValueError as exc:
+                _fail_on(items, key, str(exc))
+        raise
+
+
+def _finite_size_params(epsilon, block_size, eps_rob, eps_ec) -> FiniteSizeParams:
+    for key, value in (
+        ("finite.epsilon", epsilon),
+        ("finite.eps_rob", eps_rob),
+        ("finite.eps_EC", eps_ec),
+    ):
+        if value is not None and not MIN_EPSILON <= value < 1.0:
+            raise ValueError(f"{key} must lie in [{MIN_EPSILON:g}, 1), got {value!r}")
+    return FiniteSizeParams(epsilon, block_size, eps_rob, eps_ec)
+
+
+def _fail_on_first(items, prefix, message):
+    _fail_on(items, next(key for key in items if key.startswith(prefix)), message)
+
+
 def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
     """Validate a parsed key/value mapping into a runnable scenario."""
     try:
@@ -188,16 +225,18 @@ def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
 
 
 def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
-    n_parties = _value(items, "network.N", 3)
-    d_sym = _value(items, "network.d_km")
-    if d_sym is not None:
+    if "network.d_km" in items:
         if "network.d_A_km" in items or "network.d_B_km" in items:
             _fail_on(items, "network.d_km", "network.d_km excludes network.d_A_km/d_B_km")
-        network = NetworkConfig.make_symmetric(n_parties, d_sym)
+        network = _build(
+            items, NetworkConfig.make_symmetric, (("network.N", 3), ("network.d_km", 50.0))
+        )
     else:
-        d_a = _value(items, "network.d_A_km", 50.0)
-        d_b = _value(items, "network.d_B_km", 4.0)
-        network = NetworkConfig(n_parties, d_a, d_b)
+        network = _build(
+            items,
+            NetworkConfig,
+            (("network.N", 3), ("network.d_A_km", 50.0), ("network.d_B_km", 4.0)),
+        )
     memories = _value(items, "protocol.memories", False)
     if memories and network.p_a > network.p_b:
         key = "network.d_A_km" if "network.d_A_km" in items else "network.d_B_km"
@@ -209,10 +248,13 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     mc_samples = _value(items, "mc.samples", 1000)
     if mc_samples < 1:
         _fail_on(items, "mc.samples", "mc.samples must be >= 1")
-    noise = NoiseParams(
-        f_depol=_value(items, "noise.f_D", 0.01),
-        t2_s=_value(items, "memory.T2_s", 1.0),
-        prep_time_s=_value(items, "memory.Tp_s", 2e-6),
+    seed = _value(items, "mc.seed", 1)
+    if seed < 0:
+        _fail_on(items, "mc.seed", f"mc.seed must be >= 0, got {seed}")
+    noise = _build(
+        items,
+        NoiseParams,
+        (("noise.f_D", 0.01), ("memory.T2_s", 1.0), ("memory.Tp_s", 2e-6)),
     )
     family_text = _value(items, "protocol.family", "mQSS")
     try:
@@ -233,20 +275,19 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         _fail_on(items, "protocol.p_key", f"protocol.p_key must lie in [0, 1], got {p_key!r}")
     specs = tuple(ProtocolSpec(family, memories, strategy, p_key) for family in families)
     finite = None
-    block = _value(items, "finite.block_size")
-    if block is not None:
-        budget = {}
-        for key, name, default in (
-            ("finite.epsilon", "epsilon", 1e-10),
-            ("finite.eps_rob", "eps_rob", None),
-            ("finite.eps_EC", "eps_ec", None),
-        ):
-            value = budget[name] = _value(items, key, default)
-            if value is not None and not MIN_EPSILON <= value < 1.0:
-                _fail_on(items, key, f"{key} must lie in [{MIN_EPSILON:g}, 1), got {value!r}")
-        finite = FiniteSizeParams(block_size=block, **budget)
+    if "finite.block_size" in items:
+        finite = _build(
+            items,
+            _finite_size_params,
+            (
+                ("finite.epsilon", 1e-10),
+                ("finite.block_size", 1.0),
+                ("finite.eps_rob", None),
+                ("finite.eps_EC", None),
+            ),
+        )
     elif any(key.startswith("finite.") for key in items):
-        _fail_on(items, "finite.epsilon", "finite.* keys need finite.block_size")
+        _fail_on_first(items, "finite.", "finite.* keys need finite.block_size")
     sweep = None
     if "sweep.parameter" in items:
         parameter = _value(items, "sweep.parameter")
@@ -266,14 +307,14 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
             _value(items, "sweep.log", False),
         )
     elif any(key.startswith("sweep.") for key in items):
-        _fail_on(items, "sweep.from", "sweep.* keys need sweep.parameter")
+        _fail_on_first(items, "sweep.", "sweep.* keys need sweep.parameter")
     return Scenario(
         network=network,
         noise=noise,
         specs=specs,
         finite=finite,
         mc_samples=mc_samples,
-        seed=_value(items, "mc.seed", 1),
+        seed=seed,
         sweep=sweep,
         output_path=_value(items, "output.path"),
         output_source=items["output.path"][1:] if "output.path" in items else None,

@@ -163,16 +163,20 @@ class KeyLengthResult:
 
 def _entropy_penalty(q_eff: float) -> float:
     # A penalized error rate at or beyond 1/2 saturates the bound; the
-    # inverted comparison also routes non-finite values to the cap.
+    # inverted comparison also routes non-finite values to the cap.  Below
+    # it, q_eff is a checked QBER plus a non-negative penalty, so h2 needs
+    # no range check of its own.
     if not q_eff < 0.5:
         return 1.0
-    return binary_entropy(q_eff)
+    if q_eff == 0.0:
+        return 0.0
+    return -q_eff * math.log2(q_eff) - (1.0 - q_eff) * math.log2(1.0 - q_eff)
 
 
 def _entropy_array(q: np.ndarray) -> np.ndarray:
-    """binary_entropy over an array of probabilities, 0 at both ends."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
+    """binary_entropy over an array of probabilities, 0 at both ends.  The
+    caller holds np.errstate for log2(0) at the ends."""
+    h = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
     return np.where((q > 0.0) & (q < 1.0), h, 0.0)
 
 
@@ -197,9 +201,10 @@ class KeyLengthModel:
     per-Bob Z checks take xi2 at eps_pe/sqrt(N-1), X takes xi1 at eps_rob,
     the log term uses eps_ec and no basis string exists to replenish.
 
-    `result` evaluates one p_key in float arithmetic (the path of every
-    single-point call and of the optimizer's refinement); `fractions`
-    evaluates the secret fraction over a numpy array of p_key values.
+    `result` evaluates one p_key in float arithmetic with its breakdown (the
+    path of every single-point call); `fraction` reads the same float terms
+    but returns only the secret fraction (the optimizer's refinement), and
+    `fractions` evaluates it over a numpy array of p_key values.
     """
 
     def __init__(
@@ -236,23 +241,23 @@ class KeyLengthModel:
             math.log2(n_formula - 1) - 1.0 - math.log2(eps_log) - 2.0 * math.log2(budget.eps_pa)
         )
 
-    def result(self, p_key: float) -> KeyLengthResult:
+    def _terms(self, p_key: float) -> tuple:
+        """rounds, m, k, both effective error rates, both penalties, the log
+        term and the basis-string charge at one p_key, in float arithmetic."""
         eta_key, eta_check = sifting_fractions(self.strategy, self.n_formula, p_key)
         per_key = eta_key * self.per_use
         rounds = max(self.block_size / per_key, 1.0) if per_key > 0.0 else math.inf
         if not math.isfinite(rounds):
-            return self._assemble(rounds, 0.0, 0.0, self.q_pe, self.q_ec, 1.0, 1.0, 0.0, 0.0)
+            return rounds, 0.0, 0.0, self.q_pe, self.q_ec, 1.0, 1.0, 0.0, 0.0
         m = per_key * rounds
         k = eta_check * self.per_use * rounds
         preshared_term = rounds * binary_entropy(p_key) if self.preshared else 0.0
         if m <= 0.0 or k <= 0.0:
-            return self._assemble(
-                rounds, m, k, self.q_pe, self.q_ec, 1.0, 1.0, self.log_term, preshared_term
-            )
+            return rounds, m, k, self.q_pe, self.q_ec, 1.0, 1.0, self.log_term, preshared_term
         m_pen = max(m, 1.0)
         q_pe_eff = self.q_pe + _serfling(self.log_pe, m_pen, max(k, 1.0))
         q_ec_eff = self.q_ec + _hoeffding(self.log_ec, m_pen)
-        return self._assemble(
+        return (
             rounds,
             m,
             k,
@@ -264,8 +269,20 @@ class KeyLengthModel:
             preshared_term,
         )
 
+    def _raw(self, m, pe_pen, ec_pen, preshared_term, log_term):
+        # floats or arrays alike
+        return (1.0 - self.eps_rob) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
+
+    def result(self, p_key: float) -> KeyLengthResult:
+        return self._assemble(*self._terms(p_key))
+
     def fraction(self, p_key: float) -> float:
-        return self.result(p_key).secret_fraction
+        """result(p_key).secret_fraction without building the breakdown."""
+        rounds, m, _, _, _, pe_pen, ec_pen, log_term, preshared_term = self._terms(p_key)
+        if not math.isfinite(rounds):
+            return 0.0
+        raw = self._raw(m, pe_pen, ec_pen, preshared_term, log_term)
+        return raw / rounds if raw > 0.0 else 0.0
 
     def fractions(self, p_key: np.ndarray) -> np.ndarray:
         p = np.asarray(p_key, dtype=float)
@@ -283,9 +300,7 @@ class KeyLengthModel:
             # Without key or check detections the penalties need no mask:
             # one check round already saturates the Serfling penalty and the
             # log term is positive, so raw < 0 there as in `result`.
-            raw = (1.0 - self.eps_rob) * (
-                m * (1.0 - pe_pen - ec_pen) - preshared_term - self.log_term
-            )
+            raw = self._raw(m, pe_pen, ec_pen, preshared_term, self.log_term)
             return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
 
     def _assemble(
@@ -300,7 +315,7 @@ class KeyLengthModel:
         log_term: float,
         preshared_term: float,
     ) -> KeyLengthResult:
-        raw = (1.0 - self.eps_rob) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
+        raw = self._raw(m, pe_pen, ec_pen, preshared_term, log_term)
         # +0.0 also when raw is -0.0 (no rounds at all), where max(raw, 0.0)
         # would keep the sign
         ell = raw if raw > 0.0 else 0.0
@@ -367,20 +382,19 @@ def bipartite_optimal(
     if memory_qbers is not None:
         modes.append((True, memory_qbers))
     candidates: dict = {}
-    best: tuple[float, KeyLengthResult, Family, bool, float] | None = None
+    best: tuple[float, KeyLengthModel, Family, bool, float] | None = None
     for family in (Family.BCKA, Family.BQSS):
         for memories, qbers in modes:
             model = KeyLengthModel(cfg, family, fsp_link, qbers, memories)
             opt = maximize_unit_interval(model.fraction, model.fractions)
             candidates[(family.value, memories)] = (opt.x, opt.value)
-            if opt.indeterminate:
-                continue
-            result = model.result(opt.x)
-            if best is None or result.secret_fraction > best[0]:
-                best = (result.secret_fraction, result, family, memories, opt.x)
+            # opt.value is model.fraction(opt.x), the winner's secret fraction
+            if not opt.indeterminate and (best is None or opt.value > best[0]):
+                best = (opt.value, model, family, memories, opt.x)
     if best is None:
         # Every strategy aborts; report a concrete dead memoryless evaluation.
         spec = ProtocolSpec(Family.BQSS, p_key=0.5)
         result = expected_key_length(cfg, spec, fsp_link, modes[0][1])
         return BipartiteOptimum(result, Family.BQSS, False, math.nan, True, candidates)
-    return BipartiteOptimum(best[1], best[2], best[3], best[4], False, candidates)
+    _, model, family, memories, p_key = best
+    return BipartiteOptimum(model.result(p_key), family, memories, p_key, False, candidates)

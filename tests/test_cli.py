@@ -8,7 +8,7 @@ import pytest
 
 import ghznet
 from ghznet.cli import EXIT_CONFIG, EXIT_OK, main
-from ghznet.config import ConfigError, load_config, parse_kv_text, resolve_scenario
+from ghznet.config import SCHEMA, ConfigError, load_config, parse_kv_text, resolve_scenario
 from ghznet.tables import format_cell
 
 BASE_CFG = """
@@ -320,6 +320,46 @@ def test_cli_rejects_p_key_out_of_range(capsys):
              "--set", "sweep.to=1.5", "--set", "sweep.steps=3"]
     assert main(sweep) == EXIT_CONFIG
     assert "protocol.p_key must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["rate", "--set", "network.N=5", "--set", "network.d_A_km=nan"], "error: --set[2]:1: link distances"),
+        (["rate", "--set", "noise.f_D=0.01", "--set", "memory.T2_s=nan"], "error: --set[2]:1: dephasing time"),
+        (["rate", "--set", "finite.epsilon=1e-3", "--set", "finite.block_size=nan"], "error: --set[2]:1: block_size"),
+        (["rate", "--set", "network.N=-1"], "error: --set[1]:1: need at least 2 parties"),
+        (["rate", "--set", "network.N=3", "--set", "finite.eps_rob=1e-3"], "error: --set[2]:1: finite.* keys need"),
+        (["rate", "--set", "sweep.steps=3", "--set", "sweep.to=3"], "error: --set[1]:1: sweep.* keys need"),
+        (["rate", "--set", "mc.seed=-1"], "error: --set[1]:1: mc.seed must be >= 0"),
+        (["sweep", "--set", "mc.seed=-1", "--set", "protocol.memories=true"], "error: --set[1]:1: mc.seed"),
+        (["optimize-pkey", "--set", "mc.seed=-2", "--set", "finite.block_size=1e6"], "error: --set[1]:1: mc.seed"),
+    ],
+)
+def test_cli_model_errors_name_the_rejected_key(capsys, argv, message):
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(message)
+
+
+NUMERIC_KEYS = sorted(key for key, parse in SCHEMA.items() if type(parse("1")) in (int, float))
+
+
+@pytest.mark.parametrize("memories", ["true", "false"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_cli_rate_probe_of_invalid_settings(capsys, key, value, memories):
+    # every numeric setting at a bad value either runs cleanly or is a
+    # sourced config error: no traceback, no nan and no -0 in the table
+    argv = ["rate", "--set", "mc.samples=50", "--set", f"protocol.memories={memories}",
+            "--set", f"{key}={value}"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert "--set[" in captured.err
+    else:
+        cells = [cell for row in _data_rows(captured.out) for cell in row.split(",")]
+        assert cells and not any("nan" in cell.lower() or cell == "-0" for cell in cells)
 
 
 @pytest.mark.parametrize(

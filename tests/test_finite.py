@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghznet.core import binary_entropy
 from ghznet.finite import (
+    BipartiteOptimum,
     FiniteSizeParams,
     KeyLengthModel,
+    _entropy_penalty,
     bipartite_optimal,
     epsilon_budget,
     expected_key_length,
@@ -15,7 +18,7 @@ from ghznet.finite import (
 )
 from ghznet.network import BasisStrategy, Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, QberPair, memoryless_qber
-from ghznet.optimize import maximize_unit_interval
+from ghznet.optimize import UNIT_GRID, maximize_unit_interval
 
 CFG = NetworkConfig(3, 50.0, 4.0)
 NOISE = NoiseParams(0.01, t2_s=1.0, prep_time_s=2e-6)
@@ -163,6 +166,36 @@ def test_key_length_model_matches_expected_key_length(n_parties, family, strateg
                     expected = expected_key_length(cfg, spec, fsp, qbers).secret_fraction
                     assert model.fraction(p_key) == expected
                     assert from_grid == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_parties", [2, 3, 5, 10])
+@pytest.mark.parametrize("family,strategy", SPEC_CHOICES)
+def test_fraction_is_the_result_fraction_bit_for_bit(n_parties, family, strategy):
+    # the optimizer's scalar objective skips the breakdown but not a bit of
+    # the arithmetic, down to the sign of a zero fraction
+    cfg = NetworkConfig(n_parties, 50.0, 4.0)
+    p_keys = [*P_KEYS, *UNIT_GRID[::7].tolist()]
+    for f_depol in (0.0, 0.01, 0.05, 0.3):
+        qbers = memoryless_qber(f_depol, 2 if family.bipartite else n_parties)
+        for block in (1e4, 1e8, 1e10):
+            fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
+            for memories in (False, True):
+                model = KeyLengthModel(cfg, family, fsp, qbers, memories, strategy)
+                for p_key in p_keys:
+                    fraction = model.fraction(p_key)
+                    expected = model.result(p_key).secret_fraction
+                    assert type(fraction) is type(expected)
+                    assert fraction == expected, (block, f_depol, memories, p_key)
+                    assert math.copysign(1.0, fraction) == math.copysign(1.0, expected)
+
+
+def test_entropy_penalty_saturates_and_matches_binary_entropy():
+    for q in (math.nan, 0.5, 0.5000001, 0.9, 1.0, math.inf):
+        assert _entropy_penalty(q) == 1.0
+    zero = _entropy_penalty(0.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    for q in (1e-300, 1e-12, 0.01, 0.11, 0.25, 0.4999999):
+        assert _entropy_penalty(q) == binary_entropy(q)
 
 
 def _pointwise_maximum(model):
@@ -328,3 +361,41 @@ def test_raw_length_below_block(p_key, exponent):
     result = expected_key_length(CFG, spec, fsp, QB_MULTI)
     assert result.raw <= result.m
     assert result.ell >= 0.0
+
+
+def _reference_bipartite_optimal(cfg, noise, fsp, memory_qbers=None):
+    # every candidate's full result is built and ranked by its own fraction
+    fsp_link = fsp.scaled(cfg.n_parties - 1) if cfg.n_parties > 2 else fsp
+    modes = [(False, memoryless_qber(noise.f_depol, 2))]
+    if memory_qbers is not None:
+        modes.append((True, memory_qbers))
+    candidates, best = {}, None
+    for family in (Family.BCKA, Family.BQSS):
+        for memories, qbers in modes:
+            model = KeyLengthModel(cfg, family, fsp_link, qbers, memories)
+            opt = maximize_unit_interval(model.fraction, model.fractions)
+            candidates[(family.value, memories)] = (opt.x, opt.value)
+            if opt.indeterminate:
+                continue
+            result = model.result(opt.x)
+            if best is None or result.secret_fraction > best[0].secret_fraction:
+                best = (result, family, memories, opt.x)
+    return BipartiteOptimum(*best, False, candidates)
+
+
+@pytest.mark.parametrize(
+    "cfg,f_depol,block,memory_qbers",
+    [
+        (CFG, 0.01, 1e8, None),
+        (CFG, 0.01, 1e8, QberPair(0.0125, 0.00995)),
+        (NetworkConfig(2, 50.0, 4.0), 0.01, 1e6, QberPair(0.011, 0.0101)),
+        (NetworkConfig(10, 30.0, 30.0), 0.05, 1e10, QberPair(0.06, 0.05)),
+        (NetworkConfig(5, 100.0, 4.0), 0.0, 1e4, None),
+    ],
+    ids=["n3", "n3-memory", "n2-memory", "n10-memory", "n5-small-block"],
+)
+def test_bipartite_optimal_matches_full_result_ranking(cfg, f_depol, block, memory_qbers):
+    noise = NoiseParams(f_depol, t2_s=1.0, prep_time_s=2e-6)
+    fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
+    expected = _reference_bipartite_optimal(cfg, noise, fsp, memory_qbers)
+    assert bipartite_optimal(cfg, noise, fsp, memory_qbers) == expected
