@@ -6,7 +6,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .finite import FiniteSizeParams, KeyLengthModel, KeyLengthResult, bipartite_optimal
+import numpy as np
+
+from .finite import (
+    FiniteSizeParams,
+    KeyLengthModel,
+    KeyLengthResult,
+    bipartite_models,
+    bipartite_optimal,
+    dead_link_result,
+    link_params,
+    maximize_stacked,
+    refine,
+    stacked_fractions,
+)
 from .memory import as_rng, expected_memory_qbers
 from .network import (
     BasisStrategy,
@@ -16,7 +29,7 @@ from .network import (
     formula_party_count,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import ScalarMaximum, maximize_unit_interval
+from .optimize import UNIT_GRID, ScalarMaximum, grid_peak
 from .rates import asymptotic_rate
 
 
@@ -51,8 +64,16 @@ def optimized_fraction(
 ) -> tuple[ScalarMaximum, KeyLengthResult]:
     """Secret fraction of one protocol family, optimized over p_key."""
     model = KeyLengthModel(cfg, family, fsp, qbers, memories, basis_strategy)
-    opt = maximize_unit_interval(model.fraction, model.fractions)
-    return opt, model.result(0.5 if opt.indeterminate else opt.x)
+    (opt,) = maximize_stacked([model])
+    return opt, _optimum_result(model, opt)
+
+
+def _optimum_result(model: KeyLengthModel, opt: ScalarMaximum) -> KeyLengthResult:
+    # an everywhere-dead objective reports a concrete evaluation at p_key = 1/2
+    return model.result(0.5 if opt.indeterminate else opt.x)
+
+
+CKA_STRATEGIES = (BasisStrategy.PRESHARED, BasisStrategy.SWITCHING)
 
 
 def best_cka_fraction(
@@ -68,9 +89,15 @@ def best_cka_fraction(
     the achievable conference rate is the better of the two; they coincide
     wherever switching wins.
     """
-    results = {}
-    for strategy in (BasisStrategy.PRESHARED, BasisStrategy.SWITCHING):
-        results[strategy] = optimized_fraction(cfg, Family.MCKA, fsp, qbers, memories, strategy)
+    models = {
+        strategy: KeyLengthModel(cfg, Family.MCKA, fsp, qbers, memories, strategy)
+        for strategy in CKA_STRATEGIES
+    }
+    optima = maximize_stacked(list(models.values()))
+    results = {
+        strategy: (opt, _optimum_result(model, opt))
+        for (strategy, model), opt in zip(models.items(), optima)
+    }
     best = max(results, key=lambda s: results[s][1].secret_fraction)
     opt, result = results[best]
     return opt, result, best
@@ -123,33 +150,113 @@ class ThresholdResult:
     bracket: tuple[float, float]
 
 
-def _rate_pair(query: ThresholdQuery) -> Callable[[float], tuple[float, float]]:
-    """Multipartite and bipartite rates as a function of the scanned parameter.
+def _multi_models(
+    cfg: NetworkConfig, task: str, fsp: FiniteSizeParams, qbers: QberPair
+) -> list[KeyLengthModel]:
+    """The memoryless models whose best fraction `_multi_fraction` reports:
+    both conference-key strategies for CKA, switching secret sharing for QSS."""
+    if task == "CKA":
+        return [KeyLengthModel(cfg, Family.MCKA, fsp, qbers, False, s) for s in CKA_STRATEGIES]
+    return [KeyLengthModel(cfg, Family.MQSS, fsp, qbers)]
+
+
+def _grid_bounds(models: list[KeyLengthModel], rows: np.ndarray):
+    """Each model's grid stage: the models whose grid finds no positive
+    fraction (indeterminate), and (model, row, f(x_grid)) for the rest."""
+    dead, live = [], []
+    for model, row in zip(models, rows):
+        peak = grid_peak(model.fraction, row)
+        if peak is None:
+            dead.append(model)
+        else:
+            live.append((model, row, peak[1]))
+    return dead, live
+
+
+class _BestFraction:
+    """The best secret fraction among one side's models, bounded below from
+    their stacked grid and refined by the optimizer only on demand.
+
+    `fixed` holds exact values (the evaluations reported for dead models);
+    `live` the models to refine with their rows and f(x_grid), a value
+    `maximize_unit_interval` never returns below.
+    """
+
+    def __init__(self, fixed: list[float], live: list) -> None:
+        self.fixed = fixed
+        self.live = live
+        self.lower = max(fixed + [bound for _, _, bound in live])
+
+    def exact(self) -> float:
+        return max(self.fixed + [refine(model, row).value for model, row, _ in self.live])
+
+
+def _exceeds(multi: _BestFraction, bi: _BestFraction) -> bool:
+    """multi.exact() > bi.exact(), refining a side only where its lower
+    bound cannot settle the verdict: the side with the larger bound
+    (bipartite on a tie) stands on it while the other side is refined."""
+    if multi.lower > bi.lower:
+        bi_value = bi.exact()
+        return multi.lower > bi_value or multi.exact() > bi_value
+    multi_value = multi.exact()
+    return multi_value > bi.lower and multi_value > bi.exact()
+
+
+def _finite_advantaged(
+    cfg: NetworkConfig,
+    task: str,
+    fsp: FiniteSizeParams,
+    fsp_link: FiniteSizeParams,
+    qb_multi: QberPair,
+    qb_bi: QberPair,
+) -> bool:
+    """Whether `_multi_fraction`'s secret fraction strictly exceeds
+    `bipartite_optimal`'s, both memoryless, from one stacked grid of every
+    model.  Dead models keep the values those report: a multipartite model
+    its p_key = 1/2 evaluation, an all-dead baseline `dead_link_result`."""
+    multi_models = _multi_models(cfg, task, fsp, qb_multi)
+    bi_models = list(bipartite_models(cfg, fsp_link, [(False, qb_bi)]).values())
+    rows = stacked_fractions(multi_models + bi_models, UNIT_GRID)
+    multi_dead, multi_live = _grid_bounds(multi_models, rows[: len(multi_models)])
+    _, bi_live = _grid_bounds(bi_models, rows[len(multi_models) :])
+    multi = _BestFraction([model.result(0.5).secret_fraction for model in multi_dead], multi_live)
+    bi_fixed = [] if bi_live else [dead_link_result(cfg, fsp_link, qb_bi).secret_fraction]
+    return _exceeds(multi, _BestFraction(bi_fixed, bi_live))
+
+
+def _advantage(query: ThresholdQuery) -> Callable[[float], bool]:
+    """The advantage predicate at a scanned value: multipartite rate
+    strictly above bipartite.
 
     Asymptotic rates keep their sign (negative raw values carry the
     crossing information); finite-size secret fractions are clamped, so the
     advantage region is located by its boundary rather than a strict sign
-    change.
+    change.  Whatever the scanned value leaves fixed is built once.
     """
-    multi_family = Family.MQSS if query.task == "QSS" else Family.MCKA
+    n = query.n_parties
+    if query.target == "noise":
+        fixed_cfg = NetworkConfig.make_symmetric(n, query.fixed_distance_km)
+    else:
+        fixed_qbers = memoryless_qber(query.fixed_noise, n), memoryless_qber(query.fixed_noise, 2)
 
-    def rates(x: float) -> tuple[float, float]:
-        distance = x if query.target == "distance" else query.fixed_distance_km
-        f_depol = x if query.target == "noise" else query.fixed_noise
-        cfg = NetworkConfig.make_symmetric(query.n_parties, distance)
-        qb_multi = memoryless_qber(f_depol, cfg.n_parties)
-        if query.block_size is None:
-            qb_bi = memoryless_qber(f_depol, 2)
-            rate_multi = asymptotic_rate(cfg, ProtocolSpec(multi_family), qb_multi)
-            rate_bi = asymptotic_rate(cfg, ProtocolSpec(Family.BQSS), qb_bi)
-            return rate_multi.raw, rate_bi.raw
-        noise = NoiseParams(f_depol=f_depol)
+    multi_spec = ProtocolSpec(Family.MQSS if query.task == "QSS" else Family.MCKA)
+    bi_spec = ProtocolSpec(Family.BQSS)
+    fsp = fsp_link = None
+    if query.block_size is not None:
         fsp = FiniteSizeParams(epsilon=query.epsilon, block_size=query.block_size)
-        _, multi = _multi_fraction(cfg, query.task, fsp, qb_multi, memories=False)
-        bi = bipartite_optimal(cfg, noise, fsp)
-        return multi.secret_fraction, bi.result.secret_fraction
+        fsp_link = link_params(fsp, n)
 
-    return rates
+    def advantaged(x: float) -> bool:
+        if query.target == "noise":
+            cfg, qb_multi, qb_bi = fixed_cfg, memoryless_qber(x, n), memoryless_qber(x, 2)
+        else:
+            cfg, (qb_multi, qb_bi) = NetworkConfig.make_symmetric(n, x), fixed_qbers
+        if fsp is None:
+            multi = asymptotic_rate(cfg, multi_spec, qb_multi)
+            return multi.raw > asymptotic_rate(cfg, bi_spec, qb_bi).raw
+        return _finite_advantaged(cfg, query.task, fsp, fsp_link, qb_multi, qb_bi)
+
+    return advantaged
 
 
 def find_threshold(
@@ -164,15 +271,10 @@ def find_threshold(
     ends, otherwise the result reports no-sign-change, distinguishing
     always-advantage from never-advantage brackets.
     """
-    rates = _rate_pair(query)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("need bracket lo < hi")
-
-    def advantaged(x: float) -> bool:
-        multi, bi = rates(x)
-        return multi > bi
-
+    advantaged = _advantage(query)
     adv_lo = advantaged(lo)
     if adv_lo == advantaged(hi):
         return ThresholdResult(None, "no-sign-change", bracket)

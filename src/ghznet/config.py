@@ -7,6 +7,7 @@ output headers, so a table plus its header reproduces the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -299,13 +300,13 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         steps = _value(items, "sweep.steps")
         if steps < 2:
             _fail_on(items, "sweep.steps", "sweep.steps must be >= 2")
-        sweep = SweepSpec(
-            parameter,
-            _value(items, "sweep.from"),
-            _value(items, "sweep.to"),
-            steps,
-            _value(items, "sweep.log", False),
-        )
+        endpoints = []
+        for endpoint in ("sweep.from", "sweep.to"):
+            value = _value(items, endpoint)
+            if not math.isfinite(value):
+                _fail_on(items, endpoint, f"{endpoint} must be finite, got {value!r}")
+            endpoints.append(value)
+        sweep = SweepSpec(parameter, *endpoints, steps, _value(items, "sweep.log", False))
     elif any(key.startswith("sweep.") for key in items):
         _fail_on_first(items, "sweep.", "sweep.* keys need sweep.parameter")
     return Scenario(

@@ -4,8 +4,10 @@ bipartite baseline optimized over strategy and basis probability."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .network import (
     yields,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import maximize_unit_interval
+from .optimize import UNIT_GRID, ScalarMaximum, maximize_unit_interval
 
 
 # The penalty formulas of xi1 / xi2, shared with KeyLengthModel, which works
@@ -184,6 +186,11 @@ def _entropy_penalty_array(q_eff: np.ndarray) -> np.ndarray:
     return np.where(q_eff < 0.5, _entropy_array(q_eff), 1.0)
 
 
+def _raw(eps_rob, m, pe_pen, ec_pen, preshared_term, log_term):
+    # floats, or a models x p_key stack with per-model columns, alike
+    return (1.0 - eps_rob) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
+
+
 class KeyLengthModel:
     """Expected key length of one protocol as a function of p_key alone.
 
@@ -203,8 +210,9 @@ class KeyLengthModel:
 
     `result` evaluates one p_key in float arithmetic with its breakdown (the
     path of every single-point call); `fraction` reads the same float terms
-    but returns only the secret fraction (the optimizer's refinement), and
-    `fractions` evaluates it over a numpy array of p_key values.
+    but returns only the secret fraction (the optimizer's refinement).
+    `stacked_fractions` evaluates it over a numpy array of p_key values for
+    several models at once.
     """
 
     def __init__(
@@ -269,10 +277,6 @@ class KeyLengthModel:
             preshared_term,
         )
 
-    def _raw(self, m, pe_pen, ec_pen, preshared_term, log_term):
-        # floats or arrays alike
-        return (1.0 - self.eps_rob) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
-
     def result(self, p_key: float) -> KeyLengthResult:
         return self._assemble(*self._terms(p_key))
 
@@ -281,27 +285,8 @@ class KeyLengthModel:
         rounds, m, _, _, _, pe_pen, ec_pen, log_term, preshared_term = self._terms(p_key)
         if not math.isfinite(rounds):
             return 0.0
-        raw = self._raw(m, pe_pen, ec_pen, preshared_term, log_term)
+        raw = _raw(self.eps_rob, m, pe_pen, ec_pen, preshared_term, log_term)
         return raw / rounds if raw > 0.0 else 0.0
-
-    def fractions(self, p_key: np.ndarray) -> np.ndarray:
-        p = np.asarray(p_key, dtype=float)
-        eta_key, eta_check = sifting_fractions(self.strategy, self.n_formula, p)
-        per_key = eta_key * self.per_use
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rounds = np.where(per_key > 0.0, np.maximum(self.block_size / per_key, 1.0), np.inf)
-            m = per_key * rounds
-            k = eta_check * self.per_use * rounds
-            m_pen = np.maximum(m, 1.0)
-            xi_pe = _serfling(self.log_pe, m_pen, np.maximum(k, 1.0), np.sqrt)
-            pe_pen = _entropy_penalty_array(self.q_pe + xi_pe)
-            ec_pen = _entropy_penalty_array(self.q_ec + _hoeffding(self.log_ec, m_pen, np.sqrt))
-            preshared_term = rounds * _entropy_array(p) if self.preshared else 0.0
-            # Without key or check detections the penalties need no mask:
-            # one check round already saturates the Serfling penalty and the
-            # log term is positive, so raw < 0 there as in `result`.
-            raw = self._raw(m, pe_pen, ec_pen, preshared_term, self.log_term)
-            return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
 
     def _assemble(
         self,
@@ -315,7 +300,7 @@ class KeyLengthModel:
         log_term: float,
         preshared_term: float,
     ) -> KeyLengthResult:
-        raw = self._raw(m, pe_pen, ec_pen, preshared_term, log_term)
+        raw = _raw(self.eps_rob, m, pe_pen, ec_pen, preshared_term, log_term)
         # +0.0 also when raw is -0.0 (no rounds at all), where max(raw, 0.0)
         # would keep the sign
         ell = raw if raw > 0.0 else 0.0
@@ -343,6 +328,66 @@ class KeyLengthModel:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_sifting(strategy: BasisStrategy, n_formula: int) -> tuple:
+    # read-only by convention: stacked_fractions copies the rows it stacks
+    return sifting_fractions(strategy, n_formula, UNIT_GRID)
+
+
+_GRID_ENTROPY = _entropy_array(UNIT_GRID)
+
+
+def stacked_fractions(models: Sequence[KeyLengthModel], p_key: np.ndarray) -> np.ndarray:
+    """Secret fractions of several models over one array of p_key values, as
+    a (models x p_key) array from one numpy pass.
+
+    Each model's p_key-independent terms broadcast as a column.  On the
+    optimizer's UNIT_GRID itself the sifting rows per (strategy, party
+    count) and the basis-string entropy are cached across calls.  Row i is
+    bit for bit the fraction array of model i evaluated on its own.
+    """
+    on_grid = p_key is UNIT_GRID
+    p = np.asarray(p_key, dtype=float)
+    sift = _grid_sifting if on_grid else lambda *key: sifting_fractions(*key, p)
+    rows = [sift(model.strategy, model.n_formula) for model in models]
+    eta_key = np.array([eta for eta, _ in rows])
+    eta_check = np.array([eta for _, eta in rows])
+    per_use, block_size, log_pe, log_ec, q_pe, q_ec, eps_rob, log_term = np.array(
+        [
+            (m.per_use, m.block_size, m.log_pe, m.log_ec, m.q_pe, m.q_ec, m.eps_rob, m.log_term)
+            for m in models
+        ]
+    ).T[:, :, None]
+    preshared = np.array([[model.preshared] for model in models])
+    per_key = eta_key * per_use
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rounds = np.where(per_key > 0.0, np.maximum(block_size / per_key, 1.0), np.inf)
+        m = per_key * rounds
+        k = eta_check * per_use * rounds
+        m_pen = np.maximum(m, 1.0)
+        pe_pen = _entropy_penalty_array(q_pe + _serfling(log_pe, m_pen, np.maximum(k, 1.0), np.sqrt))
+        ec_pen = _entropy_penalty_array(q_ec + _hoeffding(log_ec, m_pen, np.sqrt))
+        entropy = _GRID_ENTROPY if on_grid else _entropy_array(p)
+        preshared_term = np.where(preshared, rounds * entropy, 0.0)
+        # Without key or check detections the penalties need no mask:
+        # one check round already saturates the Serfling penalty and the
+        # log term is positive, so raw < 0 there as in `result`.
+        raw = _raw(eps_rob, m, pe_pen, ec_pen, preshared_term, log_term)
+        return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
+
+
+def refine(model: KeyLengthModel, row: np.ndarray) -> ScalarMaximum:
+    """The optimizer's p_key maximum of one model whose UNIT_GRID row of
+    `stacked_fractions` is already evaluated."""
+    return maximize_unit_interval(model.fraction, lambda grid: row)
+
+
+def maximize_stacked(models: Sequence[KeyLengthModel]) -> list[ScalarMaximum]:
+    """The p_key maximum of each model, all grids evaluated in one stack."""
+    rows = stacked_fractions(models, UNIT_GRID)
+    return [refine(model, row) for model, row in zip(models, rows)]
+
+
 def expected_key_length(
     cfg: NetworkConfig, spec: ProtocolSpec, fsp: FiniteSizeParams, qbers: QberPair
 ) -> KeyLengthResult:
@@ -363,6 +408,32 @@ class BipartiteOptimum:
     candidates: dict
 
 
+def link_params(fsp: FiniteSizeParams, n_parties: int) -> FiniteSizeParams:
+    """Budget of each of the N-1 parallel links of the bipartite baseline:
+    epsilon/(N-1) per link."""
+    return fsp.scaled(n_parties - 1) if n_parties > 2 else fsp
+
+
+def bipartite_models(
+    cfg: NetworkConfig, fsp_link: FiniteSizeParams, modes: list[tuple[bool, QberPair]]
+) -> dict[tuple[Family, bool], KeyLengthModel]:
+    """The baseline's candidate link models, keyed (family, memories): bCKA
+    then bQSS, each in every (memories, error rates) mode."""
+    return {
+        (family, memories): KeyLengthModel(cfg, family, fsp_link, qbers, memories)
+        for family in (Family.BCKA, Family.BQSS)
+        for memories, qbers in modes
+    }
+
+
+def dead_link_result(
+    cfg: NetworkConfig, fsp_link: FiniteSizeParams, qbers: QberPair
+) -> KeyLengthResult:
+    """The concrete evaluation a baseline reports when every strategy
+    aborts: a memoryless bQSS link at p_key = 1/2."""
+    return expected_key_length(cfg, ProtocolSpec(Family.BQSS, p_key=0.5), fsp_link, qbers)
+
+
 def bipartite_optimal(
     cfg: NetworkConfig,
     noise: NoiseParams,
@@ -374,27 +445,24 @@ def bipartite_optimal(
     Each link runs with security parameter epsilon/(N-1); the basis
     probability is optimized independently for the pre-shared and the
     switching strategy, without memories and, where error rates for the
-    memory-assisted link are supplied, with them.
+    memory-assisted link are supplied, with them.  The candidates' grids
+    are evaluated in one stack.
     """
-    n = cfg.n_parties
-    fsp_link = fsp.scaled(n - 1) if n > 2 else fsp
+    fsp_link = link_params(fsp, cfg.n_parties)
     modes = [(False, memoryless_qber(noise.f_depol, 2))]
     if memory_qbers is not None:
         modes.append((True, memory_qbers))
+    models = bipartite_models(cfg, fsp_link, modes)
     candidates: dict = {}
     best: tuple[float, KeyLengthModel, Family, bool, float] | None = None
-    for family in (Family.BCKA, Family.BQSS):
-        for memories, qbers in modes:
-            model = KeyLengthModel(cfg, family, fsp_link, qbers, memories)
-            opt = maximize_unit_interval(model.fraction, model.fractions)
-            candidates[(family.value, memories)] = (opt.x, opt.value)
-            # opt.value is model.fraction(opt.x), the winner's secret fraction
-            if not opt.indeterminate and (best is None or opt.value > best[0]):
-                best = (opt.value, model, family, memories, opt.x)
+    optima = maximize_stacked(list(models.values()))
+    for ((family, memories), model), opt in zip(models.items(), optima):
+        candidates[(family.value, memories)] = (opt.x, opt.value)
+        # opt.value is model.fraction(opt.x), the winner's secret fraction
+        if not opt.indeterminate and (best is None or opt.value > best[0]):
+            best = (opt.value, model, family, memories, opt.x)
     if best is None:
-        # Every strategy aborts; report a concrete dead memoryless evaluation.
-        spec = ProtocolSpec(Family.BQSS, p_key=0.5)
-        result = expected_key_length(cfg, spec, fsp_link, modes[0][1])
+        result = dead_link_result(cfg, fsp_link, modes[0][1])
         return BipartiteOptimum(result, Family.BQSS, False, math.nan, True, candidates)
     _, model, family, memories, p_key = best
     return BipartiteOptimum(model.result(p_key), family, memories, p_key, False, candidates)

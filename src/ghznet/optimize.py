@@ -49,6 +49,20 @@ UNIT_GRID = np.array(
 )
 
 
+def grid_peak(f: Callable[[float], float], values: np.ndarray) -> tuple[int, float] | None:
+    """Grid stage of `maximize_unit_interval` for one objective row.
+
+    `values` is the objective over UNIT_GRID.  Returns the index of its
+    largest value and f at that grid point, the value the refined maximum
+    never falls below; None when no grid value is positive (the objective
+    is indeterminate).
+    """
+    best = int(values.argmax())
+    if values[best] <= 0.0:
+        return None
+    return best, f(float(UNIT_GRID[best]))
+
+
 def maximize_unit_interval(
     f: Callable[[float], float], f_array: Callable[[np.ndarray], np.ndarray]
 ) -> ScalarMaximum:
@@ -60,15 +74,13 @@ def maximize_unit_interval(
     value, and the value returned is always one of `f`; an everywhere
     non-positive objective is flagged indeterminate.
     """
-    values = f_array(UNIT_GRID)
-    best = int(values.argmax())
-    if values[best] <= 0.0:
+    peak = grid_peak(f, f_array(UNIT_GRID))
+    if peak is None:
         return ScalarMaximum(math.nan, 0.0, True)
+    best, v_grid = peak
     lo = float(UNIT_GRID[max(best - 1, 0)])
     hi = float(UNIT_GRID[min(best + 1, len(UNIT_GRID) - 1)])
     x_ref, v_ref = golden_section_max(f, lo, hi)
-    x_grid = float(UNIT_GRID[best])
-    v_grid = f(x_grid)
     if v_ref >= v_grid:
         return ScalarMaximum(float(x_ref), float(v_ref), False)
-    return ScalarMaximum(x_grid, float(v_grid), False)
+    return ScalarMaximum(float(UNIT_GRID[best]), float(v_grid), False)

@@ -5,15 +5,19 @@ import pytest
 
 from ghznet.analysis import (
     ThresholdQuery,
+    _advantage,
+    _BestFraction,
+    _exceeds,
+    _multi_fraction,
     advantage_profile,
     find_threshold,
     optimized_fraction,
     scenario_qbers,
 )
-from ghznet.finite import FiniteSizeParams
+from ghznet.finite import FiniteSizeParams, bipartite_optimal
 from ghznet.network import Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, memoryless_qber
-from ghznet.optimize import maximize_unit_interval
+from ghznet.optimize import UNIT_GRID, grid_peak, maximize_unit_interval
 from ghznet.rates import asymptotic_rate
 
 
@@ -90,6 +94,91 @@ def test_finite_cka_threshold_at_least_qss():
     )
     assert cka.value >= qss.value - 1e-6
     assert cka.value > qss.value + 1e-4  # pre-shared key helps at this block size
+
+
+# fig6's brackets and tolerances, with scanned values from end to end: the
+# noise end 0.5 and the long distances leave both sides dead, and the
+# bracket ends show where a query has no sign change
+FIG6_SCANS = {
+    "noise": ((1e-9, 0.5), 1e-5, (1e-9, 1e-4, 2e-3, 0.01, 0.02, 0.04, 0.07, 0.1, 0.15, 0.25, 0.5)),
+    "distance": ((1e-3, 40.0), 1e-4, (1e-3, 0.5, 2.0, 5.0, 8.0, 12.0, 16.0, 20.0, 25.0, 30.0, 40.0)),
+}
+
+
+def _fully_optimized(query, x):
+    # every p_key refined on both sides, as the advantage profiles do
+    distance = x if query.target == "distance" else query.fixed_distance_km
+    f_depol = x if query.target == "noise" else query.fixed_noise
+    cfg = NetworkConfig.make_symmetric(query.n_parties, distance)
+    fsp = FiniteSizeParams(epsilon=query.epsilon, block_size=query.block_size)
+    qbers = memoryless_qber(f_depol, query.n_parties)
+    _, multi = _multi_fraction(cfg, query.task, fsp, qbers, memories=False)
+    bi = bipartite_optimal(cfg, NoiseParams(f_depol=f_depol), fsp)
+    return multi.secret_fraction, bi.result.secret_fraction
+
+
+@pytest.mark.parametrize("target", sorted(FIG6_SCANS))
+@pytest.mark.parametrize("task", ["QSS", "CKA"])
+def test_bound_decided_verdict_matches_full_optimization(task, target):
+    bracket, xtol, xs = FIG6_SCANS[target]
+    fixed = {"fixed_distance_km": 4.0} if target == "noise" else {"fixed_noise": 0.01}
+    verdicts, statuses = set(), set()
+    for n in (2, 3, 5, 10):
+        for block in (1e4, 1e6, 1e8, 1e10):
+            query = ThresholdQuery(target, n, task=task, block_size=block, **fixed)
+            advantaged = _advantage(query)
+            scan = list(xs)
+            res = find_threshold(query, bracket, xtol=xtol)
+            statuses.add(res.status)
+            if res.value is not None:
+                # the verdict flips between these, where the bounds are closest
+                scan += [res.value - xtol, res.value, res.value + xtol]
+            for x in scan:
+                multi, bi = _fully_optimized(query, x)
+                assert advantaged(x) == (multi > bi), (n, block, x, multi, bi)
+                verdicts.add("both-dead" if multi == bi == 0.0 else multi > bi)
+    assert statuses == {"ok", "no-sign-change"}
+    # no block leaves both sides dead within 40 km at 1% noise
+    assert verdicts == ({True, False, "both-dead"} if target == "noise" else {True, False})
+
+
+class _Counted(_BestFraction):
+    def __init__(self, lower, exact):
+        super().__init__([lower], [])
+        self.value = exact
+        self.refined = 0
+
+    def exact(self):
+        self.refined += 1
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "multi,bi,verdict,refined",
+    [
+        ((2.0, 3.0), (1.0, 1.5), True, (0, 1)),  # multi's bound beats bi's optimum
+        ((2.0, 3.0), (1.0, 2.5), True, (1, 1)),
+        ((2.0, 3.0), (1.0, 3.0), False, (1, 1)),  # equal optima: no advantage
+        ((1.0, 1.5), (2.0, 3.0), False, (1, 0)),  # bi's bound beats multi's optimum
+        ((1.0, 2.0), (2.0, 3.0), False, (1, 0)),  # multi's optimum only ties bi's bound
+        ((1.0, 2.5), (2.0, 2.2), True, (1, 1)),
+        ((1.0, 1.0), (1.0, 1.0), False, (1, 0)),  # equal bounds: bi stands on its bound
+    ],
+)
+def test_verdict_refines_only_what_can_flip_it(multi, bi, verdict, refined):
+    multi, bi = _Counted(*multi), _Counted(*bi)
+    assert _exceeds(multi, bi) is verdict
+    assert (multi.refined, bi.refined) == refined
+
+
+def test_grid_peak_bounds_the_refined_maximum():
+    def hump(p):
+        return np.maximum(0.0, 0.3 - (p - 0.6180339) ** 2)
+
+    best, bound = grid_peak(hump, hump(UNIT_GRID))
+    assert bound == hump(float(UNIT_GRID[best]))
+    assert maximize_unit_interval(hump, hump).value >= bound
+    assert grid_peak(hump, np.zeros_like(UNIT_GRID)) is None
 
 
 def test_optimize_pkey_grid_guarantee():

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,29 @@ def test_cli_rejects_p_key_out_of_range(capsys):
 def test_cli_model_errors_name_the_rejected_key(capsys, argv, message):
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "settings,message",
+    [
+        (["sweep.parameter=network.N", "sweep.from=nan", "sweep.to=3", "sweep.steps=2"],
+         "error: --set[2]:1: sweep.from must be finite, got nan"),
+        (["sweep.parameter=noise.f_D", "sweep.from=0", "sweep.to=inf", "sweep.steps=2"],
+         "error: --set[3]:1: sweep.to must be finite, got inf"),
+    ],
+    ids=["nan-player-count", "inf-noise"],
+)
+def test_cli_sweep_endpoints_must_be_finite(capsys, settings, message):
+    # a non-finite endpoint is blamed on its own key, before any point is
+    # built: no integer conversion of nan, no numpy warning, no "sweep:0"
+    argv = ["sweep"]
+    for setting in settings:
+        argv += ["--set", setting]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "sweep:0" not in err
 
 
 NUMERIC_KEYS = sorted(key for key, parse in SCHEMA.items() if type(parse("1")) in (int, float))

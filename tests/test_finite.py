@@ -13,6 +13,7 @@ from ghznet.finite import (
     bipartite_optimal,
     epsilon_budget,
     expected_key_length,
+    stacked_fractions,
     xi1,
     xi2,
 )
@@ -160,7 +161,7 @@ def test_key_length_model_matches_expected_key_length(n_parties, family, strateg
             fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
             for memories in (False, True):
                 model = KeyLengthModel(cfg, family, fsp, qbers, memories, strategy)
-                grid = model.fractions(np.array(P_KEYS))
+                grid = stacked_fractions([model], np.array(P_KEYS))[0]
                 for p_key, from_grid in zip(P_KEYS, grid):
                     spec = ProtocolSpec(family, memories, strategy, p_key)
                     expected = expected_key_length(cfg, spec, fsp, qbers).secret_fraction
@@ -189,6 +190,29 @@ def test_fraction_is_the_result_fraction_bit_for_bit(n_parties, family, strategy
                     assert math.copysign(1.0, fraction) == math.copysign(1.0, expected)
 
 
+@pytest.mark.parametrize("n_parties", [2, 3, 5, 10])
+def test_stacked_rows_equal_single_model_rows(n_parties):
+    # stacking every family x strategy x memories changes no bit of a row,
+    # and the cached UNIT_GRID path equals a plain array of the same values
+    cfg = NetworkConfig(n_parties, 50.0, 4.0)
+    uncached = UNIT_GRID.copy()
+    for f_depol in (0.0, 0.01, 0.05, 0.3):
+        for block in (1e4, 1e8, 1e10):
+            fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
+            models = [
+                KeyLengthModel(
+                    cfg, family, fsp, memoryless_qber(f_depol, 2 if family.bipartite else n_parties),
+                    memories, strategy,
+                )
+                for family, strategy in SPEC_CHOICES
+                for memories in (False, True)
+            ]
+            stack = stacked_fractions(models, UNIT_GRID)
+            assert stack.shape == (len(models), len(UNIT_GRID))
+            for model, row in zip(models, stack):
+                assert np.array_equal(row, stacked_fractions([model], uncached)[0])
+
+
 def test_entropy_penalty_saturates_and_matches_binary_entropy():
     for q in (math.nan, 0.5, 0.5000001, 0.9, 1.0, math.inf):
         assert _entropy_penalty(q) == 1.0
@@ -196,6 +220,11 @@ def test_entropy_penalty_saturates_and_matches_binary_entropy():
     assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
     for q in (1e-300, 1e-12, 0.01, 0.11, 0.25, 0.4999999):
         assert _entropy_penalty(q) == binary_entropy(q)
+
+
+def _array_grid(model):
+    # the model's own row of the stacked array path
+    return lambda p_key: stacked_fractions([model], p_key)[0]
 
 
 def _pointwise_maximum(model):
@@ -217,7 +246,7 @@ def test_array_grid_matches_pointwise_grid(cfg, family, f_depol, block):
     qbers = memoryless_qber(f_depol, 2 if family.bipartite else cfg.n_parties)
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
     model = KeyLengthModel(cfg, family, fsp, qbers)
-    assert maximize_unit_interval(model.fraction, model.fractions) == _pointwise_maximum(model)
+    assert maximize_unit_interval(model.fraction, _array_grid(model)) == _pointwise_maximum(model)
 
 
 def test_qss_abort_without_checks():
@@ -373,7 +402,7 @@ def _reference_bipartite_optimal(cfg, noise, fsp, memory_qbers=None):
     for family in (Family.BCKA, Family.BQSS):
         for memories, qbers in modes:
             model = KeyLengthModel(cfg, family, fsp_link, qbers, memories)
-            opt = maximize_unit_interval(model.fraction, model.fractions)
+            opt = maximize_unit_interval(model.fraction, _array_grid(model))
             candidates[(family.value, memories)] = (opt.x, opt.value)
             if opt.indeterminate:
                 continue
