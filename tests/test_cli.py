@@ -207,6 +207,18 @@ PINNED_SWEEPS = {
 }
 
 
+# sha256 of `ghznet oracle-check` stdout: the density-matrix grid, the
+# parity enumeration and the fixed-seed sifting simulation, whose rows must
+# not move when their code does.
+PINNED_ORACLE_CHECKS = {
+    "default": ([], "1fd511981a42f522f694441356f842f63d48ec33b870307b89ef6e4fae88da0d"),
+    "four-parties": (
+        ["--max-n", "4", "--widen-guard"],
+        "3b30bb545abb0c1e8cbc996fe94f8a9f5850d5f2f0b66cb3e47bc37be3a1fcbe",
+    ),
+}
+
+
 def test_sweep_tables_are_pinned(capsys):
     changed = []
     for name, (settings, digest) in PINNED_SWEEPS.items():
@@ -217,6 +229,13 @@ def test_sweep_tables_are_pinned(capsys):
         if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != digest:
             changed.append(name)
     assert not changed, f"sweep tables differ from their pinned digests: {changed}"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ORACLE_CHECKS))
+def test_oracle_check_output_is_pinned(capsys, name):
+    argv, digest = PINNED_ORACLE_CHECKS[name]
+    assert main(["oracle-check", *argv]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_threshold_matches_analytic(capsys):
