@@ -17,7 +17,6 @@ from .finite import (
     dead_link_result,
     link_params,
     maximize_stacked,
-    refine,
     stacked_fractions,
 )
 from .memory import as_rng, expected_memory_qbers
@@ -29,7 +28,7 @@ from .network import (
     formula_party_count,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import UNIT_GRID, ScalarMaximum, grid_peak
+from .optimize import UNIT_GRID, ScalarMaximum, grid_peak, maximize_unit_interval
 from .rates import asymptotic_rate
 
 
@@ -76,6 +75,16 @@ def _optimum_result(model: KeyLengthModel, opt: ScalarMaximum) -> KeyLengthResul
 CKA_STRATEGIES = (BasisStrategy.PRESHARED, BasisStrategy.SWITCHING)
 
 
+def _multi_models(
+    cfg: NetworkConfig, task: str, fsp: FiniteSizeParams, qbers: QberPair, memories: bool = False
+) -> list[KeyLengthModel]:
+    """The models whose best fraction `_multi_fraction` reports: both
+    conference-key strategies for CKA, switching secret sharing for QSS."""
+    if task == "CKA":
+        return [KeyLengthModel(cfg, Family.MCKA, fsp, qbers, memories, s) for s in CKA_STRATEGIES]
+    return [KeyLengthModel(cfg, Family.MQSS, fsp, qbers, memories)]
+
+
 def best_cka_fraction(
     cfg: NetworkConfig,
     fsp: FiniteSizeParams,
@@ -89,18 +98,13 @@ def best_cka_fraction(
     the achievable conference rate is the better of the two; they coincide
     wherever switching wins.
     """
-    models = {
-        strategy: KeyLengthModel(cfg, Family.MCKA, fsp, qbers, memories, strategy)
-        for strategy in CKA_STRATEGIES
-    }
-    optima = maximize_stacked(list(models.values()))
-    results = {
-        strategy: (opt, _optimum_result(model, opt))
-        for (strategy, model), opt in zip(models.items(), optima)
-    }
-    best = max(results, key=lambda s: results[s][1].secret_fraction)
-    opt, result = results[best]
-    return opt, result, best
+    models = _multi_models(cfg, "CKA", fsp, qbers, memories)
+    results = [
+        (opt, _optimum_result(model, opt), model.strategy)
+        for model, opt in zip(models, maximize_stacked(models))
+    ]
+    # the first of equal fractions, the pre-shared strategy, wins
+    return max(results, key=lambda r: r[1].secret_fraction)
 
 
 def _multi_fraction(
@@ -150,16 +154,6 @@ class ThresholdResult:
     bracket: tuple[float, float]
 
 
-def _multi_models(
-    cfg: NetworkConfig, task: str, fsp: FiniteSizeParams, qbers: QberPair
-) -> list[KeyLengthModel]:
-    """The memoryless models whose best fraction `_multi_fraction` reports:
-    both conference-key strategies for CKA, switching secret sharing for QSS."""
-    if task == "CKA":
-        return [KeyLengthModel(cfg, Family.MCKA, fsp, qbers, False, s) for s in CKA_STRATEGIES]
-    return [KeyLengthModel(cfg, Family.MQSS, fsp, qbers)]
-
-
 def _grid_bounds(models: list[KeyLengthModel], rows: np.ndarray):
     """Each model's grid stage: the models whose grid finds no positive
     fraction (indeterminate), and (model, row, f(x_grid)) for the rest."""
@@ -188,7 +182,8 @@ class _BestFraction:
         self.lower = max(fixed + [bound for _, _, bound in live])
 
     def exact(self) -> float:
-        return max(self.fixed + [refine(model, row).value for model, row, _ in self.live])
+        refined = [maximize_unit_interval(model.fraction, row).value for model, row, _ in self.live]
+        return max(self.fixed + refined)
 
 
 def _exceeds(multi: _BestFraction, bi: _BestFraction) -> bool:

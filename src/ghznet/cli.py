@@ -21,9 +21,9 @@ from .analysis import (
 )
 from .config import ConfigError, Scenario, load_config, resolve_scenario
 from .finite import expected_key_length
-from .network import ProtocolSpec, formula_party_count, sifting, simulate_sifting, yields
-from .noise import PairCoefficients, QberPair, alpha_beta_closed_form
-from .oracle import MAX_ORACLE_PARTIES, alpha_beta_subset_sum, oracle_grid
+from .network import ProtocolSpec, formula_party_count, yields
+from .noise import QberPair
+from .oracle import MAX_ORACLE_PARTIES, oracle_grid, parity_check_rows, sifting_check_rows
 from .rates import asymptotic_rate
 from .tables import ResultTable
 
@@ -174,17 +174,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = ResultTable(
         [sweep.parameter] + RATE_COLUMNS, metadata=_metadata(scenario, "sweep")
     )
+    # a point the model rejects is blamed on the sweep.parameter setting
+    _, source, line = items["sweep.parameter"]
     memo: dict = {}
     for value in values:
-        if sweep.parameter == "network.N":
-            text = str(int(round(value)))
-        else:
-            text = repr(float(value))
-        point_items = dict(items)
-        point_items[sweep.parameter] = (text, "sweep", 0)
-        point = resolve_scenario(point_items)
+        text = str(int(round(value))) if sweep.parameter == "network.N" else repr(float(value))
+        point = resolve_scenario({**items, sweep.parameter: (text, source, line)})
         for spec in point.specs:
-            table.add_row(point_items[sweep.parameter][0], *_rate_row(point, spec, memo))
+            table.add_row(text, *_rate_row(point, spec, memo))
     _emit(table, args.out, scenario)
     return EXIT_OK
 
@@ -282,9 +279,16 @@ def cmd_optimize_pkey(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators take non-negative seeds only, as mc.seed does
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from .reproduce import run_reproduce
 
+    _check_seed(args.seed)
     try:
         run_reproduce(args.figure, args.outdir, seed=args.seed)
     except OSError as exc:
@@ -292,64 +296,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parity_check_rows(seed: int, trials: int = 25) -> tuple[list, bool]:
-    rng = np.random.default_rng(seed)
-    rows = []
-    all_pass = True
-    for size in range(1, 13):
-        worst = 0.0
-        for _ in range(trials):
-            thetas = rng.random(size)
-            phis = rng.random(size)
-            pairs = [
-                PairCoefficients(0.5, 0.5, float(t), float(p)) for t, p in zip(thetas, phis)
-            ]
-            closed = alpha_beta_closed_form(pairs)
-            brute = alpha_beta_subset_sum(pairs)
-            scale = max(abs(brute[0]), abs(brute[1]), 1e-300)
-            err = max(abs(closed[0] - brute[0]), abs(closed[1] - brute[1])) / scale
-            worst = max(worst, err)
-        passed = worst < 1e-12
-        all_pass &= passed
-        rows.append((size, worst, passed))
-    return rows, all_pass
-
-
-def _sifting_check_rows(seed: int, rounds: int = 200_000) -> tuple[list, bool]:
-    rows = []
-    all_pass = True
-    rng = np.random.default_rng(seed)
-    for n in range(2, 7):
-        for p_key in (0.5, 0.9, 0.99):
-            spec = ProtocolSpec("mQSS", p_key=p_key)
-            emp_key, emp_check = simulate_sifting(spec, n, rounds, rng)
-            printed = sifting(spec, n)
-            # reference count: Alice plus at least one of the N-1 Bobs in the
-            # check basis
-            all_bobs_check = (1.0 - p_key) * (1.0 - p_key ** (n - 1))
-
-            def within(emp: float, ref: float) -> bool:
-                sigma = max(np.sqrt(ref * (1.0 - ref) / rounds), 1e-12)
-                return abs(emp - ref) <= 5.0 * sigma
-
-            key_ok = within(emp_key, printed.eta_key)
-            match_printed = within(emp_check, printed.eta_check)
-            match_all_bobs = within(emp_check, all_bobs_check)
-            if match_printed and match_all_bobs:
-                verdict = "both"
-            elif match_all_bobs:
-                verdict = "all-bobs"
-            elif match_printed:
-                verdict = "printed"
-            else:
-                verdict = "neither"
-            ok = key_ok and verdict != "neither"
-            all_pass &= ok
-            rows.append((n, p_key, emp_key, printed.eta_key, key_ok, emp_check, printed.eta_check, all_bobs_check, verdict))
-    return rows, all_pass
-
-
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     max_n = args.max_n
     if max_n > MAX_ORACLE_PARTIES:
         raise ConfigError(f"oracle supports N <= {MAX_ORACLE_PARTIES}")
@@ -374,14 +322,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         failures += 0 if row.passed else 1
     print(f"  {len(rows) - failures}/{len(rows)} grid points passed")
 
-    parity_rows, parity_pass = _parity_check_rows(args.seed)
+    parity_rows, parity_pass = parity_check_rows(args.seed)
     print("parity closed form vs subset enumeration (relative tolerance 1e-12)")
     for size, worst, passed in parity_rows:
         if not passed or args.verbose:
             print(f"  pairs={size:2d} worst rel err={worst:.3e} {'PASS' if passed else 'FAIL'}")
     print(f"  {sum(1 for r in parity_rows if r[2])}/{len(parity_rows)} sizes passed")
 
-    sift_rows, sift_pass = _sifting_check_rows(args.seed)
+    sift_rows, sift_pass = sifting_check_rows(args.seed)
     print("basis-switching sifting simulation (5 sigma binomial bands)")
     for n, p_key, emp_key, ref_key, key_ok, emp_check, printed_check, all_bobs_check, verdict in sift_rows:
         line = (

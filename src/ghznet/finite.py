@@ -25,8 +25,10 @@ from .noise import NoiseParams, QberPair, memoryless_qber
 from .optimize import UNIT_GRID, ScalarMaximum, maximize_unit_interval
 
 
-# The penalty formulas of xi1 / xi2, shared with KeyLengthModel, which works
-# out log(1/eps) once and passes np.sqrt on its array path.
+# The Hoeffding (xi1: m samples of a pre-characterized distribution) and
+# Serfling (xi2: k checks bound the error of the other m rounds) penalties of
+# Tomamichel et al., Nat. Commun. 3, 634 (2012), in natural log.
+# KeyLengthModel works out log(1/eps) once and passes np.sqrt on its array path.
 def _hoeffding(log_inv_eps, m, sqrt=math.sqrt):
     return sqrt(log_inv_eps / m)
 
@@ -37,26 +39,6 @@ def _serfling(log_inv_eps, m, k, sqrt=math.sqrt):
     return sqrt(ratio * log_inv_eps)
 
 
-def xi1(eps: float, m: float) -> float:
-    """Concentration penalty for estimating a rate from m samples of a
-    pre-characterized distribution (Hoeffding form, natural log)."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    return _hoeffding(math.log(1.0 / eps), m)
-
-
-def xi2(eps: float, m: float, k: float) -> float:
-    """Sampling-without-replacement penalty when k checks bound the error
-    of the remaining m rounds (Serfling form)."""
-    if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    return _serfling(math.log(1.0 / eps), m, k)
-
-
 @dataclass(frozen=True)
 class EpsilonBudget:
     eps_c: float
@@ -64,27 +46,6 @@ class EpsilonBudget:
     eps_pe: float
     eps_ec: float
     eps_rob: float
-
-
-def epsilon_budget(
-    epsilon: float, eps_rob: float | None = None, eps_ec: float | None = None
-) -> EpsilonBudget:
-    """Split of the overall security parameter: eps_c + eps_pa + 2*eps_pe
-    = epsilon with the 1/2, 1/4, 1/8 weights.
-
-    The error-correction and robustness parameters are not part of the
-    secrecy budget; both default to eps_c.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    eps_c = epsilon / 2.0
-    return EpsilonBudget(
-        eps_c=eps_c,
-        eps_pa=epsilon / 4.0,
-        eps_pe=epsilon / 8.0,
-        eps_ec=eps_c if eps_ec is None else eps_ec,
-        eps_rob=eps_c if eps_rob is None else eps_rob,
-    )
 
 
 @dataclass(frozen=True)
@@ -111,18 +72,27 @@ class FiniteSizeParams:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        self.budget()  # raises when the split underflows the key-length log term
+
+    def budget(self) -> EpsilonBudget:
+        """eps_c + eps_pa + 2*eps_pe = epsilon with the 1/2, 1/4, 1/8 weights;
+        eps_ec and eps_rob lie outside this secrecy budget and default to eps_c."""
+        eps_c = self.epsilon / 2.0
+        budget = EpsilonBudget(
+            eps_c=eps_c,
+            eps_pa=self.epsilon / 4.0,
+            eps_pe=self.epsilon / 8.0,
+            eps_ec=eps_c if self.eps_ec is None else self.eps_ec,
+            eps_rob=eps_c if self.eps_rob is None else self.eps_rob,
+        )
         # KeyLengthModel's log term is log2 of 1/(eps_log * eps_pa**2), where
         # eps_log is eps_c (pre-shared) or eps_ec (switching)
-        budget = epsilon_budget(self.epsilon, self.eps_rob, self.eps_ec)
         for name, eps_log in (("epsilon", budget.eps_c), ("eps_ec", budget.eps_ec)):
             if not 2.0 * eps_log * budget.eps_pa**2 > 0.0:
                 raise ValueError(
                     f"{name}={getattr(self, name)!r} is too small: "
                     "eps_log * eps_pa**2 underflows to 0 in the key-length log term"
                 )
-
-    def budget(self) -> EpsilonBudget:
-        budget = epsilon_budget(self.epsilon, self.eps_rob, self.eps_ec)
         total = budget.eps_c + budget.eps_pa + 2.0 * budget.eps_pe
         if abs(total - self.epsilon) > 1e-12 * self.epsilon:
             raise AssertionError("security budget does not add up")
@@ -376,16 +346,10 @@ def stacked_fractions(models: Sequence[KeyLengthModel], p_key: np.ndarray) -> np
         return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
 
 
-def refine(model: KeyLengthModel, row: np.ndarray) -> ScalarMaximum:
-    """The optimizer's p_key maximum of one model whose UNIT_GRID row of
-    `stacked_fractions` is already evaluated."""
-    return maximize_unit_interval(model.fraction, lambda grid: row)
-
-
 def maximize_stacked(models: Sequence[KeyLengthModel]) -> list[ScalarMaximum]:
     """The p_key maximum of each model, all grids evaluated in one stack."""
     rows = stacked_fractions(models, UNIT_GRID)
-    return [refine(model, row) for model, row in zip(models, rows)]
+    return [maximize_unit_interval(model.fraction, row) for model, row in zip(models, rows)]
 
 
 def expected_key_length(

@@ -27,12 +27,6 @@ class TimingConfig:
     comm_b_s: float
     t2_s: float
 
-    def __post_init__(self) -> None:
-        if self.tau_a_s < 0 or self.tau_b_s < 0 or self.comm_b_s < 0:
-            raise ValueError("trial and communication times must be non-negative")
-        if not self.t2_s > 0:
-            raise ValueError("dephasing time must be positive")
-
 
 def trial_times(cfg: NetworkConfig, noise: NoiseParams) -> TimingConfig:
     """Trial periods of the Alice link and the Bob links, plus the

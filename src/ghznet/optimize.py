@@ -63,18 +63,16 @@ def grid_peak(f: Callable[[float], float], values: np.ndarray) -> tuple[int, flo
     return best, f(float(UNIT_GRID[best]))
 
 
-def maximize_unit_interval(
-    f: Callable[[float], float], f_array: Callable[[np.ndarray], np.ndarray]
-) -> ScalarMaximum:
+def maximize_unit_interval(f: Callable[[float], float], values: np.ndarray) -> ScalarMaximum:
     """Coarse grid over (0, 1) followed by golden-section refinement.
 
-    `f_array` evaluates the objective over the whole of UNIT_GRID in one
-    call; `f` is the same objective at one point and drives the
-    golden-section tail.  The refined value never falls below the best grid
-    value, and the value returned is always one of `f`; an everywhere
-    non-positive objective is flagged indeterminate.
+    `values` is the objective over the whole of UNIT_GRID; `f` is the same
+    objective at one point and drives the golden-section tail.  The refined
+    value never falls below the best grid value, and the value returned is
+    always one of `f`; an everywhere non-positive objective is flagged
+    indeterminate.
     """
-    peak = grid_peak(f, f_array(UNIT_GRID))
+    peak = grid_peak(f, values)
     if peak is None:
         return ScalarMaximum(math.nan, 0.0, True)
     best, v_grid = peak

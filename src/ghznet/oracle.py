@@ -7,6 +7,7 @@ be checked to near machine precision.  States are kept as 2^n x 2^n
 matrices and worked on as qubit tensors: single-qubit channels act on one
 reshaped axis pair, and the swaps contract one resource pair at a time
 into the hub state, so the state never grows past the N parties' 2^N x 2^N.
+The parity-sum enumeration and sifting rows of `ghznet oracle-check` live here too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .network import ProtocolSpec, sifting, simulate_sifting
 from .noise import (
     PairCoefficients,
     QberPair,
@@ -227,14 +229,6 @@ def decompose_ghz(rho: np.ndarray, n_parties: int) -> GhzDecomposition:
     return GhzDecomposition(n_parties, weights[:half], weights[half:], residual)
 
 
-def swap_and_decompose(
-    hub_state: np.ndarray, pair_states: Sequence[np.ndarray]
-) -> GhzDecomposition:
-    """Entanglement swapping followed by GHZ-basis decomposition."""
-    n_parties = _num_qubits(hub_state)
-    return decompose_ghz(swap_pairs(hub_state, pair_states), n_parties)
-
-
 def extract_qbers(dec: GhzDecomposition) -> QberPair:
     """Error rates from the GHZ weights: odd collective X parity, and at
     least one Bob discordant with Alice in Z."""
@@ -315,3 +309,64 @@ def oracle_grid(
                     )
                 )
     return rows
+
+
+def parity_check_rows(seed: int, trials: int = 25) -> tuple[list, bool]:
+    """oracle-check's closed-form parity sums against subset enumeration on
+    random coefficients of 1 to 12 pairs, and whether every size passed."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    all_pass = True
+    for size in range(1, 13):
+        worst = 0.0
+        for _ in range(trials):
+            thetas = rng.random(size)
+            phis = rng.random(size)
+            pairs = [
+                PairCoefficients(0.5, 0.5, float(t), float(p)) for t, p in zip(thetas, phis)
+            ]
+            closed = alpha_beta_closed_form(pairs)
+            brute = alpha_beta_subset_sum(pairs)
+            scale = max(abs(brute[0]), abs(brute[1]), 1e-300)
+            err = max(abs(closed[0] - brute[0]), abs(closed[1] - brute[1])) / scale
+            worst = max(worst, err)
+        passed = worst < 1e-12
+        all_pass &= passed
+        rows.append((size, worst, passed))
+    return rows, all_pass
+
+
+def sifting_check_rows(seed: int, rounds: int = 200_000) -> tuple[list, bool]:
+    """oracle-check's simulated switching sifting against the printed and
+    the all-Bobs check-round counts, and whether every row matched one."""
+    rows = []
+    all_pass = True
+    rng = np.random.default_rng(seed)
+    for n in range(2, 7):
+        for p_key in (0.5, 0.9, 0.99):
+            spec = ProtocolSpec("mQSS", p_key=p_key)
+            emp_key, emp_check = simulate_sifting(spec, n, rounds, rng)
+            printed = sifting(spec, n)
+            # reference count: Alice plus at least one of the N-1 Bobs in the
+            # check basis
+            all_bobs_check = (1.0 - p_key) * (1.0 - p_key ** (n - 1))
+
+            def within(emp: float, ref: float) -> bool:
+                sigma = max(np.sqrt(ref * (1.0 - ref) / rounds), 1e-12)
+                return abs(emp - ref) <= 5.0 * sigma
+
+            key_ok = within(emp_key, printed.eta_key)
+            match_printed = within(emp_check, printed.eta_check)
+            match_all_bobs = within(emp_check, all_bobs_check)
+            if match_printed and match_all_bobs:
+                verdict = "both"
+            elif match_all_bobs:
+                verdict = "all-bobs"
+            elif match_printed:
+                verdict = "printed"
+            else:
+                verdict = "neither"
+            ok = key_ok and verdict != "neither"
+            all_pass &= ok
+            rows.append((n, p_key, emp_key, printed.eta_key, key_ok, emp_check, printed.eta_check, all_bobs_check, verdict))
+    return rows, all_pass

@@ -19,10 +19,6 @@ class AsymptoticRate:
     entropy_x: float
     entropy_z: float
 
-    @property
-    def key_term(self) -> float:
-        return 1.0 - self.entropy_x - self.entropy_z
-
 
 def asymptotic_rate(cfg: NetworkConfig, spec: ProtocolSpec, qbers: QberPair) -> AsymptoticRate:
     """Y * (1 - h2(q_x) - h2(q_z)) with the key basis chosen at probability 1.

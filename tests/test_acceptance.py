@@ -18,7 +18,7 @@ from ghznet.analysis import (
     optimized_fraction,
     scenario_qbers,
 )
-from ghznet.finite import FiniteSizeParams, bipartite_optimal, xi1, xi2
+from ghznet.finite import FiniteSizeParams, _hoeffding, _serfling, bipartite_optimal
 from ghznet.network import (
     Family,
     NetworkConfig,
@@ -227,5 +227,6 @@ def test_criterion_09_optimizer_sanity():
 
 def test_criterion_10_statistical_penalty_spot_values():
     with criterion(10, "Hoeffding and Serfling penalty spot values"):
-        assert xi1(1e-10, 1e6) == pytest.approx(4.799e-3, abs=1e-6)
-        assert xi2(1e-10, 1e6, 1e6) == pytest.approx(6.786e-3, abs=1e-6)
+        log_inv_eps = math.log(1e10)
+        assert _hoeffding(log_inv_eps, 1e6) == pytest.approx(4.799e-3, abs=1e-6)
+        assert _serfling(log_inv_eps, 1e6, 1e6) == pytest.approx(6.786e-3, abs=1e-6)

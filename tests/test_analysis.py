@@ -177,7 +177,7 @@ def test_grid_peak_bounds_the_refined_maximum():
 
     best, bound = grid_peak(hump, hump(UNIT_GRID))
     assert bound == hump(float(UNIT_GRID[best]))
-    assert maximize_unit_interval(hump, hump).value >= bound
+    assert maximize_unit_interval(hump, hump(UNIT_GRID)).value >= bound
     assert grid_peak(hump, np.zeros_like(UNIT_GRID)) is None
 
 
@@ -186,14 +186,14 @@ def test_optimize_pkey_grid_guarantee():
     def spiky(p):
         return np.maximum(0.0, 1.0 - 400.0 * (p - 0.731) ** 2)
 
-    best = maximize_unit_interval(spiky, spiky)
+    best = maximize_unit_interval(spiky, spiky(UNIT_GRID))
     assert not best.indeterminate
     assert best.value >= spiky(0.731) - 1e-6
     assert best.x == pytest.approx(0.731, abs=1e-4)
 
 
 def test_optimize_pkey_flags_dead_objective():
-    best = maximize_unit_interval(lambda p: 0.0, np.zeros_like)
+    best = maximize_unit_interval(lambda p: 0.0, np.zeros_like(UNIT_GRID))
     assert best.indeterminate
     assert best.value == 0.0
     assert math.isnan(best.x)
@@ -203,7 +203,7 @@ def test_optimize_pkey_near_boundary_optimum():
     def near_one(p):
         return np.maximum(0.0, 1.0 - np.abs(np.log(np.maximum(1.0 - p, 1e-300)) + math.log(1e4)))
 
-    best = maximize_unit_interval(near_one, near_one)
+    best = maximize_unit_interval(near_one, near_one(UNIT_GRID))
     assert best.x == pytest.approx(1.0 - 1e-4, rel=1e-2)
 
 

@@ -384,6 +384,44 @@ def test_cli_sweep_endpoints_must_be_finite(capsys, settings, message):
     assert err.startswith(message) and "sweep:0" not in err
 
 
+@pytest.mark.parametrize(
+    "settings,message",
+    [
+        (["sweep.parameter=network.N", "sweep.from=1", "sweep.to=3", "sweep.steps=3"],
+         "error: --set[1]:1: need at least 2 parties, got 1"),
+        (["network.N=3", "sweep.parameter=noise.f_D", "sweep.from=0", "sweep.to=2", "sweep.steps=3"],
+         "error: --set[2]:1: f_depol must lie in [0, 1], got 2.0"),
+    ],
+    ids=["one-player", "noise-above-one"],
+)
+def test_cli_sweep_point_errors_name_the_sweep_parameter(capsys, settings, message):
+    # a point the model rejects is blamed on the sweep.parameter setting
+    argv = ["sweep"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "sweep:0" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--seed", "-1"],
+        ["reproduce", "--figure", "fig4", "--seed", "-1"],
+        ["reproduce", "--figure", "fig2", "--seed", "-5"],
+    ],
+    ids=["oracle-check", "fig4", "fig2"],
+)
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv):
+    # rejected before anything runs or is written, as mc.seed < 0 is
+    outdir = tmp_path / "out"
+    assert main([*argv, "--outdir", str(outdir)] if argv[0] == "reproduce" else argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --seed must be >= 0, got {argv[-1]}\n"
+    assert captured.out == "" and not outdir.exists()
+
+
 NUMERIC_KEYS = sorted(key for key, parse in SCHEMA.items() if type(parse("1")) in (int, float))
 
 

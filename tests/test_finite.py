@@ -10,12 +10,11 @@ from ghznet.finite import (
     FiniteSizeParams,
     KeyLengthModel,
     _entropy_penalty,
+    _hoeffding,
+    _serfling,
     bipartite_optimal,
-    epsilon_budget,
     expected_key_length,
     stacked_fractions,
-    xi1,
-    xi2,
 )
 from ghznet.network import BasisStrategy, Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, QberPair, memoryless_qber
@@ -25,6 +24,15 @@ CFG = NetworkConfig(3, 50.0, 4.0)
 NOISE = NoiseParams(0.01, t2_s=1.0, prep_time_s=2e-6)
 QB_MULTI = memoryless_qber(0.01, 3)
 QB_BI = memoryless_qber(0.01, 2)
+
+
+# The penalties take log(1/eps), as KeyLengthModel computes it once per model.
+def xi1(eps, m):
+    return _hoeffding(math.log(1.0 / eps), m)
+
+
+def xi2(eps, m, k):
+    return _serfling(math.log(1.0 / eps), m, k)
 
 
 def test_xi1_spot_values():
@@ -40,13 +48,6 @@ def test_xi2_spot_values():
     assert xi2(1e-10, 1e6, 1e14) == pytest.approx(xi1(1e-10, 1e6), rel=1e-4)
 
 
-def test_xi_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        xi1(1e-10, 0.5)
-    with pytest.raises(ValueError):
-        xi2(0.0, 10, 10)
-
-
 def test_xi2_no_overflow_for_huge_counts():
     # extreme check counts must hit the xi1 limit, not overflow to nan
     value = xi2(1e-10, 1e5, 1e200)
@@ -55,7 +56,7 @@ def test_xi2_no_overflow_for_huge_counts():
 
 
 def test_epsilon_budget_values():
-    budget = epsilon_budget(1e-10)
+    budget = FiniteSizeParams(1e-10, block_size=1.0).budget()
     assert budget.eps_c == pytest.approx(5e-11)
     assert budget.eps_pa == pytest.approx(2.5e-11)
     assert budget.eps_pe == pytest.approx(1.25e-11)
@@ -63,7 +64,7 @@ def test_epsilon_budget_values():
     assert budget.eps_rob == budget.eps_c
     # powers of two make the split exact in binary floating point
     assert budget.eps_c + budget.eps_pa + 2.0 * budget.eps_pe == 1e-10
-    loose = epsilon_budget(0.8)
+    loose = FiniteSizeParams(0.8, block_size=1.0).budget()
     assert (loose.eps_c, loose.eps_pa, loose.eps_pe) == (0.4, 0.2, 0.1)
 
 
@@ -113,7 +114,7 @@ def test_scaled_budget_divides_explicit_overrides():
     assert link.block_size == 1e8
     budget = link.budget()
     assert (budget.eps_rob, budget.eps_ec) == (2.5e-7, 2.5e-9)
-    assert FiniteSizeParams(1e-10, block_size=1e8).scaled(4).budget() == epsilon_budget(2.5e-11)
+    assert FiniteSizeParams(1e-10, block_size=1e8).scaled(4).budget() == FiniteSizeParams(2.5e-11, block_size=1e8).budget()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -223,13 +224,13 @@ def test_entropy_penalty_saturates_and_matches_binary_entropy():
 
 
 def _array_grid(model):
-    # the model's own row of the stacked array path
-    return lambda p_key: stacked_fractions([model], p_key)[0]
+    # the model's own UNIT_GRID row of the stacked array path
+    return stacked_fractions([model], UNIT_GRID)[0]
 
 
 def _pointwise_maximum(model):
     return maximize_unit_interval(
-        model.fraction, lambda xs: np.array([model.fraction(float(x)) for x in xs])
+        model.fraction, np.array([model.fraction(float(x)) for x in UNIT_GRID])
     )
 
 

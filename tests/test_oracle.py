@@ -26,7 +26,6 @@ from ghznet.oracle import (
     ghz_basis_vector,
     noisy_pair_state,
     oracle_grid,
-    swap_and_decompose,
     swap_pairs,
     validate_density,
 )
@@ -209,7 +208,7 @@ def test_ghz_basis_vectors_orthonormal():
 def test_swap_ideal_pairs():
     hub = build_hub_state(3, 0.0)
     pairs = [noisy_pair_state(1.0, 1.0, 0.0)] * 2
-    dec = swap_and_decompose(hub, pairs)
+    dec = decompose_ghz(swap_pairs(hub, pairs), 3)
     assert dec.a == pytest.approx(1.0, abs=1e-13)
     assert dec.b == pytest.approx(0.0, abs=1e-13)
 
@@ -234,7 +233,7 @@ def test_swap_rejects_zero_overlap():
 def test_swap_matches_analytic_chain(n, f, exponents):
     hub = build_hub_state(n, f)
     pairs = [noisy_pair_state(eb, ec, f) for eb, ec in exponents]
-    dec = swap_and_decompose(hub, pairs)
+    dec = decompose_ghz(swap_pairs(hub, pairs), n)
     coeffs = [pair_coefficients(eb, ec, f) for eb, ec in exponents]
     alpha, beta = alpha_beta_closed_form(coeffs)
     pref = ghz_prefactors(alpha, beta, f, n)

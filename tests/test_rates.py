@@ -41,7 +41,7 @@ def test_rate_clamped_and_components():
     assert rate.raw < 0.0
     assert rate.rate == 0.0
     assert rate.rate <= rate.yield_per_use
-    assert rate.key_term == pytest.approx(1.0 - 2.0 * rate.entropy_x)
+    assert 1.0 - rate.entropy_x - rate.entropy_z == pytest.approx(1.0 - 2.0 * rate.entropy_x)
 
 
 @given(
