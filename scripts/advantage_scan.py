@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from ghznet.analysis import advantage_profile
+from ghznet.config import ConfigError, check_seed
 from ghznet.finite import FiniteSizeParams
 from ghznet.network import NetworkConfig
 from ghznet.noise import NoiseParams
@@ -28,6 +29,10 @@ def main() -> int:
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    try:
+        check_seed(args.seed)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     fsp = None
     if args.block is not None:

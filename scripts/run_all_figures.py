@@ -8,6 +8,7 @@ import argparse
 import sys
 import time
 
+from ghznet.config import ConfigError, check_seed
 from ghznet.reproduce import RECIPES, run_reproduce
 
 
@@ -19,6 +20,10 @@ def main() -> int:
         "--skip", nargs="*", default=[], help="figure ids to skip (fig6 is the slow one)"
     )
     args = parser.parse_args()
+    try:
+        check_seed(args.seed)
+    except ConfigError as exc:
+        parser.error(str(exc))
     for figure_id in RECIPES:
         if figure_id in args.skip:
             print(f"{figure_id}: skipped")

@@ -13,8 +13,6 @@ from .finite import (
     KeyLengthModel,
     KeyLengthResult,
     bipartite_models,
-    bipartite_optimal,
-    dead_link_result,
     link_params,
     maximize_stacked,
     stacked_fractions,
@@ -78,7 +76,7 @@ CKA_STRATEGIES = (BasisStrategy.PRESHARED, BasisStrategy.SWITCHING)
 def _multi_models(
     cfg: NetworkConfig, task: str, fsp: FiniteSizeParams, qbers: QberPair, memories: bool = False
 ) -> list[KeyLengthModel]:
-    """The models whose best fraction `_multi_fraction` reports: both
+    """The models a task's multipartite fraction is the best of: both
     conference-key strategies for CKA, switching secret sharing for QSS."""
     if task == "CKA":
         return [KeyLengthModel(cfg, Family.MCKA, fsp, qbers, memories, s) for s in CKA_STRATEGIES]
@@ -105,17 +103,6 @@ def best_cka_fraction(
     ]
     # the first of equal fractions, the pre-shared strategy, wins
     return max(results, key=lambda r: r[1].secret_fraction)
-
-
-def _multi_fraction(
-    cfg: NetworkConfig, task: str, fsp: FiniteSizeParams, qbers: QberPair, memories: bool
-) -> tuple[ScalarMaximum, KeyLengthResult]:
-    """Best multipartite secret fraction for a task: the better conference
-    key strategy for CKA, switching secret sharing for QSS."""
-    if task == "CKA":
-        opt, result, _ = best_cka_fraction(cfg, fsp, qbers, memories)
-        return opt, result
-    return optimized_fraction(cfg, Family.MQSS, fsp, qbers, memories)
 
 
 @dataclass(frozen=True)
@@ -151,39 +138,63 @@ class ThresholdQuery:
 class ThresholdResult:
     value: float | None
     status: str
-    bracket: tuple[float, float]
-
-
-def _grid_bounds(models: list[KeyLengthModel], rows: np.ndarray):
-    """Each model's grid stage: the models whose grid finds no positive
-    fraction (indeterminate), and (model, row, f(x_grid)) for the rest."""
-    dead, live = [], []
-    for model, row in zip(models, rows):
-        peak = grid_peak(model.fraction, row)
-        if peak is None:
-            dead.append(model)
-        else:
-            live.append((model, row, peak[1]))
-    return dead, live
 
 
 class _BestFraction:
     """The best secret fraction among one side's models, bounded below from
-    their stacked grid and refined by the optimizer only on demand.
+    their stacked grid rows and refined by the optimizer only on demand.
 
-    `fixed` holds exact values (the evaluations reported for dead models);
-    `live` the models to refine with their rows and f(x_grid), a value
-    `maximize_unit_interval` never returns below.
+    A model whose row has no positive fraction is dead.  `lower` is the best
+    live f(x_grid), a value `maximize_unit_interval` never returns below.  A
+    side with no live model takes `dead_value()`, called only then, as both
+    its bound and its exact value.
     """
 
-    def __init__(self, fixed: list[float], live: list) -> None:
-        self.fixed = fixed
-        self.live = live
-        self.lower = max(fixed + [bound for _, _, bound in live])
+    def __init__(
+        self, models: list[KeyLengthModel], rows: np.ndarray, dead_value: Callable[[], float]
+    ) -> None:
+        self.live = []
+        for model, row in zip(models, rows):
+            peak = grid_peak(model.fraction, row)
+            if peak is not None:
+                self.live.append((model, row, peak[1]))
+        self.lower = max(bound for _, _, bound in self.live) if self.live else dead_value()
 
     def exact(self) -> float:
-        refined = [maximize_unit_interval(model.fraction, row).value for model, row, _ in self.live]
-        return max(self.fixed + refined)
+        if not self.live:
+            return self.lower
+        return max(maximize_unit_interval(model.fraction, row).value for model, row, _ in self.live)
+
+
+def _best_fractions(
+    cfg: NetworkConfig,
+    task: str,
+    fsp: FiniteSizeParams,
+    fsp_link: FiniteSizeParams,
+    qb_multi: QberPair,
+    link_modes: list[tuple[bool, QberPair]],
+    memories: bool = False,
+) -> tuple[_BestFraction, _BestFraction]:
+    """The task's best multipartite fraction and the best bipartite
+    baseline's, from one stacked grid of every model of both sides.
+
+    They equal `best_cka_fraction` (CKA) or `optimized_fraction` (QSS) and
+    `bipartite_optimal` with the same link modes, dead sides included: the
+    multipartite side then reports its models' best p_key = 1/2 evaluation,
+    the baseline its memoryless bQSS link at p_key = 1/2.
+    """
+    multi_models = _multi_models(cfg, task, fsp, qb_multi, memories)
+    links = bipartite_models(cfg, fsp_link, link_modes)
+    bi_models = list(links.values())
+    rows = stacked_fractions(multi_models + bi_models, UNIT_GRID)
+    split = len(multi_models)
+    multi = _BestFraction(
+        multi_models, rows[:split], lambda: max(m.result(0.5).secret_fraction for m in multi_models)
+    )
+    bi = _BestFraction(
+        bi_models, rows[split:], lambda: links[Family.BQSS, False].result(0.5).secret_fraction
+    )
+    return multi, bi
 
 
 def _exceeds(multi: _BestFraction, bi: _BestFraction) -> bool:
@@ -195,28 +206,6 @@ def _exceeds(multi: _BestFraction, bi: _BestFraction) -> bool:
         return multi.lower > bi_value or multi.exact() > bi_value
     multi_value = multi.exact()
     return multi_value > bi.lower and multi_value > bi.exact()
-
-
-def _finite_advantaged(
-    cfg: NetworkConfig,
-    task: str,
-    fsp: FiniteSizeParams,
-    fsp_link: FiniteSizeParams,
-    qb_multi: QberPair,
-    qb_bi: QberPair,
-) -> bool:
-    """Whether `_multi_fraction`'s secret fraction strictly exceeds
-    `bipartite_optimal`'s, both memoryless, from one stacked grid of every
-    model.  Dead models keep the values those report: a multipartite model
-    its p_key = 1/2 evaluation, an all-dead baseline `dead_link_result`."""
-    multi_models = _multi_models(cfg, task, fsp, qb_multi)
-    bi_models = list(bipartite_models(cfg, fsp_link, [(False, qb_bi)]).values())
-    rows = stacked_fractions(multi_models + bi_models, UNIT_GRID)
-    multi_dead, multi_live = _grid_bounds(multi_models, rows[: len(multi_models)])
-    _, bi_live = _grid_bounds(bi_models, rows[len(multi_models) :])
-    multi = _BestFraction([model.result(0.5).secret_fraction for model in multi_dead], multi_live)
-    bi_fixed = [] if bi_live else [dead_link_result(cfg, fsp_link, qb_bi).secret_fraction]
-    return _exceeds(multi, _BestFraction(bi_fixed, bi_live))
 
 
 def _advantage(query: ThresholdQuery) -> Callable[[float], bool]:
@@ -249,7 +238,8 @@ def _advantage(query: ThresholdQuery) -> Callable[[float], bool]:
         if fsp is None:
             multi = asymptotic_rate(cfg, multi_spec, qb_multi)
             return multi.raw > asymptotic_rate(cfg, bi_spec, qb_bi).raw
-        return _finite_advantaged(cfg, query.task, fsp, fsp_link, qb_multi, qb_bi)
+        multi, bi = _best_fractions(cfg, query.task, fsp, fsp_link, qb_multi, [(False, qb_bi)])
+        return _exceeds(multi, bi)
 
     return advantaged
 
@@ -272,7 +262,7 @@ def find_threshold(
     advantaged = _advantage(query)
     adv_lo = advantaged(lo)
     if adv_lo == advantaged(hi):
-        return ThresholdResult(None, "no-sign-change", bracket)
+        return ThresholdResult(None, "no-sign-change")
 
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
@@ -282,7 +272,7 @@ def find_threshold(
             lo = mid
         else:
             hi = mid
-    return ThresholdResult(0.5 * (lo + hi), "ok", bracket)
+    return ThresholdResult(0.5 * (lo + hi), "ok")
 
 
 @dataclass(frozen=True)
@@ -292,8 +282,6 @@ class AdvantageRow:
     bi_rate: float
     ratio: float | None
     status: str
-    p_key_multi: float | None = None
-    bi_choice: str | None = None
 
 
 @dataclass(frozen=True)
@@ -341,44 +329,30 @@ def advantage_profile(
     multi_family = Family.MQSS if task == "QSS" else Family.MCKA
     multi_spec = ProtocolSpec(multi_family, memories=memories, p_key=1.0)
     # two-party links: the same draw serves every N
-    qb_bi_mem = (
-        scenario_qbers(cfg, ProtocolSpec(Family.BQSS, memories=True), noise, mc_samples, seed)
-        if memories
-        else None
-    )
+    link_modes = [(False, memoryless_qber(noise.f_depol, 2))]
+    if memories:
+        spec_mem = ProtocolSpec(Family.BQSS, memories=True)
+        link_modes.append((True, scenario_qbers(cfg, spec_mem, noise, mc_samples, seed)))
     rows: list[AdvantageRow] = []
     for n in range(2, n_max + 1):
         cfg_n = cfg.with_parties(n)
         qb_multi = scenario_qbers(cfg_n, multi_spec, noise, mc_samples, seed)
-        p_key_multi: float | None = None
-        bi_choice: str | None = None
         if fsp is None:
             multi_rate = asymptotic_rate(cfg_n, multi_spec, qb_multi).rate
-            bi_rates = {}
-            if memories:
-                spec_mem = ProtocolSpec(Family.BQSS, memories=True)
-                bi_rates["memory"] = asymptotic_rate(cfg_n, spec_mem, qb_bi_mem).rate
-            spec_nomem = ProtocolSpec(Family.BQSS, memories=False)
-            qb_bi = memoryless_qber(noise.f_depol, 2)
-            bi_rates["memoryless"] = asymptotic_rate(cfg_n, spec_nomem, qb_bi).rate
-            bi_choice, bi_rate = max(bi_rates.items(), key=lambda kv: kv[1])
+            bi_rate = max(
+                asymptotic_rate(cfg_n, ProtocolSpec(Family.BQSS, mem), qbers).rate
+                for mem, qbers in link_modes
+            )
         else:
-            opt, multi_result = _multi_fraction(cfg_n, task, fsp, qb_multi, memories)
-            multi_rate = multi_result.secret_fraction
-            p_key_multi = None if opt.indeterminate else opt.x
-            bi = bipartite_optimal(cfg_n, noise, fsp, memory_qbers=qb_bi_mem)
-            bi_rate = bi.result.secret_fraction
-            bi_choice = f"{bi.family.value}{'+mem' if bi.memories else ''}"
+            fsp_link = link_params(fsp, n)
+            multi, bi = _best_fractions(cfg_n, task, fsp, fsp_link, qb_multi, link_modes, memories)
+            multi_rate, bi_rate = multi.exact(), bi.exact()
         if multi_rate <= 0.0 and bi_rate <= 0.0:
             rows.append(AdvantageRow(n, multi_rate, bi_rate, None, "both-zero"))
             continue
         if bi_rate <= 0.0:
             rows.append(AdvantageRow(n, multi_rate, bi_rate, None, "bipartite-dead"))
             continue
-        rows.append(
-            AdvantageRow(
-                n, multi_rate, bi_rate, multi_rate / bi_rate, "ok", p_key_multi, bi_choice
-            )
-        )
+        rows.append(AdvantageRow(n, multi_rate, bi_rate, multi_rate / bi_rate, "ok"))
     max_linear, max_advantage = _profile_extents(rows)
     return AdvantageProfile(rows, max_linear, max_advantage)

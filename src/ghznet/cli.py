@@ -19,7 +19,7 @@ from .analysis import (
     optimized_fraction,
     scenario_qbers,
 )
-from .config import ConfigError, Scenario, load_config, resolve_scenario
+from .config import ConfigError, Scenario, check_seed, load_config, resolve_scenario
 from .finite import expected_key_length
 from .network import ProtocolSpec, formula_party_count, yields
 from .noise import QberPair
@@ -32,6 +32,13 @@ EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 # largest |oracle - analytic| error-rate difference oracle-check accepts
 ORACLE_TOL = 1e-10
+# settings threshold would resolve and then ignore, with what it does instead
+THRESHOLD_IGNORES = {
+    "finite.eps_rob": "splits finite.epsilon only",
+    "finite.eps_EC": "splits finite.epsilon only",
+    "network.d_A_km": "scans symmetric stars only",
+    "protocol.memories": "scans memoryless links only",
+}
 
 RATE_COLUMNS = [
     "family",
@@ -188,12 +195,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     items = load_config(args.config, args.set or [])
-    scenario = resolve_scenario(items)
-    for key in ("finite.eps_rob", "finite.eps_EC"):
+    for key, scope in THRESHOLD_IGNORES.items():
         if key in items:
             _, source, line = items[key]
-            message = f"threshold splits finite.epsilon only and takes no {key}"
-            raise ConfigError(message, source, line)
+            raise ConfigError(f"threshold {scope} and takes no {key}", source, line)
+    scenario = resolve_scenario(items)
     block_size = scenario.finite.block_size if scenario.finite else None
     noise_target = args.target == "noise"
     # one of f_D in [0, 1] and the distance in [0, inf) is scanned, the other held
@@ -279,16 +285,10 @@ def cmd_optimize_pkey(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's generators take non-negative seeds only, as mc.seed does
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from .reproduce import run_reproduce
 
-    _check_seed(args.seed)
+    check_seed(args.seed)
     try:
         run_reproduce(args.figure, args.outdir, seed=args.seed)
     except OSError as exc:
@@ -297,7 +297,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed)
     max_n = args.max_n
     if max_n > MAX_ORACLE_PARTIES:
         raise ConfigError(f"oracle supports N <= {MAX_ORACLE_PARTIES}")

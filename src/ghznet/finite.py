@@ -390,14 +390,6 @@ def bipartite_models(
     }
 
 
-def dead_link_result(
-    cfg: NetworkConfig, fsp_link: FiniteSizeParams, qbers: QberPair
-) -> KeyLengthResult:
-    """The concrete evaluation a baseline reports when every strategy
-    aborts: a memoryless bQSS link at p_key = 1/2."""
-    return expected_key_length(cfg, ProtocolSpec(Family.BQSS, p_key=0.5), fsp_link, qbers)
-
-
 def bipartite_optimal(
     cfg: NetworkConfig,
     noise: NoiseParams,
@@ -426,7 +418,8 @@ def bipartite_optimal(
         if not opt.indeterminate and (best is None or opt.value > best[0]):
             best = (opt.value, model, family, memories, opt.x)
     if best is None:
-        result = dead_link_result(cfg, fsp_link, modes[0][1])
+        # every strategy aborts: report the memoryless bQSS link at p_key = 1/2
+        result = models[Family.BQSS, False].result(0.5)
         return BipartiteOptimum(result, Family.BQSS, False, math.nan, True, candidates)
     _, model, family, memories, p_key = best
     return BipartiteOptimum(model.result(p_key), family, memories, p_key, False, candidates)

@@ -8,8 +8,8 @@ from ghznet.analysis import (
     _advantage,
     _BestFraction,
     _exceeds,
-    _multi_fraction,
     advantage_profile,
+    best_cka_fraction,
     find_threshold,
     optimized_fraction,
     scenario_qbers,
@@ -105,16 +105,24 @@ FIG6_SCANS = {
 }
 
 
+def _eager_multi(cfg, task, fsp, qbers, memories=False):
+    # the task's best multipartite fraction, every p_key refined
+    if task == "CKA":
+        _, multi, _ = best_cka_fraction(cfg, fsp, qbers, memories)
+    else:
+        _, multi = optimized_fraction(cfg, Family.MQSS, fsp, qbers, memories)
+    return multi.secret_fraction
+
+
 def _fully_optimized(query, x):
-    # every p_key refined on both sides, as the advantage profiles do
+    # every p_key refined on both sides, through the public entry points
     distance = x if query.target == "distance" else query.fixed_distance_km
     f_depol = x if query.target == "noise" else query.fixed_noise
     cfg = NetworkConfig.make_symmetric(query.n_parties, distance)
     fsp = FiniteSizeParams(epsilon=query.epsilon, block_size=query.block_size)
-    qbers = memoryless_qber(f_depol, query.n_parties)
-    _, multi = _multi_fraction(cfg, query.task, fsp, qbers, memories=False)
+    multi = _eager_multi(cfg, query.task, fsp, memoryless_qber(f_depol, query.n_parties))
     bi = bipartite_optimal(cfg, NoiseParams(f_depol=f_depol), fsp)
-    return multi.secret_fraction, bi.result.secret_fraction
+    return multi, bi.result.secret_fraction
 
 
 @pytest.mark.parametrize("target", sorted(FIG6_SCANS))
@@ -144,7 +152,7 @@ def test_bound_decided_verdict_matches_full_optimization(task, target):
 
 class _Counted(_BestFraction):
     def __init__(self, lower, exact):
-        super().__init__([lower], [])
+        super().__init__([], [], lambda: lower)
         self.value = exact
         self.refined = 0
 
@@ -258,7 +266,6 @@ def test_advantage_ratio_with_ideal_memories():
     for row in profile.rows:
         assert row.status == "ok"
         assert row.ratio == pytest.approx(row.n_parties - 1, rel=1e-12)
-        assert row.bi_choice == "memory"
     assert profile.max_n_advantage == 8
     assert profile.max_n_linear == 8
 
@@ -293,12 +300,31 @@ def test_memories_dominate_for_long_coherence():
             assert row_m.ratio >= row_n.ratio - 1e-9
 
 
-def test_finite_profile_reports_pkey_and_choice():
-    cfg = NetworkConfig(2, 50.0, 4.0)
-    noise = NoiseParams(0.01, t2_s=1.0, prep_time_s=2e-6)
-    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6)
-    profile = advantage_profile(cfg, noise, 4, memories=False, fsp=fsp, seed=1)
-    for row in profile.rows:
-        assert row.status == "ok"
-        assert 0.0 < row.p_key_multi < 1.0
-        assert row.bi_choice in ("bQSS", "bCKA")
+# fig7's network, and one whose 1 ms memories and 7% noise leave whole
+# sides dead: every multipartite model, and at small blocks every link too
+PROFILE_NOISES = {
+    "fig7": NoiseParams(0.01, t2_s=1.0, prep_time_s=2e-6),
+    "short-T2": NoiseParams(0.07, t2_s=1e-3, prep_time_s=2e-6),
+}
+
+
+@pytest.mark.parametrize("network", sorted(PROFILE_NOISES))
+@pytest.mark.parametrize("memories", [True, False])
+@pytest.mark.parametrize("task", ["QSS", "CKA"])
+def test_finite_profile_equals_the_eager_path(task, memories, network):
+    # one stack per N gives exactly the fractions of the public entry points
+    cfg, noise = NetworkConfig(2, 50.0, 4.0), PROFILE_NOISES[network]
+    multi_spec = ProtocolSpec(Family.MQSS if task == "QSS" else Family.MCKA, memories=memories)
+    qb_link = scenario_qbers(cfg, ProtocolSpec(Family.BQSS, memories=True), noise) if memories else None
+    statuses = set()
+    for block in (1e4, 1e6, 1e8, 1e10):
+        fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
+        profile = advantage_profile(cfg, noise, 12, memories=memories, fsp=fsp, task=task)
+        for row in profile.rows:
+            cfg_n = cfg.with_parties(row.n_parties)
+            qbers = scenario_qbers(cfg_n, multi_spec, noise)
+            assert row.multi_rate == _eager_multi(cfg_n, task, fsp, qbers, memories)
+            bi = bipartite_optimal(cfg_n, noise, fsp, memory_qbers=qb_link)
+            assert row.bi_rate == bi.result.secret_fraction
+            statuses.add(row.status)
+    assert ("both-zero" in statuses) is (network == "short-T2")

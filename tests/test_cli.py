@@ -296,6 +296,21 @@ def test_cli_threshold_rejects_unused_epsilon_overrides(capsys, key):
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "setting,scope",
+    [
+        ("protocol.memories=true", "scans memoryless links only"),
+        ("network.d_A_km=80", "scans symmetric stars only"),
+    ],
+)
+def test_cli_threshold_rejects_settings_it_would_ignore(capsys, setting, scope):
+    # the scanned star is memoryless and symmetric whatever these say
+    argv = ["threshold", "--target", "noise", "--set", "finite.block_size=1e8", "--set", setting]
+    assert main(argv) == EXIT_CONFIG
+    key = setting.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: --set[2]:1: threshold {scope} and takes no {key}")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_rejects_non_finite_preparation_time(capsys, value):
     argv = ["rate", "--set", "protocol.memories=true", "--set", f"memory.Tp_s={value}"]
