@@ -17,6 +17,15 @@ from ghznet.network import NetworkConfig
 from ghznet.noise import NoiseParams
 
 
+def _checked(parser, option, factory, *values):
+    """factory(*values), a ValueError from the model reported as a usage
+    error on the option that set the rejected value."""
+    try:
+        return factory(*values)
+    except ValueError as exc:
+        parser.error(f"argument {option}: {exc}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--d-a", type=float, nargs="*", default=[30.0, 50.0, 80.0])
@@ -33,15 +42,32 @@ def main() -> int:
         check_seed(args.seed)
     except ConfigError as exc:
         parser.error(str(exc))
-
+    # every input is checked before the header is printed
+    if args.n_max < 2:
+        parser.error(f"argument --n-max: need at least 2 players, got {args.n_max}")
+    if args.samples < 1:
+        parser.error(f"argument --samples: must be >= 1, got {args.samples}")
     fsp = None
     if args.block is not None:
-        fsp = FiniteSizeParams(epsilon=args.epsilon, block_size=args.block)
+        _checked(parser, "--epsilon", FiniteSizeParams, args.epsilon, 1.0)
+        fsp = _checked(parser, "--block", FiniteSizeParams, args.epsilon, args.block)
+    _checked(parser, "--d-b", NetworkConfig, 2, args.d_b, args.d_b)
+    cfgs = [_checked(parser, "--d-a", NetworkConfig, 2, d_a, args.d_b) for d_a in args.d_a]
+    # the memory-assisted profile needs a long Alice link that still transmits
+    for cfg in cfgs:
+        need = None
+        if cfg.p_a > cfg.p_b:
+            need = f"d_A >= d_B = {args.d_b:g}, got {cfg.d_a_km:g}"
+        elif cfg.p_a == 0.0:
+            need = f"p_a > 0; d_A = {cfg.d_a_km:g} gives 0"
+        if need is not None:
+            parser.error(f"argument --d-a: memory-assisted networks need {need}")
+    _checked(parser, "--f-depol", NoiseParams, args.f_depol)
+    noises = [_checked(parser, "--t2", NoiseParams, args.f_depol, t2, 2e-6) for t2 in args.t2]
+
     print("d_A_km  T2_s    max_N(memory)  max_N(linear)  max_N(no memory)")
-    for d_a in args.d_a:
-        cfg = NetworkConfig(2, d_a, args.d_b)
-        for t2 in args.t2:
-            noise = NoiseParams(args.f_depol, t2_s=t2, prep_time_s=2e-6)
+    for cfg in cfgs:
+        for noise in noises:
             mem = advantage_profile(
                 cfg, noise, args.n_max, memories=True, fsp=fsp,
                 mc_samples=args.samples, seed=args.seed,
@@ -51,7 +77,7 @@ def main() -> int:
                 mc_samples=args.samples, seed=args.seed,
             )
             print(
-                f"{d_a:6.1f}  {t2:6.2f}  {str(mem.max_n_advantage):>13}  "
+                f"{cfg.d_a_km:6.1f}  {noise.t2_s:6.2f}  {str(mem.max_n_advantage):>13}  "
                 f"{str(mem.max_n_linear):>13}  {str(plain.max_n_advantage):>16}"
             )
     return 0

@@ -26,7 +26,7 @@ from .network import (
     formula_party_count,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import UNIT_GRID, ScalarMaximum, grid_peak, maximize_unit_interval
+from .optimize import ScalarMaximum, grid_peak, maximize_unit_interval
 from .rates import asymptotic_rate
 
 
@@ -186,7 +186,7 @@ def _best_fractions(
     multi_models = _multi_models(cfg, task, fsp, qb_multi, memories)
     links = bipartite_models(cfg, fsp_link, link_modes)
     bi_models = list(links.values())
-    rows = stacked_fractions(multi_models + bi_models, UNIT_GRID)
+    rows = stacked_fractions(multi_models + bi_models)
     split = len(multi_models)
     multi = _BestFraction(
         multi_models, rows[:split], lambda: max(m.result(0.5).secret_fraction for m in multi_models)

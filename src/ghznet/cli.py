@@ -19,7 +19,7 @@ from .analysis import (
     optimized_fraction,
     scenario_qbers,
 )
-from .config import ConfigError, Scenario, check_seed, load_config, resolve_scenario
+from .config import SCHEMA, ConfigError, Scenario, check_seed, load_config, resolve_scenario
 from .finite import expected_key_length
 from .network import ProtocolSpec, formula_party_count, yields
 from .noise import QberPair
@@ -32,12 +32,18 @@ EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 # largest |oracle - analytic| error-rate difference oracle-check accepts
 ORACLE_TOL = 1e-10
-# settings threshold would resolve and then ignore, with what it does instead
-THRESHOLD_IGNORES = {
-    "finite.eps_rob": "splits finite.epsilon only",
-    "finite.eps_EC": "splits finite.epsilon only",
-    "network.d_A_km": "scans symmetric stars only",
-    "protocol.memories": "scans memoryless links only",
+# the configuration keys each command reads; any other key it is given is
+# an error rather than a setting resolved and then ignored
+_SCENARIO_KEYS = frozenset(key for key in SCHEMA if not key.startswith("sweep."))
+COMMAND_KEYS = {
+    "rate": _SCENARIO_KEYS,
+    "sweep": frozenset(SCHEMA),
+    "optimize-pkey": _SCENARIO_KEYS - {"protocol.p_key"},
+    # a memoryless symmetric star, at a distance from network.d_km or d_B_km
+    "threshold": frozenset(
+        ("network.N", "network.d_km", "network.d_B_km", "noise.f_D", "finite.block_size",
+         "finite.epsilon", "output.path")
+    ),
 }
 
 RATE_COLUMNS = [
@@ -156,8 +162,17 @@ def _emit(table: ResultTable, out: str | None, scenario: Scenario) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}", source, line) from exc
 
 
+def _load(args: argparse.Namespace) -> dict:
+    """The command's configuration items, each one a key the command reads."""
+    items = load_config(args.config, args.set or [])
+    for key, (_, source, line) in items.items():
+        if key not in COMMAND_KEYS[args.command]:
+            raise ConfigError(f"{args.command} takes no {key}", source, line)
+    return items
+
+
 def cmd_rate(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(load_config(args.config, args.set or []))
+    scenario = resolve_scenario(_load(args))
     table = ResultTable(RATE_COLUMNS, metadata=_metadata(scenario, "rate"))
     memo: dict = {}
     for spec in scenario.specs:
@@ -167,14 +182,12 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    items = load_config(args.config, args.set or [])
+    items = _load(args)
     scenario = resolve_scenario(items)
     if scenario.sweep is None:
         raise ConfigError("sweep needs sweep.parameter/from/to/steps")
     sweep = scenario.sweep
     if sweep.log:
-        if sweep.start <= 0 or sweep.stop <= 0:
-            raise ConfigError("log sweeps need positive endpoints")
         values = np.logspace(np.log10(sweep.start), np.log10(sweep.stop), sweep.steps)
     else:
         values = np.linspace(sweep.start, sweep.stop, sweep.steps)
@@ -194,12 +207,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    items = load_config(args.config, args.set or [])
-    for key, scope in THRESHOLD_IGNORES.items():
-        if key in items:
-            _, source, line = items[key]
-            raise ConfigError(f"threshold {scope} and takes no {key}", source, line)
-    scenario = resolve_scenario(items)
+    scenario = resolve_scenario(_load(args))
     block_size = scenario.finite.block_size if scenario.finite else None
     noise_target = args.target == "noise"
     # one of f_D in [0, 1] and the distance in [0, inf) is scanned, the other held
@@ -254,7 +262,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize_pkey(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(load_config(args.config, args.set or []))
+    scenario = resolve_scenario(_load(args))
     if scenario.finite is None:
         raise ConfigError("optimize-pkey needs finite.block_size")
     table = ResultTable(

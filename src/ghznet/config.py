@@ -63,8 +63,6 @@ SCHEMA: dict[str, Callable[[str], object]] = {
     "protocol.p_key": _parse_float,
     "finite.block_size": _parse_float,
     "finite.epsilon": _parse_float,
-    "finite.eps_rob": _parse_float,
-    "finite.eps_EC": _parse_float,
     "mc.samples": _parse_int,
     "mc.seed": _parse_int,
     "sweep.parameter": _parse_str,
@@ -207,15 +205,10 @@ def _build(items, factory, keys: tuple[tuple[str, object], ...]):
         raise
 
 
-def _finite_size_params(epsilon, block_size, eps_rob, eps_ec) -> FiniteSizeParams:
-    for key, value in (
-        ("finite.epsilon", epsilon),
-        ("finite.eps_rob", eps_rob),
-        ("finite.eps_EC", eps_ec),
-    ):
-        if value is not None and not MIN_EPSILON <= value < 1.0:
-            raise ValueError(f"{key} must lie in [{MIN_EPSILON:g}, 1), got {value!r}")
-    return FiniteSizeParams(epsilon, block_size, eps_rob, eps_ec)
+def _finite_size_params(epsilon, block_size) -> FiniteSizeParams:
+    if not MIN_EPSILON <= epsilon < 1.0:
+        raise ValueError(f"finite.epsilon must lie in [{MIN_EPSILON:g}, 1), got {epsilon!r}")
+    return FiniteSizeParams(epsilon, block_size)
 
 
 def _fail_on_first(items, prefix, message):
@@ -285,14 +278,7 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     finite = None
     if "finite.block_size" in items:
         finite = _build(
-            items,
-            _finite_size_params,
-            (
-                ("finite.epsilon", 1e-10),
-                ("finite.block_size", 1.0),
-                ("finite.eps_rob", None),
-                ("finite.eps_EC", None),
-            ),
+            items, _finite_size_params, (("finite.epsilon", 1e-10), ("finite.block_size", 1.0))
         )
     elif any(key.startswith("finite.") for key in items):
         _fail_on_first(items, "finite.", "finite.* keys need finite.block_size")
@@ -307,13 +293,17 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         steps = _value(items, "sweep.steps")
         if steps < 2:
             _fail_on(items, "sweep.steps", "sweep.steps must be >= 2")
+        log = _value(items, "sweep.log", False)
         endpoints = []
         for endpoint in ("sweep.from", "sweep.to"):
             value = _value(items, endpoint)
             if not math.isfinite(value):
                 _fail_on(items, endpoint, f"{endpoint} must be finite, got {value!r}")
+            if log and value <= 0:
+                message = f"log sweeps need positive endpoints, got {endpoint} = {value!r}"
+                _fail_on(items, endpoint, message)
             endpoints.append(value)
-        sweep = SweepSpec(parameter, *endpoints, steps, _value(items, "sweep.log", False))
+        sweep = SweepSpec(parameter, *endpoints, steps, log)
     elif any(key.startswith("sweep.") for key in items):
         _fail_on_first(items, "sweep.", "sweep.* keys need sweep.parameter")
     return Scenario(

@@ -44,19 +44,15 @@ class EpsilonBudget:
     eps_c: float
     eps_pa: float
     eps_pe: float
-    eps_ec: float
-    eps_rob: float
 
 
 @dataclass(frozen=True)
 class FiniteSizeParams:
     """Finite-run description: the target block size (expected key-basis
-    detections) plus the security budget."""
+    detections) plus the security parameter epsilon."""
 
     epsilon: float
     block_size: float
-    eps_rob: float | None = None
-    eps_ec: float | None = None
     # Read by nothing in ghznet; kept only because the benchmark's
     # player-profiles workload passes it.
     mc_samples: int = 1000
@@ -66,47 +62,25 @@ class FiniteSizeParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if not (math.isfinite(self.block_size) and self.block_size >= 1):
             raise ValueError("block_size must be finite and >= 1")
-        for name in ("eps_rob", "eps_ec"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
         self.budget()  # raises when the split underflows the key-length log term
 
     def budget(self) -> EpsilonBudget:
-        """eps_c + eps_pa + 2*eps_pe = epsilon with the 1/2, 1/4, 1/8 weights;
-        eps_ec and eps_rob lie outside this secrecy budget and default to eps_c."""
-        eps_c = self.epsilon / 2.0
+        """eps_c + eps_pa + 2*eps_pe = epsilon with the 1/2, 1/4, 1/8 weights."""
         budget = EpsilonBudget(
-            eps_c=eps_c,
-            eps_pa=self.epsilon / 4.0,
-            eps_pe=self.epsilon / 8.0,
-            eps_ec=eps_c if self.eps_ec is None else self.eps_ec,
-            eps_rob=eps_c if self.eps_rob is None else self.eps_rob,
+            eps_c=self.epsilon / 2.0, eps_pa=self.epsilon / 4.0, eps_pe=self.epsilon / 8.0
         )
-        # KeyLengthModel's log term is log2 of 1/(eps_log * eps_pa**2), where
-        # eps_log is eps_c (pre-shared) or eps_ec (switching)
-        for name, eps_log in (("epsilon", budget.eps_c), ("eps_ec", budget.eps_ec)):
-            if not 2.0 * eps_log * budget.eps_pa**2 > 0.0:
-                raise ValueError(
-                    f"{name}={getattr(self, name)!r} is too small: "
-                    "eps_log * eps_pa**2 underflows to 0 in the key-length log term"
-                )
+        # KeyLengthModel's log term is log2 of 1/(eps_c * eps_pa**2)
+        if not 2.0 * budget.eps_c * budget.eps_pa**2 > 0.0:
+            raise ValueError(
+                f"epsilon={self.epsilon!r} is too small: "
+                "eps_c * eps_pa**2 underflows to 0 in the key-length log term"
+            )
         total = budget.eps_c + budget.eps_pa + 2.0 * budget.eps_pe
         if abs(total - self.epsilon) > 1e-12 * self.epsilon:
             raise AssertionError("security budget does not add up")
         return budget
-
-    def scaled(self, factor: float) -> "FiniteSizeParams":
-        """Budget for one of several parallel sub-protocols: epsilon and any
-        explicit eps_rob / eps_ec overrides divided by factor."""
-        return replace(
-            self,
-            epsilon=self.epsilon / factor,
-            eps_rob=None if self.eps_rob is None else self.eps_rob / factor,
-            eps_ec=None if self.eps_ec is None else self.eps_ec / factor,
-        )
 
 
 STATUS_OK = "ok"
@@ -156,9 +130,9 @@ def _entropy_penalty_array(q_eff: np.ndarray) -> np.ndarray:
     return np.where(q_eff < 0.5, _entropy_array(q_eff), 1.0)
 
 
-def _raw(eps_rob, m, pe_pen, ec_pen, preshared_term, log_term):
+def _raw(eps_c, m, pe_pen, ec_pen, preshared_term, log_term):
     # floats, or a models x p_key stack with per-model columns, alike
-    return (1.0 - eps_rob) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
+    return (1.0 - eps_c) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
 
 
 class KeyLengthModel:
@@ -172,16 +146,16 @@ class KeyLengthModel:
 
     The two protocol styles differ only in those choices.  A pre-shared
     conference key lives in Z: the collective X parity checks take xi2 at
-    eps_pe, the per-Bob union bound gives Z xi1 at eps_rob/sqrt(N-1), the
-    log term uses eps_c and the basis string consumes h2(p_key) bits per
-    network use.  Basis-switching secret sharing keeps the key in X: the
-    per-Bob Z checks take xi2 at eps_pe/sqrt(N-1), X takes xi1 at eps_rob,
-    the log term uses eps_ec and no basis string exists to replenish.
+    eps_pe, the per-Bob union bound gives Z xi1 at eps_c/sqrt(N-1) and the
+    basis string consumes h2(p_key) bits per network use.  Basis-switching
+    secret sharing keeps the key in X: the per-Bob Z checks take xi2 at
+    eps_pe/sqrt(N-1), X takes xi1 at eps_c and no basis string exists to
+    replenish.
 
     `result` evaluates one p_key in float arithmetic with its breakdown (the
     path of every single-point call); `fraction` reads the same float terms
     but returns only the secret fraction (the optimizer's refinement).
-    `stacked_fractions` evaluates it over a numpy array of p_key values for
+    `stacked_fractions` evaluates it on the optimizer's UNIT_GRID for
     several models at once.
     """
 
@@ -201,22 +175,23 @@ class KeyLengthModel:
         self.n_formula = n_formula
         self.block_size = fsp.block_size
         self.per_use = yields(cfg, spec)
-        self.eps_rob = budget.eps_rob
+        # eps_c also plays the two roles that lie outside the secrecy budget:
+        # the robustness (the 1 - eps_c factor and the Hoeffding penalty) and
+        # the error correction (the log term)
+        self.eps_c = budget.eps_c
         self.preshared = self.strategy is BasisStrategy.PRESHARED
         if self.preshared:
             self.q_pe, self.q_ec = qbers.q_x, qbers.q_z
-            eps_pe, eps_ec = budget.eps_pe, budget.eps_rob / math.sqrt(n_formula - 1)
-            eps_log = budget.eps_c
+            eps_pe, eps_ec = budget.eps_pe, budget.eps_c / math.sqrt(n_formula - 1)
         else:
             self.q_pe, self.q_ec = qbers.q_z, qbers.q_x
-            eps_pe, eps_ec = budget.eps_pe / math.sqrt(n_formula - 1), budget.eps_rob
-            eps_log = budget.eps_ec
+            eps_pe, eps_ec = budget.eps_pe / math.sqrt(n_formula - 1), budget.eps_c
         self.log_pe = math.log(1.0 / eps_pe)
         self.log_ec = math.log(1.0 / eps_ec)
-        # log2((n-1) / (2 eps_log eps_pa^2)) as a sum of logs: the quotient
+        # log2((n-1) / (2 eps_c eps_pa^2)) as a sum of logs: the quotient
         # overflows once the baseline splits a tiny epsilon over many links
         self.log_term = (
-            math.log2(n_formula - 1) - 1.0 - math.log2(eps_log) - 2.0 * math.log2(budget.eps_pa)
+            math.log2(n_formula - 1) - 1.0 - math.log2(budget.eps_c) - 2.0 * math.log2(budget.eps_pa)
         )
 
     def _terms(self, p_key: float) -> tuple:
@@ -255,7 +230,7 @@ class KeyLengthModel:
         rounds, m, _, _, _, pe_pen, ec_pen, log_term, preshared_term = self._terms(p_key)
         if not math.isfinite(rounds):
             return 0.0
-        raw = _raw(self.eps_rob, m, pe_pen, ec_pen, preshared_term, log_term)
+        raw = _raw(self.eps_c, m, pe_pen, ec_pen, preshared_term, log_term)
         return raw / rounds if raw > 0.0 else 0.0
 
     def _assemble(
@@ -270,7 +245,7 @@ class KeyLengthModel:
         log_term: float,
         preshared_term: float,
     ) -> KeyLengthResult:
-        raw = _raw(self.eps_rob, m, pe_pen, ec_pen, preshared_term, log_term)
+        raw = _raw(self.eps_c, m, pe_pen, ec_pen, preshared_term, log_term)
         # +0.0 also when raw is -0.0 (no rounds at all), where max(raw, 0.0)
         # would keep the sign
         ell = raw if raw > 0.0 else 0.0
@@ -307,24 +282,20 @@ def _grid_sifting(strategy: BasisStrategy, n_formula: int) -> tuple:
 _GRID_ENTROPY = _entropy_array(UNIT_GRID)
 
 
-def stacked_fractions(models: Sequence[KeyLengthModel], p_key: np.ndarray) -> np.ndarray:
-    """Secret fractions of several models over one array of p_key values, as
+def stacked_fractions(models: Sequence[KeyLengthModel]) -> np.ndarray:
+    """Secret fractions of several models on the optimizer's UNIT_GRID, as
     a (models x p_key) array from one numpy pass.
 
-    Each model's p_key-independent terms broadcast as a column.  On the
-    optimizer's UNIT_GRID itself the sifting rows per (strategy, party
-    count) and the basis-string entropy are cached across calls.  Row i is
-    bit for bit the fraction array of model i evaluated on its own.
+    Each model's p_key-independent terms broadcast as a column; the sifting
+    rows per (strategy, party count) and the basis-string entropy are cached
+    across calls.  Row i is bit for bit the row of model i on its own.
     """
-    on_grid = p_key is UNIT_GRID
-    p = np.asarray(p_key, dtype=float)
-    sift = _grid_sifting if on_grid else lambda *key: sifting_fractions(*key, p)
-    rows = [sift(model.strategy, model.n_formula) for model in models]
+    rows = [_grid_sifting(model.strategy, model.n_formula) for model in models]
     eta_key = np.array([eta for eta, _ in rows])
     eta_check = np.array([eta for _, eta in rows])
-    per_use, block_size, log_pe, log_ec, q_pe, q_ec, eps_rob, log_term = np.array(
+    per_use, block_size, log_pe, log_ec, q_pe, q_ec, eps_c, log_term = np.array(
         [
-            (m.per_use, m.block_size, m.log_pe, m.log_ec, m.q_pe, m.q_ec, m.eps_rob, m.log_term)
+            (m.per_use, m.block_size, m.log_pe, m.log_ec, m.q_pe, m.q_ec, m.eps_c, m.log_term)
             for m in models
         ]
     ).T[:, :, None]
@@ -337,18 +308,17 @@ def stacked_fractions(models: Sequence[KeyLengthModel], p_key: np.ndarray) -> np
         m_pen = np.maximum(m, 1.0)
         pe_pen = _entropy_penalty_array(q_pe + _serfling(log_pe, m_pen, np.maximum(k, 1.0), np.sqrt))
         ec_pen = _entropy_penalty_array(q_ec + _hoeffding(log_ec, m_pen, np.sqrt))
-        entropy = _GRID_ENTROPY if on_grid else _entropy_array(p)
-        preshared_term = np.where(preshared, rounds * entropy, 0.0)
+        preshared_term = np.where(preshared, rounds * _GRID_ENTROPY, 0.0)
         # Without key or check detections the penalties need no mask:
         # one check round already saturates the Serfling penalty and the
         # log term is positive, so raw < 0 there as in `result`.
-        raw = _raw(eps_rob, m, pe_pen, ec_pen, preshared_term, log_term)
+        raw = _raw(eps_c, m, pe_pen, ec_pen, preshared_term, log_term)
         return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
 
 
 def maximize_stacked(models: Sequence[KeyLengthModel]) -> list[ScalarMaximum]:
     """The p_key maximum of each model, all grids evaluated in one stack."""
-    rows = stacked_fractions(models, UNIT_GRID)
+    rows = stacked_fractions(models)
     return [maximize_unit_interval(model.fraction, row) for model, row in zip(models, rows)]
 
 
@@ -375,7 +345,7 @@ class BipartiteOptimum:
 def link_params(fsp: FiniteSizeParams, n_parties: int) -> FiniteSizeParams:
     """Budget of each of the N-1 parallel links of the bipartite baseline:
     epsilon/(N-1) per link."""
-    return fsp.scaled(n_parties - 1) if n_parties > 2 else fsp
+    return replace(fsp, epsilon=fsp.epsilon / (n_parties - 1)) if n_parties > 2 else fsp
 
 
 def bipartite_models(

@@ -283,32 +283,56 @@ def test_cli_optimize_pkey_follows_the_basis_strategy(capsys):
 
 
 def test_cli_rejects_the_rounds_key(capsys):
-    # a finite run is stated by its block size alone
-    assert main(["rate", "--set", "finite.block_size=1e8", "--set", "finite.L=1e9"]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: --set[2]:1: unknown configuration key 'finite.L'")
-
-
-@pytest.mark.parametrize("key", ["finite.eps_rob", "finite.eps_EC"])
-def test_cli_threshold_rejects_unused_epsilon_overrides(capsys, key):
-    argv = ["threshold", "--target", "noise", "--set", "finite.block_size=1e8", "--set", f"{key}=1e-3"]
-    assert main(argv) == EXIT_CONFIG
-    message = f"error: --set[2]:1: threshold splits finite.epsilon only and takes no {key}"
-    assert capsys.readouterr().err.startswith(message)
+    # a finite run is stated by its block size and one security parameter:
+    # no rounds, no robustness or error-correction epsilon of its own
+    for key in ("finite.L", "finite.eps_rob", "finite.eps_EC"):
+        assert main(["rate", "--set", "finite.block_size=1e8", "--set", f"{key}=1e-3"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: --set[2]:1: unknown configuration key '{key}'")
 
 
 @pytest.mark.parametrize(
-    "setting,scope",
+    "setting",
     [
-        ("protocol.memories=true", "scans memoryless links only"),
-        ("network.d_A_km=80", "scans symmetric stars only"),
+        "protocol.memories=true",
+        "network.d_A_km=80",
+        "protocol.family=bCKA",
+        "protocol.basis_strategy=switching",
+        "protocol.p_key=0.5",
+        "memory.T2_s=5",
+        "memory.Tp_s=1e-6",
+        "mc.samples=10",
+        "mc.seed=3",
+        "sweep.parameter=noise.f_D",
     ],
 )
-def test_cli_threshold_rejects_settings_it_would_ignore(capsys, setting, scope):
-    # the scanned star is memoryless and symmetric whatever these say
+def test_cli_threshold_rejects_settings_it_would_ignore(tmp_path, capsys, setting):
+    # the scanned star is memoryless and symmetric and compares the best
+    # protocols of each side, whatever these say
     argv = ["threshold", "--target", "noise", "--set", "finite.block_size=1e8", "--set", setting]
     assert main(argv) == EXIT_CONFIG
     key = setting.split("=")[0]
-    assert capsys.readouterr().err.startswith(f"error: --set[2]:1: threshold {scope} and takes no {key}")
+    assert capsys.readouterr().err.startswith(f"error: --set[2]:1: threshold takes no {key}")
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"finite.block_size = 1e8\n{setting.replace('=', ' = ')}\n")
+    assert main(["threshold", "--target", "noise", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {config}:2: threshold takes no {key}")
+
+
+@pytest.mark.parametrize(
+    "command,setting",
+    [
+        ("rate", "sweep.parameter=noise.f_D"),
+        ("rate", "sweep.log=true"),
+        ("optimize-pkey", "protocol.p_key=0.5"),
+        ("optimize-pkey", "sweep.steps=3"),
+    ],
+)
+def test_cli_commands_reject_settings_they_would_ignore(capsys, command, setting):
+    # rate evaluates one point and optimize-pkey chooses p_key itself
+    argv = [command, "--set", "finite.block_size=1e6", "--set", setting]
+    assert main(argv) == EXIT_CONFIG
+    key = setting.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: --set[2]:1: {command} takes no {key}")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -364,8 +388,8 @@ def test_cli_rejects_p_key_out_of_range(capsys):
         (["rate", "--set", "noise.f_D=0.01", "--set", "memory.T2_s=nan"], "error: --set[2]:1: dephasing time"),
         (["rate", "--set", "finite.epsilon=1e-3", "--set", "finite.block_size=nan"], "error: --set[2]:1: block_size"),
         (["rate", "--set", "network.N=-1"], "error: --set[1]:1: need at least 2 parties"),
-        (["rate", "--set", "network.N=3", "--set", "finite.eps_rob=1e-3"], "error: --set[2]:1: finite.* keys need"),
-        (["rate", "--set", "sweep.steps=3", "--set", "sweep.to=3"], "error: --set[1]:1: sweep.* keys need"),
+        (["rate", "--set", "network.N=3", "--set", "finite.epsilon=1e-3"], "error: --set[2]:1: finite.* keys need"),
+        (["sweep", "--set", "sweep.steps=3", "--set", "sweep.to=3"], "error: --set[1]:1: sweep.* keys need"),
         (["rate", "--set", "mc.seed=-1"], "error: --set[1]:1: mc.seed must be >= 0"),
         (["sweep", "--set", "mc.seed=-1", "--set", "protocol.memories=true"], "error: --set[1]:1: mc.seed"),
         (["optimize-pkey", "--set", "mc.seed=-2", "--set", "finite.block_size=1e6"], "error: --set[1]:1: mc.seed"),
@@ -383,8 +407,10 @@ def test_cli_model_errors_name_the_rejected_key(capsys, argv, message):
          "error: --set[2]:1: sweep.from must be finite, got nan"),
         (["sweep.parameter=noise.f_D", "sweep.from=0", "sweep.to=inf", "sweep.steps=2"],
          "error: --set[3]:1: sweep.to must be finite, got inf"),
+        (["sweep.parameter=noise.f_D", "sweep.log=true", "sweep.from=0", "sweep.to=0.1", "sweep.steps=2"],
+         "error: --set[3]:1: log sweeps need positive endpoints, got sweep.from = 0.0"),
     ],
-    ids=["nan-player-count", "inf-noise"],
+    ids=["nan-player-count", "inf-noise", "log-from-zero"],
 )
 def test_cli_sweep_endpoints_must_be_finite(capsys, settings, message):
     # a non-finite endpoint is blamed on its own key, before any point is

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ghznet.finite import (
     _serfling,
     bipartite_optimal,
     expected_key_length,
+    link_params,
     stacked_fractions,
 )
 from ghznet.network import BasisStrategy, Family, NetworkConfig, ProtocolSpec
@@ -60,8 +62,6 @@ def test_epsilon_budget_values():
     assert budget.eps_c == pytest.approx(5e-11)
     assert budget.eps_pa == pytest.approx(2.5e-11)
     assert budget.eps_pe == pytest.approx(1.25e-11)
-    assert budget.eps_ec == budget.eps_c
-    assert budget.eps_rob == budget.eps_c
     # powers of two make the split exact in binary floating point
     assert budget.eps_c + budget.eps_pa + 2.0 * budget.eps_pe == 1e-10
     loose = FiniteSizeParams(0.8, block_size=1.0).budget()
@@ -73,19 +73,18 @@ def test_finite_size_params_validation():
         FiniteSizeParams(epsilon=1e-10)
     with pytest.raises(ValueError):
         FiniteSizeParams(epsilon=2.0, block_size=1e6)
-    fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6, eps_rob=1e-3)
-    assert fsp.budget().eps_rob == 1e-3
+    # one security parameter: no robustness or error-correction override
+    assert [field.name for field in fields(FiniteSizeParams)] == ["epsilon", "block_size", "mc_samples"]
 
 
 @pytest.mark.parametrize(
     "kwargs, name",
     [
         (dict(epsilon=1e-300, block_size=1e8), "epsilon"),
-        (dict(epsilon=1e-10, eps_ec=1e-320, block_size=1e8), "eps_ec"),
     ],
 )
 def test_finite_size_params_reject_underflowing_log_term(kwargs, name):
-    # eps_log * eps_pa**2 underflows to 0: a ValueError naming the field,
+    # eps_c * eps_pa**2 underflows to 0: a ValueError naming the field,
     # not a ZeroDivisionError inside KeyLengthModel
     with pytest.raises(ValueError, match=rf"^{name}=.*underflows"):
         FiniteSizeParams(**kwargs)
@@ -95,26 +94,22 @@ def test_smallest_config_epsilon_survives_the_link_split():
     from ghznet.config import MIN_EPSILON
 
     qbers = memoryless_qber(0.01, 2)
-    for fsp in (
-        FiniteSizeParams(MIN_EPSILON, block_size=1e8),
-        FiniteSizeParams(MIN_EPSILON, block_size=1e8, eps_rob=MIN_EPSILON, eps_ec=MIN_EPSILON),
-    ):
-        # every player count a recipe, a benchmark workload or a script default
-        # reaches, and past N ~ 225, where (N-1)/(2 eps_c eps_pa^2) overflows
-        for n in (*range(2, 31), 300):
-            link = fsp.scaled(n - 1)
-            for family in Family:
-                model = KeyLengthModel(NetworkConfig(n, 1.0, 1.0), family, link, qbers)
-                assert math.isfinite(model.log_term)
+    fsp = FiniteSizeParams(MIN_EPSILON, block_size=1e8)
+    # every player count a recipe, a benchmark workload or a script default
+    # reaches, and past N ~ 225, where (N-1)/(2 eps_c eps_pa^2) overflows
+    for n in (*range(2, 31), 300):
+        link = link_params(fsp, n)
+        for family in Family:
+            model = KeyLengthModel(NetworkConfig(n, 1.0, 1.0), family, link, qbers)
+            assert math.isfinite(model.log_term)
 
 
-def test_scaled_budget_divides_explicit_overrides():
-    fsp = FiniteSizeParams(1e-10, block_size=1e8, eps_rob=1e-6, eps_ec=1e-8)
-    link = fsp.scaled(4)
-    assert link.block_size == 1e8
-    budget = link.budget()
-    assert (budget.eps_rob, budget.eps_ec) == (2.5e-7, 2.5e-9)
-    assert FiniteSizeParams(1e-10, block_size=1e8).scaled(4).budget() == FiniteSizeParams(2.5e-11, block_size=1e8).budget()
+def test_link_params_split_epsilon_over_the_links():
+    fsp = FiniteSizeParams(1e-10, block_size=1e8)
+    assert link_params(fsp, 2) is fsp
+    link = link_params(fsp, 5)
+    assert link == FiniteSizeParams(2.5e-11, block_size=1e8)
+    assert link.budget() == FiniteSizeParams(2.5e-11, block_size=1e8).budget()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -153,8 +148,9 @@ P_KEYS = (0.0, 1e-8, 0.5, 0.9999, 1.0)
 @pytest.mark.parametrize("n_parties", [2, 3, 5, 10])
 @pytest.mark.parametrize("family,strategy", SPEC_CHOICES)
 def test_key_length_model_matches_expected_key_length(n_parties, family, strategy):
-    # the array path agrees with the single-point path to 1e-12 relative and
-    # the scalar objective is the single-point fraction bit for bit
+    # the array path's UNIT_GRID row agrees with the single-point path to
+    # 1e-12 relative and the scalar objective is the single-point fraction
+    # bit for bit, also at the ends of [0, 1] that the grid leaves out
     cfg = NetworkConfig(n_parties, 50.0, 4.0)
     for f_depol in (0.0, 0.01, 0.05, 0.3):
         qbers = memoryless_qber(f_depol, 2 if family.bipartite else n_parties)
@@ -162,11 +158,14 @@ def test_key_length_model_matches_expected_key_length(n_parties, family, strateg
             fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
             for memories in (False, True):
                 model = KeyLengthModel(cfg, family, fsp, qbers, memories, strategy)
-                grid = stacked_fractions([model], np.array(P_KEYS))[0]
-                for p_key, from_grid in zip(P_KEYS, grid):
+                (row,) = stacked_fractions([model])
+                for p_key in P_KEYS:
                     spec = ProtocolSpec(family, memories, strategy, p_key)
                     expected = expected_key_length(cfg, spec, fsp, qbers).secret_fraction
                     assert model.fraction(p_key) == expected
+                for p_key, from_grid in zip(UNIT_GRID[::7].tolist(), row[::7]):
+                    spec = ProtocolSpec(family, memories, strategy, p_key)
+                    expected = expected_key_length(cfg, spec, fsp, qbers).secret_fraction
                     assert from_grid == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -193,10 +192,8 @@ def test_fraction_is_the_result_fraction_bit_for_bit(n_parties, family, strategy
 
 @pytest.mark.parametrize("n_parties", [2, 3, 5, 10])
 def test_stacked_rows_equal_single_model_rows(n_parties):
-    # stacking every family x strategy x memories changes no bit of a row,
-    # and the cached UNIT_GRID path equals a plain array of the same values
+    # stacking every family x strategy x memories changes no bit of a row
     cfg = NetworkConfig(n_parties, 50.0, 4.0)
-    uncached = UNIT_GRID.copy()
     for f_depol in (0.0, 0.01, 0.05, 0.3):
         for block in (1e4, 1e8, 1e10):
             fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
@@ -208,10 +205,10 @@ def test_stacked_rows_equal_single_model_rows(n_parties):
                 for family, strategy in SPEC_CHOICES
                 for memories in (False, True)
             ]
-            stack = stacked_fractions(models, UNIT_GRID)
+            stack = stacked_fractions(models)
             assert stack.shape == (len(models), len(UNIT_GRID))
             for model, row in zip(models, stack):
-                assert np.array_equal(row, stacked_fractions([model], uncached)[0])
+                assert np.array_equal(row, stacked_fractions([model])[0])
 
 
 def test_entropy_penalty_saturates_and_matches_binary_entropy():
@@ -225,7 +222,7 @@ def test_entropy_penalty_saturates_and_matches_binary_entropy():
 
 def _array_grid(model):
     # the model's own UNIT_GRID row of the stacked array path
-    return stacked_fractions([model], UNIT_GRID)[0]
+    return stacked_fractions([model])[0]
 
 
 def _pointwise_maximum(model):
@@ -336,7 +333,7 @@ def test_fraction_approaches_asymptote_from_below():
 
 def test_key_term_duality_at_formula_level():
     # with the pre-shared and log terms zeroed, both protocol styles reduce
-    # to (1 - eps_rob) m (1 - h(q_a) - h(q_b)); the basis roles only swap
+    # to (1 - eps_c) m (1 - h(q_a) - h(q_b)); the basis roles only swap
     # which error rate takes which penalty
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6)
     cka = KeyLengthModel(CFG, Family.MCKA, fsp, QB_MULTI)
@@ -344,7 +341,7 @@ def test_key_term_duality_at_formula_level():
     cka_like = cka._assemble(1e6, 1e5, 1e3, 0.02, 0.01, 0.3, 0.2, 0.0, 0.0)
     qss_like = qss._assemble(1e6, 1e5, 1e3, 0.02, 0.01, 0.3, 0.2, 0.0, 0.0)
     assert cka_like.ell == qss_like.ell
-    assert cka_like.ell == pytest.approx((1.0 - cka.eps_rob) * 1e5 * (1.0 - 0.3 - 0.2), rel=1e-12)
+    assert cka_like.ell == pytest.approx((1.0 - cka.eps_c) * 1e5 * (1.0 - 0.3 - 0.2), rel=1e-12)
     assert (cka_like.q_x_eff, cka_like.q_z_eff) == (qss_like.q_z_eff, qss_like.q_x_eff)
 
 
@@ -395,7 +392,8 @@ def test_raw_length_below_block(p_key, exponent):
 
 def _reference_bipartite_optimal(cfg, noise, fsp, memory_qbers=None):
     # every candidate's full result is built and ranked by its own fraction
-    fsp_link = fsp.scaled(cfg.n_parties - 1) if cfg.n_parties > 2 else fsp
+    n = cfg.n_parties
+    fsp_link = FiniteSizeParams(fsp.epsilon / (n - 1), fsp.block_size) if n > 2 else fsp
     modes = [(False, memoryless_qber(noise.f_depol, 2))]
     if memory_qbers is not None:
         modes.append((True, memory_qbers))

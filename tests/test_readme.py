@@ -1,5 +1,6 @@
 """The README's Python example runs on the exported names alone and prints
-what the README says it prints."""
+what the README says it prints, and the README names every configuration
+key there is and no other."""
 
 import contextlib
 import io
@@ -24,3 +25,14 @@ def test_readme_python_example_prints_its_documented_output():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue() == _block("text")
+
+
+def test_readme_documents_exactly_the_configuration_keys():
+    from ghznet.config import SCHEMA
+
+    sections = "|".join(sorted({key.split(".")[0] for key in SCHEMA}))
+    # a key is a section and a name not inside a longer dotted or path-like
+    # word: `ghznet.network` and `tests/test_memory.py` are no keys
+    pattern = rf"(?<![\w./])(?:{sections})\.\w+"
+    named = set(re.findall(pattern, README.read_text(encoding="utf-8")))
+    assert named == set(SCHEMA)

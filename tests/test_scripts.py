@@ -60,3 +60,25 @@ def test_scripts_reject_a_negative_seed(tmp_path, script):
     assert done.returncode == 2
     assert "--seed must be >= 0, got -1" in done.stderr
     assert done.stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--n-max", "1"], "argument --n-max: need at least 2 players, got 1"),
+        (["--samples", "0"], "argument --samples: must be >= 1, got 0"),
+        (["--d-b", "60", "--d-a", "30"], "argument --d-a: memory-assisted networks need d_A >= d_B = 60, got 30"),
+        (["--d-a", "20000"], "argument --d-a: memory-assisted networks need p_a > 0"),
+        (["--block", "0.5"], "argument --block: block_size must be finite and >= 1"),
+        (["--block", "1e8", "--epsilon", "2"], "argument --epsilon: epsilon must lie in (0, 1)"),
+        (["--f-depol", "2"], "argument --f-depol: f_depol must lie in [0, 1]"),
+        (["--t2", "0"], "argument --t2: dephasing time must be positive"),
+    ],
+    ids=["n-max", "samples", "d-b-above-d-a", "d-a-dark", "block", "epsilon", "f-depol", "t2"],
+)
+def test_advantage_scan_rejects_inputs_the_model_cannot_use(args, message):
+    # a usage error naming the argument before the header, not a traceback
+    done = _run("advantage_scan.py", *args)
+    assert done.returncode == 2
+    assert message in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
