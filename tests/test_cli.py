@@ -283,10 +283,18 @@ def test_cli_optimize_pkey_follows_the_basis_strategy(capsys):
 
 
 def test_cli_rejects_the_rounds_key(capsys):
-    # a finite run is stated by its block size and one security parameter:
-    # no rounds, no robustness or error-correction epsilon of its own
-    for key in ("finite.L", "finite.eps_rob", "finite.eps_EC"):
-        assert main(["rate", "--set", "finite.block_size=1e8", "--set", f"{key}=1e-3"]) == EXIT_CONFIG
+    # a finite run is stated by its block size alone
+    assert main(["rate", "--set", "finite.block_size=1e8", "--set", "finite.L=1e9"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --set[2]:1: unknown configuration key 'finite.L'")
+
+
+@pytest.mark.parametrize("key", ["finite.eps_rob", "finite.eps_EC"])
+def test_cli_threshold_rejects_unused_epsilon_overrides(capsys, key):
+    # one security parameter: no robustness or error-correction epsilon of
+    # its own, for threshold as for every other command
+    for command in (["threshold", "--target", "noise"], ["rate"]):
+        argv = [*command, "--set", "finite.block_size=1e8", "--set", f"{key}=1e-3"]
+        assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: --set[2]:1: unknown configuration key '{key}'")
 
 
