@@ -206,8 +206,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _threshold_overrides(args: argparse.Namespace) -> dict[str, str]:
+    """The keys whose setting an argument of `threshold` replaces, each with
+    that argument: the scanned quantity, the held one under --fixed and
+    network.N under --n."""
+    distance_keys = ("network.d_km", "network.d_B_km")
+    if args.target == "noise":
+        scanned, held = ("noise.f_D",), distance_keys
+    else:
+        scanned, held = distance_keys, ("noise.f_D",)
+    overrides = dict.fromkeys(scanned, f"--target {args.target}")
+    if args.fixed is not None:
+        overrides.update(dict.fromkeys(held, "--fixed"))
+    if args.n is not None:
+        overrides["network.N"] = "--n"
+    return overrides
+
+
 def cmd_threshold(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(_load(args))
+    items = _load(args)
+    overrides = _threshold_overrides(args)
+    for key, (_, source, line) in items.items():
+        if key in overrides:
+            raise ConfigError(f"{overrides[key]} overrides {key}", source, line)
+    scenario = resolve_scenario(items)
     block_size = scenario.finite.block_size if scenario.finite else None
     noise_target = args.target == "noise"
     # one of f_D in [0, 1] and the distance in [0, inf) is scanned, the other held

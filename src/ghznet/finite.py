@@ -275,11 +275,14 @@ class KeyLengthModel:
 
 @functools.lru_cache(maxsize=None)
 def _grid_sifting(strategy: BasisStrategy, n_formula: int) -> tuple:
-    # read-only by convention: stacked_fractions copies the rows it stacks
-    return sifting_fractions(strategy, n_formula, UNIT_GRID)
+    rows = sifting_fractions(strategy, n_formula, UNIT_GRID)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
 
 
 _GRID_ENTROPY = _entropy_array(UNIT_GRID)
+_GRID_ENTROPY.flags.writeable = False
 
 
 def stacked_fractions(models: Sequence[KeyLengthModel]) -> np.ndarray:

@@ -197,7 +197,10 @@ def simulate_sifting(
         return float(key_round.mean()), float(1.0 - key_round.mean())
     key_choice = rng.random((rounds, n_parties)) < spec.p_key
     alice_key = key_choice[:, 0]
-    bobs_key = np.count_nonzero(key_choice[:, 1:], axis=1)
-    all_key = np.count_nonzero(alice_key & (bobs_key == n_parties - 1))
-    check_usable = np.count_nonzero(~alice_key & (bobs_key < n_parties - 1))
+    # every Bob in the key basis: an AND over the N-1 Bob columns
+    bobs_key = key_choice[:, 1].copy()
+    for column in key_choice[:, 2:].T:
+        bobs_key &= column
+    all_key = np.count_nonzero(alice_key & bobs_key)
+    check_usable = np.count_nonzero(~(alice_key | bobs_key))
     return float(all_key / rounds), float(check_usable / rounds)

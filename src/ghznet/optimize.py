@@ -47,6 +47,7 @@ _EDGES = np.logspace(-8, math.log10(0.4), 60)
 UNIT_GRID = np.array(
     sorted(set(np.concatenate([np.linspace(0.005, 0.995, 199), _EDGES, 1.0 - _EDGES]).tolist()))
 )
+UNIT_GRID.flags.writeable = False
 
 
 def grid_peak(f: Callable[[float], float], values: np.ndarray) -> tuple[int, float] | None:

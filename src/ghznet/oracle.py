@@ -13,7 +13,7 @@ The parity-sum enumeration and sifting rows of `ghznet oracle-check` live here t
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Sequence
 
@@ -32,21 +32,29 @@ from .noise import (
 MAX_ORACLE_PARTIES = 4
 
 
+@lru_cache(maxsize=None)
+def subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2^k, k) flip mask, row r the subset whose bits are set in r, and
+    the mask of its odd-parity rows; built once per pair count, read-only."""
+    flips = ((np.arange(2**k)[:, None] >> np.arange(k)) & 1) == 1
+    odd = flips.sum(axis=1) % 2 == 1
+    flips.flags.writeable = False
+    odd.flags.writeable = False
+    return flips, odd
+
+
 def alpha_beta_subset_sum(pairs: Sequence[PairCoefficients]) -> tuple[float, float]:
     """Even/odd parity sums by explicit enumeration of all flip subsets.
 
     Exponential reference used only to validate the closed form; the
-    production path is :func:`ghznet.noise.alpha_beta_closed_form`.  Row r
-    of the (2^k, k) mask array is the subset whose bits are set in r.
+    production path is :func:`ghznet.noise.alpha_beta_closed_form`.
     """
     if not pairs:
         raise ValueError("need at least one resource pair")
-    k = len(pairs)
-    flips = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    flips, odd = subset_masks(len(pairs))
     keep = np.array([pair.w_keep for pair in pairs])
     flip = np.array([pair.w_flip for pair in pairs])
-    terms = np.where(flips == 1, flip, keep).prod(axis=1)
-    odd = flips.sum(axis=1) % 2 == 1
+    terms = np.where(flips, flip, keep).prod(axis=1)
     return float(terms[~odd].sum()), float(terms[odd].sum())
 
 
@@ -217,12 +225,21 @@ def ghz_basis_vector(bits: int, sign: int, n_parties: int) -> np.ndarray:
     return vec
 
 
-def decompose_ghz(rho: np.ndarray, n_parties: int) -> GhzDecomposition:
+@lru_cache(maxsize=None)
+def ghz_basis(n_parties: int) -> np.ndarray:
+    """The GHZ basis as columns: the + vectors for bits 0..2^(N-1)-1, then
+    the - vectors; built once per party count, read-only."""
     half = 2 ** (n_parties - 1)
-    # columns: the + vectors for bits 0..half-1, then the - vectors
     basis = np.column_stack(
         [ghz_basis_vector(bits, sign, n_parties) for sign in (1, -1) for bits in range(half)]
     )
+    basis.flags.writeable = False
+    return basis
+
+
+def decompose_ghz(rho: np.ndarray, n_parties: int) -> GhzDecomposition:
+    half = 2 ** (n_parties - 1)
+    basis = ghz_basis(n_parties)
     weights = np.real(np.einsum("ik,ij,jk->k", basis.conj(), rho, basis))
     reconstructed = (basis * weights) @ basis.conj().T
     residual = float(np.linalg.norm(rho - reconstructed))
@@ -237,14 +254,22 @@ def extract_qbers(dec: GhzDecomposition) -> QberPair:
     return QberPair(min(max(q_x, 0.0), 1.0), min(max(q_z, 0.0), 1.0))
 
 
+@lru_cache(maxsize=None)
+def x_parity_operator(n_parties: int) -> np.ndarray:
+    """1 - X^(x)N, twice the projector onto odd collective X parity; built
+    once per party count, read-only."""
+    operator = np.eye(2**n_parties) - kron_all([PAULI_X] * n_parties)
+    operator.flags.writeable = False
+    return operator
+
+
 def direct_qbers(rho: np.ndarray, n_parties: int) -> QberPair:
     """Error rates measured directly on the state, bypassing the decomposition.
 
     q_x: all parties measure X, an error is an odd product of outcomes.
     q_z: all parties measure Z, an error is any Bob differing from Alice.
     """
-    x_all = kron_all([PAULI_X] * n_parties)
-    q_x = float(np.real(np.trace(rho @ (np.eye(2**n_parties) - x_all))) / 2.0)
+    q_x = float(np.real(np.trace(rho @ x_parity_operator(n_parties))) / 2.0)
     diag = np.real(np.diag(rho))
     q_z = float(1.0 - diag[0] - diag[-1])
     return QberPair(min(max(q_x, 0.0), 1.0), min(max(q_z, 0.0), 1.0))
@@ -288,9 +313,13 @@ def oracle_grid(
         exponent_sets.append(tuple((0.9, 0.8) for _ in range(n - 1)))
         for f in f_grid:
             hub = build_hub_state(n, f)
+            # the exponent sets share a few (e_b, e_c) pairs: build each once
+            pair_states: dict[tuple[float, float], np.ndarray] = {}
             for exps in exponent_sets:
-                pairs = [noisy_pair_state(eb, ec, f) for eb, ec in exps]
-                swapped = swap_pairs(hub, pairs)
+                for eb, ec in exps:
+                    if (eb, ec) not in pair_states:
+                        pair_states[eb, ec] = noisy_pair_state(eb, ec, f)
+                swapped = swap_pairs(hub, [pair_states[exp] for exp in exps])
                 dec = decompose_ghz(swapped, n)
                 oracle_q = extract_qbers(dec)
                 direct_q = direct_qbers(swapped, n)

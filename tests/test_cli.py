@@ -216,6 +216,16 @@ PINNED_ORACLE_CHECKS = {
         ["--max-n", "4", "--widen-guard"],
         "3b30bb545abb0c1e8cbc996fe94f8a9f5850d5f2f0b66cb3e47bc37be3a1fcbe",
     ),
+    # --verbose adds every grid point's max|err| and GHZ residual and each
+    # pair count's worst parity error
+    "default-verbose": (
+        ["--verbose"],
+        "a87c3f4bf227658aba25a6265875de83dd775aba53b064e22d3ef700b5649abb",
+    ),
+    "four-parties-verbose": (
+        ["--max-n", "4", "--widen-guard", "--verbose"],
+        "384e3bbc9ca66136a6bd280e3e7dd996b46e2d9511b107e3e7c750f2b54b2cfa",
+    ),
 }
 
 
@@ -324,6 +334,41 @@ def test_cli_threshold_rejects_settings_it_would_ignore(tmp_path, capsys, settin
     config.write_text(f"finite.block_size = 1e8\n{setting.replace('=', ' = ')}\n")
     assert main(["threshold", "--target", "noise", "--config", str(config)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: {config}:2: threshold takes no {key}")
+
+
+@pytest.mark.parametrize(
+    "arguments,setting,argument",
+    [
+        (["--target", "noise"], "noise.f_D=0.3", "--target noise"),
+        (["--target", "distance"], "network.d_km=10", "--target distance"),
+        (["--target", "distance"], "network.d_B_km=10", "--target distance"),
+        (["--target", "noise", "--n", "4"], "network.N=7", "--n"),
+        (["--target", "distance", "--n", "4"], "network.N=7", "--n"),
+        (["--target", "noise", "--fixed", "1"], "network.d_km=10", "--fixed"),
+        (["--target", "noise", "--fixed", "1"], "network.d_B_km=10", "--fixed"),
+        (["--target", "distance", "--fixed", "0.01"], "noise.f_D=0.3", "--fixed"),
+    ],
+)
+def test_cli_threshold_rejects_settings_its_arguments_override(
+    tmp_path, capsys, arguments, setting, argument
+):
+    # the scanned quantity, the --fixed one and the --n player count replace
+    # the key, which would be resolved, printed in the header and unused
+    key = setting.split("=")[0]
+    assert main(["threshold", *arguments, "--set", setting]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: --set[1]:1: {argument} overrides {key}")
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"finite.block_size = 1e8\n{setting.replace('=', ' = ')}\n")
+    assert main(["threshold", *arguments, "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {config}:2: {argument} overrides {key}")
+    if argument in ("--n", "--fixed"):
+        # without the overriding argument the key sets the value it replaced
+        index = arguments.index(argument)
+        kept = arguments[:index] + arguments[index + 2:]
+        assert main(["threshold", *kept, "--set", setting]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        column = 2 if argument == "--n" else 4  # n_parties, fixed_value
+        assert float(row[column]) == float(setting.split("=")[1])
 
 
 @pytest.mark.parametrize(

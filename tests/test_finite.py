@@ -10,7 +10,9 @@ from ghznet.finite import (
     BipartiteOptimum,
     FiniteSizeParams,
     KeyLengthModel,
+    _GRID_ENTROPY,
     _entropy_penalty,
+    _grid_sifting,
     _hoeffding,
     _serfling,
     bipartite_optimal,
@@ -427,3 +429,11 @@ def test_bipartite_optimal_matches_full_result_ranking(cfg, f_depol, block, memo
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
     expected = _reference_bipartite_optimal(cfg, noise, fsp, memory_qbers)
     assert bipartite_optimal(cfg, noise, fsp, memory_qbers) == expected
+
+
+def test_cached_grid_arrays_are_read_only():
+    # shared by every stacked_fractions call, so no caller may write them
+    rows = _grid_sifting(BasisStrategy.SWITCHING, 3) + _grid_sifting(BasisStrategy.PRESHARED, 2)
+    for array in (UNIT_GRID, _GRID_ENTROPY, *rows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5

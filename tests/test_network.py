@@ -187,6 +187,22 @@ def test_simulate_sifting_concentrates():
     assert abs(emp_check - ref) < 5.0 * sigma_c
 
 
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("p_key", [0.0, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_simulate_sifting_matches_per_round_count(n, p_key, seed):
+    # the same draw, counted round by round: all in the key basis, or Alice
+    # in the check basis with at least one Bob there too
+    rounds = 2000
+    draws = np.random.default_rng(seed).random((rounds, n)) < p_key
+    all_key = check = 0
+    for alice, *bobs in draws.tolist():
+        all_key += alice and all(bobs)
+        check += not alice and not all(bobs)
+    spec = ProtocolSpec(Family.MQSS, p_key=p_key)
+    assert simulate_sifting(spec, n, rounds, seed) == (all_key / rounds, check / rounds)
+
+
 def test_simulate_sifting_preshared_common_coin():
     emp_key, emp_check = simulate_sifting(ProtocolSpec(Family.MCKA, p_key=0.8), 5, 100_000, 3)
     assert emp_key + emp_check == pytest.approx(1.0)

@@ -12,6 +12,7 @@ from ghznet.noise import (
     pair_coefficients,
 )
 from ghznet.oracle import (
+    MAX_ORACLE_PARTIES,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -23,11 +24,14 @@ from ghznet.oracle import (
     decompose_ghz,
     direct_qbers,
     extract_qbers,
+    ghz_basis,
     ghz_basis_vector,
     noisy_pair_state,
     oracle_grid,
+    subset_masks,
     swap_pairs,
     validate_density,
+    x_parity_operator,
 )
 
 
@@ -317,20 +321,28 @@ def test_swap_matches_dense_reference(n):
 
 
 def test_decompose_matches_projector_loop():
-    n = 3
-    rho = random_density(n, 21)
-    dec = decompose_ghz(rho, n)
-    reconstructed = np.zeros_like(rho)
-    for bits in range(4):
-        for sign, weights in ((1, dec.weights_plus), (-1, dec.weights_minus)):
-            vec = ghz_basis_vector(bits, sign, n)
-            weight = np.real(vec.conj() @ rho @ vec)
-            assert weights[bits] == pytest.approx(weight, abs=1e-15)
-            reconstructed += weight * np.outer(vec, vec.conj())
-    assert dec.residual == pytest.approx(np.linalg.norm(rho - reconstructed), abs=1e-15)
+    for n in range(2, MAX_ORACLE_PARTIES + 1):
+        rho = random_density(n, 21)
+        dec = decompose_ghz(rho, n)
+        half = 2 ** (n - 1)
+        reconstructed = np.zeros_like(rho)
+        for bits in range(half):
+            for column, sign, weights in (
+                (bits, 1, dec.weights_plus),
+                (half + bits, -1, dec.weights_minus),
+            ):
+                vec = ghz_basis_vector(bits, sign, n)
+                # the basis decompose_ghz cached holds this vector as its column
+                assert np.array_equal(ghz_basis(n)[:, column], vec)
+                weight = np.real(vec.conj() @ rho @ vec)
+                assert weights[bits] == pytest.approx(weight, abs=1e-15)
+                reconstructed += weight * np.outer(vec, vec.conj())
+        assert dec.residual == pytest.approx(np.linalg.norm(rho - reconstructed), abs=1e-15)
+        x_all = reduce(np.kron, [PAULI_X] * n)
+        assert np.array_equal(x_parity_operator(n), np.eye(2**n) - x_all)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 13))
 def test_subset_sum_matches_plain_loop(k):
     rng = np.random.default_rng(k)
     pairs = [PairCoefficients(0.5, 0.5, float(t), float(p)) for t, p in rng.random((k, 2))]
@@ -338,6 +350,17 @@ def test_subset_sum_matches_plain_loop(k):
     ref_even, ref_odd = loop_subset_sum(pairs)
     assert even == pytest.approx(ref_even, rel=1e-14)
     assert odd == pytest.approx(ref_odd, rel=1e-14)
+    # the cached masks the enumeration used, against a plain loop
+    flips, odd_rows = subset_masks(k)
+    for mask in range(2**k):
+        assert flips[mask].tolist() == [bool((mask >> index) & 1) for index in range(k)]
+        assert odd_rows[mask] == (mask.bit_count() % 2 == 1)
+
+
+def test_oracle_tables_are_read_only():
+    for table in (ghz_basis(3), x_parity_operator(3), *subset_masks(3)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def test_subset_sum_rejects_empty():
