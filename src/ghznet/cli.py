@@ -1,5 +1,5 @@
-"""Command-line surface: scenario evaluation, sweeps, thresholds, basis
-optimization, figure-style reproduction tables and the verification oracle.
+"""Command-line surface: scenario evaluation, sweeps, thresholds,
+figure-style reproduction tables and the verification oracle.
 
 Exit codes: 0 success, 1 oracle/acceptance mismatch, 2 configuration error.
 """
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +39,6 @@ _SCENARIO_KEYS = frozenset(key for key in SCHEMA if not key.startswith("sweep.")
 COMMAND_KEYS = {
     "rate": _SCENARIO_KEYS,
     "sweep": frozenset(SCHEMA),
-    "optimize-pkey": _SCENARIO_KEYS - {"protocol.p_key"},
     # a memoryless symmetric star, at a distance from network.d_km or d_B_km
     "threshold": frozenset(
         ("network.N", "network.d_km", "network.d_B_km", "noise.f_D", "finite.block_size",
@@ -110,6 +110,16 @@ def _qbers(memo: dict, scenario: Scenario, spec: ProtocolSpec) -> QberPair:
 def _rate_row(scenario: Scenario, spec: ProtocolSpec, memo: dict) -> list:
     cfg = scenario.network
     qbers = _qbers(memo, scenario, spec)
+    if scenario.optimize_p_key:
+        opt, result = optimized_fraction(
+            cfg, spec.family, scenario.finite, qbers, spec.memories, spec.basis_strategy
+        )
+        # an indeterminate optimum prints its evaluation at p_key = 1/2
+        spec = replace(spec, p_key=0.5 if opt.indeterminate else opt.x)
+        if opt.indeterminate:
+            result = replace(result, status="indeterminate")
+    elif scenario.finite is not None:
+        result = expected_key_length(cfg, spec, scenario.finite, qbers)
     base = [
         spec.family.value,
         spec.memories,
@@ -127,7 +137,6 @@ def _rate_row(scenario: Scenario, spec: ProtocolSpec, memo: dict) -> list:
         rate = asymptotic_rate(cfg, spec, qbers)
         status = "ok" if rate.raw > 0 else "clamped"
         return base + ["asymptotic", rate.raw, rate.rate] + [None] * 7 + [status] + [None] * 6
-    result = expected_key_length(cfg, spec, scenario.finite, qbers)
     return base + [
         "finite",
         None,
@@ -283,38 +292,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_optimize_pkey(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(_load(args))
-    if scenario.finite is None:
-        raise ConfigError("optimize-pkey needs finite.block_size")
-    table = ResultTable(
-        ["family", "memories", "strategy", "epsilon", "block_size", "p_key_opt", "secret_fraction", "indeterminate"],
-        metadata=_metadata(scenario, "optimize-pkey"),
-    )
-    memo: dict = {}
-    for spec in scenario.specs:
-        opt, result = optimized_fraction(
-            scenario.network,
-            spec.family,
-            scenario.finite,
-            _qbers(memo, scenario, spec),
-            memories=spec.memories,
-            basis_strategy=spec.basis_strategy,
-        )
-        table.add_row(
-            spec.family.value,
-            spec.memories,
-            spec.basis_strategy.value,
-            scenario.finite.epsilon,
-            scenario.finite.block_size,
-            None if opt.indeterminate else opt.x,
-            result.secret_fraction,
-            opt.indeterminate,
-        )
-    _emit(table, args.out, scenario)
-    return EXIT_OK
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from .reproduce import run_reproduce
 
@@ -416,10 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--fixed", type=float, help="the non-scanned parameter value")
     p_thr.add_argument("--bracket", type=float, nargs=2, help="search bracket")
     p_thr.set_defaults(func=cmd_threshold)
-
-    p_opt = sub.add_parser("optimize-pkey", help="optimal key-basis probability")
-    add_common(p_opt)
-    p_opt.set_defaults(func=cmd_optimize_pkey)
 
     p_rep = sub.add_parser("reproduce", help="emit figure-style CSV tables")
     p_rep.add_argument(

@@ -47,6 +47,10 @@ def _parse_int(text: str) -> int:
 def _parse_str(text: str) -> str:
     return text.strip()
 
+def _parse_p_key(text: str) -> float | str:
+    # `opt`: every row takes the p_key that maximizes its secret fraction
+    return "opt" if text.strip() == "opt" else float(text)
+
 
 # key -> parser; presence here is what makes a key legal.
 SCHEMA: dict[str, Callable[[str], object]] = {
@@ -60,7 +64,7 @@ SCHEMA: dict[str, Callable[[str], object]] = {
     "protocol.family": _parse_str,
     "protocol.memories": _parse_bool,
     "protocol.basis_strategy": _parse_str,
-    "protocol.p_key": _parse_float,
+    "protocol.p_key": _parse_p_key,
     "finite.block_size": _parse_float,
     "finite.epsilon": _parse_float,
     "mc.samples": _parse_int,
@@ -107,6 +111,8 @@ class Scenario:
     mc_samples: int
     seed: int
     sweep: SweepSpec | None
+    # protocol.p_key = opt: the specs' p_key is a placeholder for each row's optimum
+    optimize_p_key: bool
     output_path: str | None
     output_source: tuple[str, int] | None
     resolved: dict[str, str]
@@ -272,7 +278,15 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     if strategy is BasisStrategy.PRESHARED and Family.MQSS in families:
         _fail_on(items, "protocol.basis_strategy", "mQSS requires active basis switching")
     p_key = _value(items, "protocol.p_key", 1.0)
-    if not 0.0 <= p_key <= 1.0:
+    optimize_p_key = p_key == "opt"
+    if optimize_p_key:
+        swept = _value(items, "sweep.parameter")
+        if swept == "protocol.p_key":
+            _fail_on(items, "protocol.p_key", "protocol.p_key = opt cannot be swept")
+        if "finite.block_size" not in items and swept != "finite.block_size":
+            _fail_on(items, "protocol.p_key", "protocol.p_key = opt needs finite.block_size")
+        p_key = 1.0
+    elif not 0.0 <= p_key <= 1.0:
         _fail_on(items, "protocol.p_key", f"protocol.p_key must lie in [0, 1], got {p_key!r}")
     specs = tuple(ProtocolSpec(family, memories, strategy, p_key) for family in families)
     finite = None
@@ -314,6 +328,7 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         mc_samples=mc_samples,
         seed=seed,
         sweep=sweep,
+        optimize_p_key=optimize_p_key,
         output_path=_value(items, "output.path"),
         output_source=items["output.path"][1:] if "output.path" in items else None,
         resolved={key: items[key][0] for key in sorted(items)},

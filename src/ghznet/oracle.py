@@ -313,18 +313,18 @@ def oracle_grid(
         exponent_sets.append(tuple((0.9, 0.8) for _ in range(n - 1)))
         for f in f_grid:
             hub = build_hub_state(n, f)
-            # the exponent sets share a few (e_b, e_c) pairs: build each once
-            pair_states: dict[tuple[float, float], np.ndarray] = {}
+            # the exponent sets share a few (e_b, e_c) pairs: build each
+            # pair's state and coefficients once
+            pairs: dict[tuple[float, float], tuple] = {}
             for exps in exponent_sets:
                 for eb, ec in exps:
-                    if (eb, ec) not in pair_states:
-                        pair_states[eb, ec] = noisy_pair_state(eb, ec, f)
-                swapped = swap_pairs(hub, [pair_states[exp] for exp in exps])
+                    if (eb, ec) not in pairs:
+                        pairs[eb, ec] = (noisy_pair_state(eb, ec, f), pair_coefficients(eb, ec, f))
+                swapped = swap_pairs(hub, [pairs[exp][0] for exp in exps])
                 dec = decompose_ghz(swapped, n)
                 oracle_q = extract_qbers(dec)
                 direct_q = direct_qbers(swapped, n)
-                coeffs = [pair_coefficients(eb, ec, f) for eb, ec in exps]
-                alpha, beta = alpha_beta_closed_form(coeffs)
+                alpha, beta = alpha_beta_closed_form([pairs[exp][1] for exp in exps])
                 analytic_q = memory_qbers(prefactor_fn(alpha, beta, f, n))
                 err = max(
                     abs(oracle_q.q_x - analytic_q.q_x),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ghznet
-from ghznet.cli import EXIT_CONFIG, EXIT_OK, main
+from ghznet.cli import EXIT_CONFIG, EXIT_OK, RATE_COLUMNS, main
 from ghznet.config import SCHEMA, ConfigError, load_config, parse_kv_text, resolve_scenario
 from ghznet.tables import format_cell
 
@@ -260,36 +260,142 @@ def test_cli_threshold_matches_analytic(capsys):
     assert threshold == pytest.approx(15.0515, abs=1e-3)
 
 
-def test_cli_optimize_pkey(config_file, capsys):
-    code = main(
-        ["optimize-pkey", "--config", config_file, "--set", "finite.block_size=1e6",
-         "--set", "protocol.family=mQSS"]
-    )
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    row = [l for l in out.splitlines() if l.startswith("mQSS")][0]
-    p_opt = float(row.split(",")[5])
-    assert 0.8 < p_opt < 1.0
+def _opt_rows(capsys, *settings, config=None):
+    """The data rows of `rate` with protocol.p_key = opt, split into cells."""
+    argv = ["rate"] + (["--config", config] if config else []) + ["--set", "protocol.p_key=opt"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == EXIT_OK
+    return [row.split(",") for row in _data_rows(capsys.readouterr().out)]
 
 
-def test_cli_optimize_pkey_needs_finite(config_file, capsys):
-    assert main(["optimize-pkey", "--config", config_file]) == EXIT_CONFIG
+P_KEY, SECRET_FRACTION, STATUS = (RATE_COLUMNS.index(c) for c in ("p_key", "secret_fraction", "status"))
 
 
-def test_cli_optimize_pkey_follows_the_basis_strategy(capsys):
+def test_cli_rate_optimizes_p_key(config_file, capsys):
+    (row,) = _opt_rows(capsys, "finite.block_size=1e6", "protocol.family=mQSS", config=config_file)
+    assert 0.8 < float(row[P_KEY]) < 1.0
+    assert row[STATUS] == "ok"
+
+
+# Rows of the former `optimize-pkey` command, taken before protocol.p_key =
+# opt replaced it: family, memories, strategy, block size, p_key_opt (empty
+# for an indeterminate optimum) and secret_fraction, on the default star
+# (N = 3, d_A = 50 km, d_B = 4 km, f_D = 0.01, 1000 memory samples).  The
+# last row of each block is mCKA with basis switching.
+OPTIMUM_PINS = """
+mQSS,false,switching,1e3,,0
+mCKA,false,preshared,1e3,,0
+bQSS,false,switching,1e3,,0
+bCKA,false,preshared,1e3,,0
+mCKA,false,switching,1e3,,0
+mQSS,false,switching,1e6,0.8949068314,0.0272443761664
+mCKA,false,preshared,1e6,0.998766655132,0.00228845973853
+bQSS,false,switching,1e6,0.876105360171,0.019811364852
+bCKA,false,preshared,1e6,,0
+mCKA,false,switching,1e6,0.8949068314,0.0272443761664
+mQSS,false,switching,1e8,0.965639246687,0.043438054399
+mCKA,false,preshared,1e8,0.999638522748,0.0394543257357
+bQSS,false,switching,1e8,0.958483852437,0.0292809608675
+bCKA,false,preshared,1e8,0.999748991854,0.0243619601633
+mCKA,false,switching,1e8,0.965639246687,0.043438054399
+mQSS,false,switching,1e10,0.988793402359,0.0502216134312
+mCKA,false,preshared,1e10,0.999921397085,0.0502827674838
+bQSS,false,switching,1e10,0.986313842571,0.0329990495338
+bCKA,false,preshared,1e10,0.999943056331,0.0322744660111
+mCKA,false,switching,1e10,0.988793402359,0.0502216134312
+mQSS,true,switching,1e3,,0
+mCKA,true,preshared,1e3,,0
+bQSS,true,switching,1e3,,0
+bCKA,true,preshared,1e3,,0
+mCKA,true,switching,1e3,,0
+mQSS,true,switching,1e6,0.892639320225,0.0375671792099
+mCKA,true,preshared,1e6,0.998287925088,0.0091214152928
+bQSS,true,switching,1e6,0.874736705091,0.0232613044993
+bCKA,true,preshared,1e6,,0
+mCKA,true,switching,1e6,0.892639320225,0.0375671792099
+mQSS,true,switching,1e8,0.964965121924,0.0603613075483
+mCKA,true,preshared,1e8,0.999533845909,0.0572268835417
+bQSS,true,switching,1e8,0.958046984691,0.0344832117844
+bCKA,true,preshared,1e8,0.999717037453,0.0294521357004
+mCKA,true,switching,1e8,0.964965121924,0.0603613075483
+mQSS,true,switching,1e10,0.98859240241,0.0699651944739
+mCKA,true,preshared,1e10,0.999899606842,0.0707290528308
+bQSS,true,switching,1e10,0.986175669586,0.0389039844793
+bCKA,true,preshared,1e10,0.999935807161,0.0382814973601
+mCKA,true,switching,1e10,0.98859240241,0.0699651944739
+"""
+OPTIMA = [line.split(",") for line in OPTIMUM_PINS.split()]
+
+
+@pytest.mark.parametrize("memories,block", sorted({(pin[1], pin[3]) for pin in OPTIMA}))
+def test_cli_rate_opt_rows_equal_the_optimize_pkey_pins(capsys, memories, block):
+    # an indeterminate optimum (every grid fraction <= 0) prints its
+    # evaluation at p_key = 1/2, so every row re-runs as a numeric rate
+    common = (f"protocol.memories={memories}", f"finite.block_size={block}")
+    rows = _opt_rows(capsys, "protocol.family=mQSS,mCKA,bQSS,bCKA", *common)
+    rows += _opt_rows(capsys, "protocol.family=mCKA", "protocol.basis_strategy=switching", *common)
+    pins = [pin for pin in OPTIMA if (pin[1], pin[3]) == (memories, block)]
+    assert [row[:3] for row in rows] == [pin[:3] for pin in pins]
+    for row, (*_, p_key_opt, fraction) in zip(rows, pins):
+        assert row[SECRET_FRACTION] == fraction
+        if p_key_opt:
+            assert (row[P_KEY], row[STATUS]) == (p_key_opt, "ok")
+        else:
+            assert (row[P_KEY], row[STATUS]) == ("0.5", "indeterminate")
+
+
+def test_cli_rate_opt_p_key_needs_finite_size(config_file, tmp_path, capsys):
+    assert main(["rate", "--config", config_file, "--set", "protocol.p_key=opt"]) == EXIT_CONFIG
+    message = "protocol.p_key = opt needs finite.block_size"
+    assert capsys.readouterr().err.startswith(f"error: --set[1]:1: {message}")
+    config = tmp_path / "scenario.cfg"
+    config.write_text("network.N = 4\nprotocol.p_key = opt\n")
+    assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {config}:2: {message}")
+
+
+def test_cli_sweep_refuses_opt_under_a_p_key_sweep(capsys):
+    # opt chooses p_key itself, so each point's p_key would go unread
+    argv = ["sweep", "--set", "finite.block_size=1e6", "--set", "protocol.p_key=opt",
+            "--set", "sweep.parameter=protocol.p_key", "--set", "sweep.from=0.5",
+            "--set", "sweep.to=0.9", "--set", "sweep.steps=3"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --set[2]:1: protocol.p_key = opt cannot be swept")
+
+
+def test_cli_block_size_sweep_with_opt_rows_equal_rate_rows(capsys):
+    # the optimal key-basis probability against the block size, as in figC2
+    argv = ["sweep", "--set", "protocol.family=mQSS", "--set", "protocol.p_key=opt",
+            "--set", "sweep.parameter=finite.block_size", "--set", "sweep.from=1e4",
+            "--set", "sweep.to=1e10", "--set", "sweep.steps=4", "--set", "sweep.log=true"]
+    assert main(argv) == EXIT_OK
+    swept = [row.split(",") for row in _data_rows(capsys.readouterr().out)]
+    assert [row[0] for row in swept] == ["10000.0", "1000000.0", "100000000.0", "10000000000.0"]
+    for block, *cells in swept:
+        assert [cells] == _opt_rows(capsys, "protocol.family=mQSS", f"finite.block_size={block}")
+    p_keys = [float(cells[1 + P_KEY]) for cells in swept]
+    assert p_keys == sorted(p_keys)
+
+
+def test_cli_rate_opt_p_key_follows_the_basis_strategy(capsys):
     # a conference key run with basis switching is the secret-sharing
     # protocol, so its optimum is the mQSS one
     rows = {}
     for family, strategy in (("mQSS", "switching"), ("mCKA", "switching"), ("mCKA", "preshared")):
-        argv = ["optimize-pkey", "--set", f"protocol.family={family}",
-                "--set", "finite.block_size=1e6", "--set", f"protocol.basis_strategy={strategy}"]
-        assert main(argv) == EXIT_OK
-        (row,) = _data_rows(capsys.readouterr().out)
-        cells = row.split(",")
-        assert cells[:3] == [family, "false", strategy]
-        rows[family, strategy] = cells[3:]
+        (row,) = _opt_rows(capsys, f"protocol.family={family}", "finite.block_size=1e6",
+                           f"protocol.basis_strategy={strategy}")
+        assert row[:3] == [family, "false", strategy]
+        rows[family, strategy] = row[3:]
     assert rows["mCKA", "switching"] == rows["mQSS", "switching"]
     assert rows["mCKA", "switching"] != rows["mCKA", "preshared"]
+
+
+def test_cli_has_no_optimize_pkey_command(capsys):
+    # optimized rows are rate rows: protocol.p_key = opt
+    with pytest.raises(SystemExit) as exited:
+        main(["optimize-pkey"])
+    assert exited.value.code == EXIT_CONFIG
 
 
 def test_cli_rejects_the_rounds_key(capsys):
@@ -376,13 +482,12 @@ def test_cli_threshold_rejects_settings_its_arguments_override(
     [
         ("rate", "sweep.parameter=noise.f_D"),
         ("rate", "sweep.log=true"),
-        ("optimize-pkey", "protocol.p_key=0.5"),
-        ("optimize-pkey", "sweep.steps=3"),
+        ("rate", "sweep.steps=3"),
     ],
 )
 def test_cli_commands_reject_settings_they_would_ignore(capsys, command, setting):
-    # rate evaluates one point and optimize-pkey chooses p_key itself
-    argv = [command, "--set", "finite.block_size=1e6", "--set", setting]
+    # rate evaluates one point, also where it chooses p_key itself
+    argv = [command, "--set", "finite.block_size=1e6", "--set", setting, "--set", "protocol.p_key=opt"]
     assert main(argv) == EXIT_CONFIG
     key = setting.split("=")[0]
     assert capsys.readouterr().err.startswith(f"error: --set[2]:1: {command} takes no {key}")
@@ -445,7 +550,8 @@ def test_cli_rejects_p_key_out_of_range(capsys):
         (["sweep", "--set", "sweep.steps=3", "--set", "sweep.to=3"], "error: --set[1]:1: sweep.* keys need"),
         (["rate", "--set", "mc.seed=-1"], "error: --set[1]:1: mc.seed must be >= 0"),
         (["sweep", "--set", "mc.seed=-1", "--set", "protocol.memories=true"], "error: --set[1]:1: mc.seed"),
-        (["optimize-pkey", "--set", "mc.seed=-2", "--set", "finite.block_size=1e6"], "error: --set[1]:1: mc.seed"),
+        (["rate", "--set", "mc.seed=-2", "--set", "finite.block_size=1e6", "--set", "protocol.p_key=opt"],
+         "error: --set[1]:1: mc.seed"),
     ],
 )
 def test_cli_model_errors_name_the_rejected_key(capsys, argv, message):
@@ -519,14 +625,24 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv):
 NUMERIC_KEYS = sorted(key for key, parse in SCHEMA.items() if type(parse("1")) in (int, float))
 
 
-@pytest.mark.parametrize("memories", ["true", "false"])
+# protocol.memories and the p_key settings: the default p_key, or opt at a
+# finite block size (the probed key's bad value comes after them)
+PROBE_PROTOCOLS = [
+    pytest.param(memories, p_key, id=memories + suffix)
+    for p_key, suffix in (((), ""), (("protocol.p_key=opt", "finite.block_size=1e6"), "-opt"))
+    for memories in ("true", "false")
+]
+
+
+@pytest.mark.parametrize("memories,p_key", PROBE_PROTOCOLS)
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("key", NUMERIC_KEYS)
-def test_cli_rate_probe_of_invalid_settings(capsys, key, value, memories):
+def test_cli_rate_probe_of_invalid_settings(capsys, key, value, memories, p_key):
     # every numeric setting at a bad value either runs cleanly or is a
     # sourced config error: no traceback, no nan and no -0 in the table
-    argv = ["rate", "--set", "mc.samples=50", "--set", f"protocol.memories={memories}",
-            "--set", f"{key}={value}"]
+    argv = ["rate", "--set", "mc.samples=50", "--set", f"protocol.memories={memories}"]
+    for setting in [*p_key, f"{key}={value}"]:
+        argv += ["--set", setting]
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_CONFIG)

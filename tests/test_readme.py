@@ -1,6 +1,6 @@
 """The README's Python example runs on the exported names alone and prints
 what the README says it prints, and the README names every configuration
-key there is and no other."""
+key and every subcommand there is and no other."""
 
 import contextlib
 import io
@@ -36,3 +36,16 @@ def test_readme_documents_exactly_the_configuration_keys():
     pattern = rf"(?<![\w./])(?:{sections})\.\w+"
     named = set(re.findall(pattern, README.read_text(encoding="utf-8")))
     assert named == set(SCHEMA)
+
+
+def test_readme_command_block_names_exactly_the_subcommands():
+    import argparse
+
+    from ghznet.cli import build_parser
+
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    named = set(re.findall(r"^ghznet ([\w-]+)", block, re.M))
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert named == set(subparsers.choices)
