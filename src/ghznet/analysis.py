@@ -6,15 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .finite import (
+    BestFraction,
     FiniteSizeParams,
     KeyLengthModel,
     KeyLengthResult,
+    best_link,
     bipartite_models,
     link_params,
-    maximize_stacked,
     stacked_fractions,
 )
 from .memory import as_rng, expected_memory_qbers
@@ -26,7 +25,7 @@ from .network import (
     formula_party_count,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import ScalarMaximum, grid_peak, maximize_unit_interval
+from .optimize import ScalarMaximum
 from .rates import asymptotic_rate
 
 
@@ -60,20 +59,14 @@ def optimized_fraction(
     basis_strategy: BasisStrategy | None = None,
 ) -> tuple[ScalarMaximum, KeyLengthResult]:
     """Secret fraction of one protocol family, optimized over p_key."""
-    model = KeyLengthModel(cfg, family, fsp, qbers, memories, basis_strategy)
-    (opt,) = maximize_stacked([model])
-    return opt, _optimum_result(model, opt)
-
-
-def _optimum_result(model: KeyLengthModel, opt: ScalarMaximum) -> KeyLengthResult:
-    # an everywhere-dead objective reports a concrete evaluation at p_key = 1/2
-    return model.result(0.5 if opt.indeterminate else opt.x)
+    best = BestFraction([KeyLengthModel(cfg, family, fsp, qbers, memories, basis_strategy)])
+    return best.optima[0], best.result()
 
 
 CKA_STRATEGIES = (BasisStrategy.PRESHARED, BasisStrategy.SWITCHING)
 
 
-def _multi_models(
+def multi_models(
     cfg: NetworkConfig, task: str, fsp: FiniteSizeParams, qbers: QberPair, memories: bool = False
 ) -> list[KeyLengthModel]:
     """The models a task's multipartite fraction is the best of: both
@@ -96,13 +89,9 @@ def best_cka_fraction(
     the achievable conference rate is the better of the two; they coincide
     wherever switching wins.
     """
-    models = _multi_models(cfg, "CKA", fsp, qbers, memories)
-    results = [
-        (opt, _optimum_result(model, opt), model.strategy)
-        for model, opt in zip(models, maximize_stacked(models))
-    ]
-    # the first of equal fractions, the pre-shared strategy, wins
-    return max(results, key=lambda r: r[1].secret_fraction)
+    best = BestFraction(multi_models(cfg, "CKA", fsp, qbers, memories))
+    # the pre-shared strategy wins a tie and stands for a dead pair
+    return best.optima[best.winner], best.result(), best.models[best.winner].strategy
 
 
 @dataclass(frozen=True)
@@ -140,32 +129,6 @@ class ThresholdResult:
     status: str
 
 
-class _BestFraction:
-    """The best secret fraction among one side's models, bounded below from
-    their stacked grid rows and refined by the optimizer only on demand.
-
-    A model whose row has no positive fraction is dead.  `lower` is the best
-    live f(x_grid), a value `maximize_unit_interval` never returns below.  A
-    side with no live model takes `dead_value()`, called only then, as both
-    its bound and its exact value.
-    """
-
-    def __init__(
-        self, models: list[KeyLengthModel], rows: np.ndarray, dead_value: Callable[[], float]
-    ) -> None:
-        self.live = []
-        for model, row in zip(models, rows):
-            peak = grid_peak(model.fraction, row)
-            if peak is not None:
-                self.live.append((model, row, peak[1]))
-        self.lower = max(bound for _, _, bound in self.live) if self.live else dead_value()
-
-    def exact(self) -> float:
-        if not self.live:
-            return self.lower
-        return max(maximize_unit_interval(model.fraction, row).value for model, row, _ in self.live)
-
-
 def _best_fractions(
     cfg: NetworkConfig,
     task: str,
@@ -174,30 +137,18 @@ def _best_fractions(
     qb_multi: QberPair,
     link_modes: list[tuple[bool, QberPair]],
     memories: bool = False,
-) -> tuple[_BestFraction, _BestFraction]:
+) -> tuple[BestFraction, BestFraction]:
     """The task's best multipartite fraction and the best bipartite
-    baseline's, from one stacked grid of every model of both sides.
-
-    They equal `best_cka_fraction` (CKA) or `optimized_fraction` (QSS) and
-    `bipartite_optimal` with the same link modes, dead sides included: the
-    multipartite side then reports its models' best p_key = 1/2 evaluation,
-    the baseline its memoryless bQSS link at p_key = 1/2.
-    """
-    multi_models = _multi_models(cfg, task, fsp, qb_multi, memories)
+    baseline's, the selections of `best_cka_fraction` (CKA) or
+    `optimized_fraction` (QSS) and `bipartite_optimal`, from one stacked
+    grid of every model of both sides."""
+    multi = multi_models(cfg, task, fsp, qb_multi, memories)
     links = bipartite_models(cfg, fsp_link, link_modes)
-    bi_models = list(links.values())
-    rows = stacked_fractions(multi_models + bi_models)
-    split = len(multi_models)
-    multi = _BestFraction(
-        multi_models, rows[:split], lambda: max(m.result(0.5).secret_fraction for m in multi_models)
-    )
-    bi = _BestFraction(
-        bi_models, rows[split:], lambda: links[Family.BQSS, False].result(0.5).secret_fraction
-    )
-    return multi, bi
+    rows = stacked_fractions(multi + list(links.values()))
+    return BestFraction(multi, rows[: len(multi)]), best_link(links, rows[len(multi) :])
 
 
-def _exceeds(multi: _BestFraction, bi: _BestFraction) -> bool:
+def _exceeds(multi: BestFraction, bi: BestFraction) -> bool:
     """multi.exact() > bi.exact(), refining a side only where its lower
     bound cannot settle the verdict: the side with the larger bound
     (bipartite on a tie) stands on it while the other side is refined."""

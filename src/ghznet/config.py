@@ -277,20 +277,22 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
             _fail_on(items, "protocol.basis_strategy", f"unknown strategy {strategy_text!r}")
     if strategy is BasisStrategy.PRESHARED and Family.MQSS in families:
         _fail_on(items, "protocol.basis_strategy", "mQSS requires active basis switching")
+    swept = _value(items, "sweep.parameter")
+    # a block-size sweep supplies finite.block_size at every point
+    sized = "finite.block_size" in items or swept == "finite.block_size"
     p_key = _value(items, "protocol.p_key", 1.0)
     optimize_p_key = p_key == "opt"
     if optimize_p_key:
-        swept = _value(items, "sweep.parameter")
         if swept == "protocol.p_key":
             _fail_on(items, "protocol.p_key", "protocol.p_key = opt cannot be swept")
-        if "finite.block_size" not in items and swept != "finite.block_size":
+        if not sized:
             _fail_on(items, "protocol.p_key", "protocol.p_key = opt needs finite.block_size")
         p_key = 1.0
     elif not 0.0 <= p_key <= 1.0:
         _fail_on(items, "protocol.p_key", f"protocol.p_key must lie in [0, 1], got {p_key!r}")
     specs = tuple(ProtocolSpec(family, memories, strategy, p_key) for family in families)
     finite = None
-    if "finite.block_size" in items:
+    if sized:
         finite = _build(
             items, _finite_size_params, (("finite.epsilon", 1e-10), ("finite.block_size", 1.0))
         )

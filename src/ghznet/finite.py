@@ -22,7 +22,7 @@ from .network import (
     yields,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import UNIT_GRID, ScalarMaximum, maximize_unit_interval
+from .optimize import UNIT_GRID, ScalarMaximum, grid_peak, maximize_unit_interval
 
 
 # The Hoeffding (xi1: m samples of a pre-characterized distribution) and
@@ -319,10 +319,54 @@ def stacked_fractions(models: Sequence[KeyLengthModel]) -> np.ndarray:
         return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
 
 
-def maximize_stacked(models: Sequence[KeyLengthModel]) -> list[ScalarMaximum]:
-    """The p_key maximum of each model, all grids evaluated in one stack."""
-    rows = stacked_fractions(models)
-    return [maximize_unit_interval(model.fraction, row) for model, row in zip(models, rows)]
+class BestFraction:
+    """The largest secret fraction among several models: each model's p_key
+    optimum and, over them, the winning protocol variant.
+
+    `rows` are the models' `stacked_fractions` rows, stacked here when not
+    given.  A model whose row has no positive fraction is dead.  `lower` is
+    the best live f(x_grid), a value the refined maximum never falls below.
+    `optima` refines every model once, on first use.  `winner` indexes the
+    first live model with the largest refined fraction; when every model is
+    dead it is `fallback`, whose p_key = 1/2 evaluation `result` reports.
+    """
+
+    def __init__(
+        self, models: Sequence[KeyLengthModel], rows: np.ndarray | None = None, fallback: int = 0
+    ) -> None:
+        self.models = list(models)
+        self.rows = stacked_fractions(self.models) if rows is None else rows
+        self.fallback = fallback
+        # plain caches: functools.cached_property locks on each first read before Python 3.12
+        self._lower, self._optima = None, None
+
+    @property
+    def lower(self) -> float:
+        if self._lower is None:
+            peaks = [grid_peak(model.fraction, row) for model, row in zip(self.models, self.rows)]
+            # a dead set's exact value: 0.5 lies on UNIT_GRID, where its rows are 0
+            self._lower = max((peak[1] for peak in peaks if peak is not None), default=0.0)
+        return self._lower
+
+    @property
+    def optima(self) -> list[ScalarMaximum]:
+        if self._optima is None:
+            pairs = zip(self.models, self.rows)
+            self._optima = [maximize_unit_interval(model.fraction, row) for model, row in pairs]
+        return self._optima
+
+    @property
+    def winner(self) -> int:
+        live = [i for i, opt in enumerate(self.optima) if not opt.indeterminate]
+        # max keeps the first of equal fractions
+        return max(live, key=lambda i: self.optima[i].value, default=self.fallback)
+
+    def exact(self) -> float:
+        return self.optima[self.winner].value
+
+    def result(self) -> KeyLengthResult:
+        opt = self.optima[self.winner]
+        return self.models[self.winner].result(0.5 if opt.indeterminate else opt.x)
 
 
 def expected_key_length(
@@ -363,6 +407,11 @@ def bipartite_models(
     }
 
 
+def best_link(links: dict, rows: np.ndarray | None = None) -> BestFraction:
+    """BestFraction over the links; the memoryless bQSS link stands for a dead baseline."""
+    return BestFraction(links.values(), rows, list(links).index((Family.BQSS, False)))
+
+
 def bipartite_optimal(
     cfg: NetworkConfig,
     noise: NoiseParams,
@@ -375,24 +424,15 @@ def bipartite_optimal(
     probability is optimized independently for the pre-shared and the
     switching strategy, without memories and, where error rates for the
     memory-assisted link are supplied, with them.  The candidates' grids
-    are evaluated in one stack.
+    are evaluated in one stack.  A dead baseline is indeterminate, p_key nan.
     """
-    fsp_link = link_params(fsp, cfg.n_parties)
     modes = [(False, memoryless_qber(noise.f_depol, 2))]
     if memory_qbers is not None:
         modes.append((True, memory_qbers))
-    models = bipartite_models(cfg, fsp_link, modes)
-    candidates: dict = {}
-    best: tuple[float, KeyLengthModel, Family, bool, float] | None = None
-    optima = maximize_stacked(list(models.values()))
-    for ((family, memories), model), opt in zip(models.items(), optima):
-        candidates[(family.value, memories)] = (opt.x, opt.value)
-        # opt.value is model.fraction(opt.x), the winner's secret fraction
-        if not opt.indeterminate and (best is None or opt.value > best[0]):
-            best = (opt.value, model, family, memories, opt.x)
-    if best is None:
-        # every strategy aborts: report the memoryless bQSS link at p_key = 1/2
-        result = models[Family.BQSS, False].result(0.5)
-        return BipartiteOptimum(result, Family.BQSS, False, math.nan, True, candidates)
-    _, model, family, memories, p_key = best
-    return BipartiteOptimum(model.result(p_key), family, memories, p_key, False, candidates)
+    links = bipartite_models(cfg, link_params(fsp, cfg.n_parties), modes)
+    best = best_link(links)
+    keys = list(links)
+    candidates = {(f.value, mem): (opt.x, opt.value) for (f, mem), opt in zip(keys, best.optima)}
+    family, memories = keys[best.winner]
+    opt = best.optima[best.winner]
+    return BipartiteOptimum(best.result(), family, memories, opt.x, opt.indeterminate, candidates)

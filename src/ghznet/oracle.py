@@ -340,7 +340,11 @@ def oracle_grid(
     return rows
 
 
-def parity_check_rows(seed: int, trials: int = 25) -> tuple[list, bool]:
+PARITY_TRIALS = 25  # random coefficient sets per pair count in the parity check
+SIFTING_ROUNDS = 200_000  # simulated rounds per (N, p_key) in the sifting check
+
+
+def parity_check_rows(seed: int) -> tuple[list, bool]:
     """oracle-check's closed-form parity sums against subset enumeration on
     random coefficients of 1 to 12 pairs, and whether every size passed."""
     rng = np.random.default_rng(seed)
@@ -348,7 +352,7 @@ def parity_check_rows(seed: int, trials: int = 25) -> tuple[list, bool]:
     all_pass = True
     for size in range(1, 13):
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(PARITY_TRIALS):
             thetas = rng.random(size)
             phis = rng.random(size)
             pairs = [
@@ -365,7 +369,7 @@ def parity_check_rows(seed: int, trials: int = 25) -> tuple[list, bool]:
     return rows, all_pass
 
 
-def sifting_check_rows(seed: int, rounds: int = 200_000) -> tuple[list, bool]:
+def sifting_check_rows(seed: int) -> tuple[list, bool]:
     """oracle-check's simulated switching sifting against the printed and
     the all-Bobs check-round counts, and whether every row matched one."""
     rows = []
@@ -374,14 +378,14 @@ def sifting_check_rows(seed: int, rounds: int = 200_000) -> tuple[list, bool]:
     for n in range(2, 7):
         for p_key in (0.5, 0.9, 0.99):
             spec = ProtocolSpec("mQSS", p_key=p_key)
-            emp_key, emp_check = simulate_sifting(spec, n, rounds, rng)
+            emp_key, emp_check = simulate_sifting(spec, n, SIFTING_ROUNDS, rng)
             printed = sifting(spec, n)
             # reference count: Alice plus at least one of the N-1 Bobs in the
             # check basis
             all_bobs_check = (1.0 - p_key) * (1.0 - p_key ** (n - 1))
 
             def within(emp: float, ref: float) -> bool:
-                sigma = max(np.sqrt(ref * (1.0 - ref) / rounds), 1e-12)
+                sigma = max(np.sqrt(ref * (1.0 - ref) / SIFTING_ROUNDS), 1e-12)
                 return abs(emp - ref) <= 5.0 * sigma
 
             key_ok = within(emp_key, printed.eta_key)

@@ -12,14 +12,15 @@ from . import __version__
 from .analysis import (
     ThresholdQuery,
     advantage_profile,
-    best_cka_fraction,
     find_threshold,
+    multi_models,
     optimized_fraction,
     scenario_qbers,
 )
-from .finite import FiniteSizeParams, bipartite_optimal
+from .finite import BestFraction, FiniteSizeParams, bipartite_optimal
 from .network import Family, NetworkConfig, ProtocolSpec
 from .noise import NoiseParams, memoryless_qber
+from .optimize import ScalarMaximum
 from .rates import asymptotic_rate
 from .tables import ResultTable
 
@@ -122,12 +123,15 @@ def _fig4(outdir: str, seed: int, manifest: list[str]) -> None:
     _write(table, outdir, "fig4_advantage_profiles.csv", manifest)
 
 
-def _block_sweep(seed: int):
+def _p_key(opt: ScalarMaximum) -> float | None:
+    return None if opt.indeterminate else opt.x
+
+
+def _block_sweep(seed: int) -> list[dict]:
     """The asymmetric memory network at every BLOCK_GRID block.
 
     One row of named cells per block, of which the fig5, figC1 and figC2
-    tables are column projections; also returns the network and its
-    multipartite error rates for the one optimum figC2 adds.
+    tables are column projections.
     """
     noise = _memory_noise()
     cfg = NetworkConfig(DEFAULT_N, ASYM_D_A_KM, ASYM_D_B_KM)
@@ -141,7 +145,8 @@ def _block_sweep(seed: int):
     for block in BLOCK_GRID:
         fsp = FiniteSizeParams(epsilon=EPSILON, block_size=block)
         opt_qss, res_qss = optimized_fraction(cfg, Family.MQSS, fsp, qb_multi, memories=True)
-        opt_cka, res_cka, strategy_cka = best_cka_fraction(cfg, fsp, qb_multi, memories=True)
+        # best_cka_fraction's selection, pre-shared strategy first
+        cka = BestFraction(multi_models(cfg, "CKA", fsp, qb_multi, memories=True))
         bi = bipartite_optimal(cfg, noise, fsp, memory_qbers=qb_bi)
         # an indeterminate link optimum has p_key nan
         pre_p, pre_v = bi.candidates[(Family.BCKA.value, True)]
@@ -149,10 +154,11 @@ def _block_sweep(seed: int):
         rows.append({
             "block_size": block,
             "mQSS": res_qss.secret_fraction,
-            "mCKA": res_cka.secret_fraction,
-            "mCKA_strategy": strategy_cka.value,
-            "p_key_mQSS": None if opt_qss.indeterminate else opt_qss.x,
-            "p_key_mCKA": None if opt_cka.indeterminate else opt_cka.x,
+            "mCKA": cka.result().secret_fraction,
+            "mCKA_strategy": cka.models[cka.winner].strategy.value,
+            "p_key_mQSS": _p_key(opt_qss),
+            "p_key_mCKA": _p_key(cka.optima[cka.winner]),
+            "p_key_mCKA_preshared": _p_key(cka.optima[0]),
             "bipartite_optimal": bi.result.secret_fraction,
             "bipartite_choice": f"{bi.family.value}{'+mem' if bi.memories else ''}",
             "b_preshared": pre_v,
@@ -162,11 +168,11 @@ def _block_sweep(seed: int):
             "asymptote_multi": asym_multi,
             "asymptote_bipartite": asym_bi,
         })
-    return cfg, qb_multi, rows
+    return rows
 
 
 def _block_table(seed: int, bi_columns: list[str]) -> ResultTable:
-    _, _, rows = _block_sweep(seed)
+    rows = _block_sweep(seed)
     columns = ["block_size", "mQSS", "mCKA", "mCKA_strategy", "p_key_mQSS", "p_key_mCKA"]
     columns += bi_columns + ["asymptote_multi", "asymptote_bipartite"]
     table = ResultTable(
@@ -198,9 +204,8 @@ def _fig_c2(outdir: str, seed: int, manifest: list[str]) -> None:
     """Optimal key-basis probability versus block size.
 
     p_key_mCKA is the pre-shared conference-key optimum, which differs from
-    the sweep's best mCKA wherever switching wins, so it is optimized here.
+    the sweep's best mCKA wherever switching wins.
     """
-    cfg, qb_multi, rows = _block_sweep(seed)
     table = ResultTable(
         ["block_size", "p_key_mCKA", "p_key_mQSS", "p_key_bCKA", "p_key_bQSS"],
         metadata=_meta(
@@ -208,13 +213,11 @@ def _fig_c2(outdir: str, seed: int, manifest: list[str]) -> None:
             f_depol=F_DEPOL, epsilon=EPSILON, memories="true",
         ),
     )
-    for row in rows:
-        fsp = FiniteSizeParams(epsilon=EPSILON, block_size=row["block_size"])
-        opt_cka, _ = optimized_fraction(cfg, Family.MCKA, fsp, qb_multi, memories=True)
+    for row in _block_sweep(seed):
         p_links = (row["p_key_b_preshared"], row["p_key_b_switching"])
         table.add_row(
             row["block_size"],
-            None if opt_cka.indeterminate else opt_cka.x,
+            row["p_key_mCKA_preshared"],
             row["p_key_mQSS"],
             *(None if math.isnan(p) else p for p in p_links),
         )

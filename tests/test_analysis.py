@@ -6,7 +6,7 @@ import pytest
 from ghznet.analysis import (
     ThresholdQuery,
     _advantage,
-    _BestFraction,
+    _best_fractions,
     _exceeds,
     advantage_profile,
     best_cka_fraction,
@@ -14,7 +14,7 @@ from ghznet.analysis import (
     optimized_fraction,
     scenario_qbers,
 )
-from ghznet.finite import FiniteSizeParams, bipartite_optimal
+from ghznet.finite import FiniteSizeParams, KeyLengthModel, bipartite_optimal, link_params
 from ghznet.network import Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, memoryless_qber
 from ghznet.optimize import UNIT_GRID, grid_peak, maximize_unit_interval
@@ -150,11 +150,42 @@ def test_bound_decided_verdict_matches_full_optimization(task, target):
     assert verdicts == ({True, False, "both-dead"} if target == "noise" else {True, False})
 
 
-class _Counted(_BestFraction):
+@pytest.mark.parametrize("task", ["QSS", "CKA"])
+def test_dead_sides_keep_the_half_evaluation(task):
+    # a side whose every model is dead reports one fallback model at
+    # p_key = 1/2; its value must be what the best of the multipartite
+    # models at 1/2 and the memoryless bQSS link at 1/2 gave before
+    dead = set()
+    for n in (2, 3, 5, 10):
+        for block in (1e4, 1e6, 1e8, 1e10):
+            fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
+            fsp_link = link_params(fsp, n)
+            for target, (_, _, xs) in FIG6_SCANS.items():
+                for x in xs:
+                    distance, f_depol = (4.0, x) if target == "noise" else (x, 0.01)
+                    cfg = NetworkConfig.make_symmetric(n, distance)
+                    qb_bi = memoryless_qber(f_depol, 2)
+                    multi, bi = _best_fractions(
+                        cfg, task, fsp, fsp_link, memoryless_qber(f_depol, n), [(False, qb_bi)]
+                    )
+                    if all(opt.indeterminate for opt in multi.optima):
+                        dead.add(("multi", target))
+                        half = max(model.result(0.5).secret_fraction for model in multi.models)
+                        assert multi.exact() == multi.lower == half
+                        assert multi.result().secret_fraction == half
+                    if all(opt.indeterminate for opt in bi.optima):
+                        dead.add(("bi", target))
+                        link = KeyLengthModel(cfg, Family.BQSS, fsp_link, qb_bi).result(0.5)
+                        assert bi.exact() == bi.lower == link.secret_fraction
+                        assert bi.result() == link
+    # at 1% noise every distance up to 40 km leaves both sides a live model
+    assert dead == {("multi", "noise"), ("bi", "noise")}
+
+
+class _Counted:
+    # one side's selection with a given bound and optimum, counting refinements
     def __init__(self, lower, exact):
-        super().__init__([], [], lambda: lower)
-        self.value = exact
-        self.refined = 0
+        self.lower, self.value, self.refined = lower, exact, 0
 
     def exact(self):
         self.refined += 1

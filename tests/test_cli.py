@@ -378,6 +378,32 @@ def test_cli_block_size_sweep_with_opt_rows_equal_rate_rows(capsys):
     assert p_keys == sorted(p_keys)
 
 
+def _argv(command, *settings):
+    return [command] + [arg for setting in settings for arg in ("--set", setting)]
+
+
+BLOCK_SWEEP = ("sweep.parameter=finite.block_size", "sweep.from=1e4", "sweep.to=1e8",
+               "sweep.steps=3", "sweep.log=true")
+
+
+def test_cli_block_size_sweep_takes_finite_epsilon(capsys):
+    # the sweep supplies finite.block_size at every point, so finite.epsilon
+    # needs no block size of its own
+    common = ("finite.epsilon=1e-6", "protocol.p_key=0.95", "protocol.family=mQSS,bCKA")
+    assert main(_argv("sweep", *common, *BLOCK_SWEEP)) == EXIT_OK
+    swept = _data_rows(capsys.readouterr().out)
+    assert [row.split(",", 1)[0] for row in swept[::2]] == ["10000.0", "1000000.0", "100000000.0"]
+    for i, row in enumerate(swept):
+        block, cells = row.split(",", 1)
+        assert main(_argv("rate", *common, f"finite.block_size={block}")) == EXIT_OK
+        assert cells == _data_rows(capsys.readouterr().out)[i % 2]
+    # at the default epsilon the rows differ: the sweep read 1e-6
+    assert main(_argv("rate", *common[1:], "finite.block_size=1e8")) == EXIT_OK
+    assert swept[-1].split(",", 1)[1] != _data_rows(capsys.readouterr().out)[1]
+    assert main(_argv("sweep", "finite.epsilon=0", *BLOCK_SWEEP)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --set[1]:1: finite.epsilon must lie in")
+
+
 def test_cli_rate_opt_p_key_follows_the_basis_strategy(capsys):
     # a conference key run with basis switching is the secret-sharing
     # protocol, so its optimum is the mQSS one

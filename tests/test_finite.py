@@ -1,10 +1,13 @@
+import ast
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ghznet
 from ghznet.core import binary_entropy
 from ghznet.finite import (
     BipartiteOptimum,
@@ -437,3 +440,29 @@ def test_cached_grid_arrays_are_read_only():
     for array in (UNIT_GRID, _GRID_ENTROPY, *rows):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
+
+
+def _call_scopes(name, node, scope=""):
+    """The enclosing class.function of every call to `name` under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}".lstrip(".")
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                yield scope
+        yield from _call_scopes(name, child, inner)
+
+
+def test_one_selection_calls_the_optimizer():
+    # every p_key optimum, strategy choice and advantage verdict goes
+    # through BestFraction: a second call site would fork the optimum path
+    sources = sorted(Path(ghznet.__file__).parent.glob("*.py"))
+    sites = [
+        (path.stem, scope)
+        for path in sources
+        if path.name != "optimize.py"
+        for scope in _call_scopes("maximize_unit_interval", ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == [("finite", "BestFraction.optima")]
