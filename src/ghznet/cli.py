@@ -24,15 +24,13 @@ from .config import SCHEMA, ConfigError, Scenario, check_seed, load_config, reso
 from .finite import expected_key_length
 from .network import ProtocolSpec, formula_party_count, yields
 from .noise import QberPair
-from .oracle import MAX_ORACLE_PARTIES, oracle_grid, parity_check_rows, sifting_check_rows
+from .oracle import EXACT_RTOL, MAX_ORACLE_PARTIES, ORACLE_TOL, oracle_grid, parity_check_rows, sifting_check_rows
 from .rates import asymptotic_rate
 from .tables import ResultTable
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
-# largest |oracle - analytic| error-rate difference oracle-check accepts
-ORACLE_TOL = 1e-10
 # the configuration keys each command reads; any other key it is given is
 # an error rather than a setting resolved and then ignored
 _SCENARIO_KEYS = frozenset(key for key in SCHEMA if not key.startswith("sweep."))
@@ -304,7 +302,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    check_seed(args.seed)
     max_n = args.max_n
     if max_n > MAX_ORACLE_PARTIES:
         raise ConfigError(f"oracle supports N <= {MAX_ORACLE_PARTIES}")
@@ -317,7 +314,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if max_n < 2:
         raise ConfigError("need max-n >= 2")
     print(f"density oracle vs analytic chain (N = 2..{max_n}, tolerance {ORACLE_TOL:g})")
-    rows = oracle_grid(max_n=max_n, tol=ORACLE_TOL)
+    rows = oracle_grid(max_n=max_n)
     failures = 0
     for row in rows:
         if not row.passed or args.verbose:
@@ -329,22 +326,21 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         failures += 0 if row.passed else 1
     print(f"  {len(rows) - failures}/{len(rows)} grid points passed")
 
-    parity_rows, parity_pass = parity_check_rows(args.seed)
-    print("parity closed form vs subset enumeration (relative tolerance 1e-12)")
+    parity_rows, parity_pass = parity_check_rows()
+    print(f"parity closed form vs subset enumeration (relative tolerance {EXACT_RTOL:g})")
     for size, worst, passed in parity_rows:
         if not passed or args.verbose:
             print(f"  pairs={size:2d} worst rel err={worst:.3e} {'PASS' if passed else 'FAIL'}")
     print(f"  {sum(1 for r in parity_rows if r[2])}/{len(parity_rows)} sizes passed")
 
-    sift_rows, sift_pass = sifting_check_rows(args.seed)
-    print("basis-switching sifting simulation (5 sigma binomial bands)")
-    for n, p_key, emp_key, ref_key, key_ok, emp_check, printed_check, all_bobs_check, verdict in sift_rows:
-        line = (
-            f"  N={n} p_key={p_key:<4g} eta_key emp={emp_key:.6f} ref={ref_key:.6f} "
-            f"[{'ok' if key_ok else 'FAIL'}]  eta_check emp={emp_check:.6f} "
+    sift_rows, sift_pass = sifting_check_rows()
+    print(f"basis-switching sifting, exact count over the 2^N basis strings (relative tolerance {EXACT_RTOL:g})")
+    for n, p_key, exact_key, ref_key, key_ok, exact_check, printed_check, all_bobs_check, verdict in sift_rows:
+        print(
+            f"  N={n} p_key={p_key:<4g} eta_key exact={exact_key:.6f} ref={ref_key:.6f} "
+            f"[{'ok' if key_ok else 'FAIL'}]  eta_check exact={exact_check:.6f} "
             f"printed={printed_check:.6f} all-bobs={all_bobs_check:.6f} matches={verdict}"
         )
-        print(line)
     verdicts = {row[-1] for row in sift_rows}
     print(
         "  check-round fractions match the all-bobs counting; the printed "
@@ -407,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle-check", help="run the verification oracles")
     p_orc.add_argument("--max-n", type=int, default=3)
     p_orc.add_argument("--widen-guard", action="store_true", help="allow the N=4 oracle run")
-    p_orc.add_argument("--seed", type=int, default=1)
     p_orc.add_argument("--verbose", action="store_true")
     p_orc.set_defaults(func=cmd_oracle_check)
     return parser

@@ -144,9 +144,10 @@ def sifting_fractions(strategy: BasisStrategy, n_parties: int, p_key):
     """Key and check sifting fractions for a float or a numpy array of p_key.
 
     Under switching a check round needs Alice in the check basis; for N >= 3
-    the key lengths use (1-p)(1-p^(N-2)) for it.  The sifting Monte Carlo
-    counts "Alice plus at least one of the N-1 Bobs", (1-p)(1-p^(N-1)),
-    which `oracle-check` prints beside it.
+    the key lengths use (1-p)(1-p^(N-2)) for it.  The exact count over the
+    basis strings, `oracle.sifting_enumeration`, of "Alice plus at least one
+    of the N-1 Bobs" is (1-p)(1-p^(N-1)); `oracle-check` prints both, and
+    they agree only at N = 2.
     """
     p = p_key
     if strategy is BasisStrategy.PRESHARED:

@@ -7,11 +7,12 @@ be checked to near machine precision.  States are kept as 2^n x 2^n
 matrices and worked on as qubit tensors: single-qubit channels act on one
 reshaped axis pair, and the swaps contract one resource pair at a time
 into the hub state, so the state never grows past the N parties' 2^N x 2^N.
-The parity-sum enumeration and sifting rows of `ghznet oracle-check` live here too.
+The parity-sum enumeration and exact sifting count of `ghznet oracle-check` live here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import ProtocolSpec, sifting, simulate_sifting
+from .network import ProtocolSpec, sifting
 from .noise import (
     PairCoefficients,
     QberPair,
@@ -30,6 +31,7 @@ from .noise import (
 )
 
 MAX_ORACLE_PARTIES = 4
+ORACLE_TOL = 1e-10  # largest |oracle - analytic| error-rate difference oracle_grid accepts
 
 
 @lru_cache(maxsize=None)
@@ -293,7 +295,7 @@ def oracle_grid(
     max_n: int = 3,
     f_grid: Sequence[float] = DEFAULT_F_GRID,
     exponent_values: Sequence[float] = DEFAULT_EXPONENTS,
-    tol: float = 1e-10,
+    tol: float = ORACLE_TOL,
     prefactor_fn: Callable = ghz_prefactors,
 ) -> list[OracleCheckRow]:
     """Compare oracle error rates against the analytic chain on a grid.
@@ -341,13 +343,16 @@ def oracle_grid(
 
 
 PARITY_TRIALS = 25  # random coefficient sets per pair count in the parity check
-SIFTING_ROUNDS = 200_000  # simulated rounds per (N, p_key) in the sifting check
+PARITY_SEED = 1  # seed of the parity check's random coefficients
+EXACT_RTOL = 1e-12  # relative tolerance of the parity and sifting checks
+# a sifting row's check-round verdict by (matches printed, matches all-Bobs)
+CHECK_VERDICTS = {(True, True): "both", (False, True): "all-bobs", (True, False): "printed", (False, False): "neither"}
 
 
-def parity_check_rows(seed: int) -> tuple[list, bool]:
+def parity_check_rows() -> tuple[list, bool]:
     """oracle-check's closed-form parity sums against subset enumeration on
     random coefficients of 1 to 12 pairs, and whether every size passed."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PARITY_SEED)
     rows = []
     all_pass = True
     for size in range(1, 13):
@@ -363,43 +368,40 @@ def parity_check_rows(seed: int) -> tuple[list, bool]:
             scale = max(abs(brute[0]), abs(brute[1]), 1e-300)
             err = max(abs(closed[0] - brute[0]), abs(closed[1] - brute[1])) / scale
             worst = max(worst, err)
-        passed = worst < 1e-12
+        passed = worst < EXACT_RTOL
         all_pass &= passed
         rows.append((size, worst, passed))
     return rows, all_pass
 
 
-def sifting_check_rows(seed: int) -> tuple[list, bool]:
-    """oracle-check's simulated switching sifting against the printed and
-    the all-Bobs check-round counts, and whether every row matched one."""
+def sifting_enumeration(n_parties: int, p_key: float) -> tuple[float, float]:
+    """Exact switching sifting fractions: the weight p^j (1-p)^(N-j) of each
+    basis string (a `subset_masks(N)` row, True for its j key-basis parties,
+    column 0 Alice) summed over the strings with every party in the key
+    basis, and over those with Alice and not every Bob in the check basis."""
+    key_basis, _ = subset_masks(n_parties)
+    j = key_basis.sum(axis=1)
+    weights = p_key**j * (1.0 - p_key) ** (n_parties - j)
+    alice_key, bobs_key = key_basis[:, 0], key_basis[:, 1:].all(axis=1)
+    return float(weights[alice_key & bobs_key].sum()), float(weights[~alice_key & ~bobs_key].sum())
+
+
+def sifting_check_rows() -> tuple[list, bool]:
+    """oracle-check's exact switching sifting count against the printed and
+    the all-Bobs check-round fractions, and whether every row matched one."""
     rows = []
     all_pass = True
-    rng = np.random.default_rng(seed)
     for n in range(2, 7):
         for p_key in (0.5, 0.9, 0.99):
-            spec = ProtocolSpec("mQSS", p_key=p_key)
-            emp_key, emp_check = simulate_sifting(spec, n, SIFTING_ROUNDS, rng)
-            printed = sifting(spec, n)
-            # reference count: Alice plus at least one of the N-1 Bobs in the
-            # check basis
+            exact_key, exact_check = sifting_enumeration(n, p_key)
+            printed = sifting(ProtocolSpec("mQSS", p_key=p_key), n)
+            # Alice plus at least one of the N-1 Bobs in the check basis
             all_bobs_check = (1.0 - p_key) * (1.0 - p_key ** (n - 1))
-
-            def within(emp: float, ref: float) -> bool:
-                sigma = max(np.sqrt(ref * (1.0 - ref) / SIFTING_ROUNDS), 1e-12)
-                return abs(emp - ref) <= 5.0 * sigma
-
-            key_ok = within(emp_key, printed.eta_key)
-            match_printed = within(emp_check, printed.eta_check)
-            match_all_bobs = within(emp_check, all_bobs_check)
-            if match_printed and match_all_bobs:
-                verdict = "both"
-            elif match_all_bobs:
-                verdict = "all-bobs"
-            elif match_printed:
-                verdict = "printed"
-            else:
-                verdict = "neither"
+            key_ok = math.isclose(exact_key, printed.eta_key, rel_tol=EXACT_RTOL)
+            match_printed = math.isclose(exact_check, printed.eta_check, rel_tol=EXACT_RTOL)
+            match_all_bobs = math.isclose(exact_check, all_bobs_check, rel_tol=EXACT_RTOL)
+            verdict = CHECK_VERDICTS[match_printed, match_all_bobs]
             ok = key_ok and verdict != "neither"
             all_pass &= ok
-            rows.append((n, p_key, emp_key, printed.eta_key, key_ok, emp_check, printed.eta_check, all_bobs_check, verdict))
+            rows.append((n, p_key, exact_key, printed.eta_key, key_ok, exact_check, printed.eta_check, all_bobs_check, verdict))
     return rows, all_pass

@@ -208,23 +208,23 @@ PINNED_SWEEPS = {
 
 
 # sha256 of `ghznet oracle-check` stdout: the density-matrix grid, the
-# parity enumeration and the fixed-seed sifting simulation, whose rows must
+# fixed-seed parity enumeration and the exact sifting count, whose rows must
 # not move when their code does.
 PINNED_ORACLE_CHECKS = {
-    "default": ([], "1fd511981a42f522f694441356f842f63d48ec33b870307b89ef6e4fae88da0d"),
+    "default": ([], "c7a991e950038bbd3089cf3bef91ba39012317eab2e6c4f7dd83d147fd1253d3"),
     "four-parties": (
         ["--max-n", "4", "--widen-guard"],
-        "3b30bb545abb0c1e8cbc996fe94f8a9f5850d5f2f0b66cb3e47bc37be3a1fcbe",
+        "3fd7ddf5cda909887fe19b492f8671cc2bedd5aa78ffefb3182baa1f121663ea",
     ),
     # --verbose adds every grid point's max|err| and GHZ residual and each
     # pair count's worst parity error
     "default-verbose": (
         ["--verbose"],
-        "a87c3f4bf227658aba25a6265875de83dd775aba53b064e22d3ef700b5649abb",
+        "f55edb59c88e6a3cf15fdb82fb47b2da74f3d4c3bd668f140c85620e163eb553",
     ),
     "four-parties-verbose": (
         ["--max-n", "4", "--widen-guard", "--verbose"],
-        "384e3bbc9ca66136a6bd280e3e7dd996b46e2d9511b107e3e7c750f2b54b2cfa",
+        "98c6644768e1812d24e11b8c3a2d7e9f488aa0a9ca02a49a77f6364db6174073",
     ),
 }
 
@@ -633,16 +633,15 @@ def test_cli_sweep_point_errors_name_the_sweep_parameter(capsys, settings, messa
 @pytest.mark.parametrize(
     "argv",
     [
-        ["oracle-check", "--seed", "-1"],
         ["reproduce", "--figure", "fig4", "--seed", "-1"],
         ["reproduce", "--figure", "fig2", "--seed", "-5"],
     ],
-    ids=["oracle-check", "fig4", "fig2"],
+    ids=["fig4", "fig2"],
 )
 def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv):
     # rejected before anything runs or is written, as mc.seed < 0 is
     outdir = tmp_path / "out"
-    assert main([*argv, "--outdir", str(outdir)] if argv[0] == "reproduce" else argv) == EXIT_CONFIG
+    assert main([*argv, "--outdir", str(outdir)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err == f"error: --seed must be >= 0, got {argv[-1]}\n"
     assert captured.out == "" and not outdir.exists()
@@ -730,6 +729,14 @@ def test_cli_oracle_check_fast(capsys):
     out = capsys.readouterr().out
     assert "oracle-check: PASS" in out
     assert "all-bobs" in out
+
+
+def test_cli_oracle_check_takes_no_seed(capsys):
+    # the sifting rows are an exact count and the parity rows use a fixed
+    # seed, so nothing in oracle-check is left to seed
+    with pytest.raises(SystemExit) as exited:
+        main(["oracle-check", "--seed", "1"])
+    assert exited.value.code == EXIT_CONFIG
 
 
 def test_cli_oracle_check_guards(capsys):

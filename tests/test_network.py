@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ghznet
 from ghznet.network import (
     BasisStrategy,
     Family,
@@ -207,3 +210,16 @@ def test_simulate_sifting_preshared_common_coin():
     emp_key, emp_check = simulate_sifting(ProtocolSpec(Family.MCKA, p_key=0.8), 5, 100_000, 3)
     assert emp_key + emp_check == pytest.approx(1.0)
     assert abs(emp_key - 0.8) < 5.0 * np.sqrt(0.8 * 0.2 / 100_000)
+
+
+def test_no_module_calls_simulate_sifting():
+    # simulate_sifting is a reference for the tests and the benchmark tracer
+    # only: oracle-check counts the 2^N basis strings exactly
+    callers = [
+        path.name
+        for path in sorted(Path(ghznet.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "simulate_sifting" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == []

@@ -1,8 +1,11 @@
+import math
 from functools import reduce
 
 import numpy as np
 import pytest
 
+import ghznet.oracle
+from ghznet.network import Family, ProtocolSpec, SiftingEfficiencies, sifting, simulate_sifting
 from ghznet.noise import (
     PairCoefficients,
     alpha_beta_closed_form,
@@ -28,6 +31,8 @@ from ghznet.oracle import (
     ghz_basis_vector,
     noisy_pair_state,
     oracle_grid,
+    sifting_check_rows,
+    sifting_enumeration,
     subset_masks,
     swap_pairs,
     validate_density,
@@ -366,3 +371,39 @@ def test_oracle_tables_are_read_only():
 def test_subset_sum_rejects_empty():
     with pytest.raises(ValueError):
         alpha_beta_subset_sum([])
+
+
+@pytest.mark.parametrize("p_key", [0.0, 0.5, 0.9, 0.99, 1.0])
+def test_sifting_enumeration_is_the_closed_form(p_key):
+    # every party in the key basis: p^N; Alice plus at least one Bob in the
+    # check basis: (1-p)(1-p^(N-1)); exactly 0 where that is 0
+    for n in range(2, 13):
+        refs = (p_key**n, (1.0 - p_key) * (1.0 - p_key ** (n - 1)))
+        for value, ref in zip(sifting_enumeration(n, p_key), refs):
+            if ref == 0.0:
+                assert value == 0.0, (n, p_key)
+            else:
+                assert value == pytest.approx(ref, rel=1e-12, abs=0), (n, p_key)
+
+
+def test_sifting_enumeration_matches_a_seeded_draw():
+    # the round-by-round Monte Carlo lands within 5 sigma of the count
+    rounds = 200_000
+    spec = ProtocolSpec(Family.MQSS, p_key=0.9)
+    draws = simulate_sifting(spec, 4, rounds, 7)
+    for emp, exact in zip(draws, sifting_enumeration(4, 0.9)):
+        assert abs(emp - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / rounds)
+
+
+def test_sifting_rows_catch_a_tiny_key_error(monkeypatch):
+    # a 1e-6 relative error in eta_key lies inside the 5 sigma band of a
+    # sampled check, but far outside the exact count's tolerance
+    def skewed(spec, n_parties):
+        eta = sifting(spec, n_parties)
+        return SiftingEfficiencies(eta.eta_key * (1.0 + 1e-6), eta.eta_check)
+
+    assert sifting_check_rows()[1]
+    monkeypatch.setattr(ghznet.oracle, "sifting", skewed)
+    rows, all_pass = sifting_check_rows()
+    assert not all_pass
+    assert not any(key_ok for _, _, _, _, key_ok, *_ in rows)
