@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 oracle/acceptance mismatch, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -89,13 +90,16 @@ def _qbers(memo: dict, scenario: Scenario, spec: ProtocolSpec) -> QberPair:
 
     The error rates depend on the family only through the formula party
     count, and not at all on p_key or the block size, so every row sharing
-    (memories, effective network, noise, samples, seed) reuses one Monte
-    Carlo draw.  The memo is created by the command and dropped with it.
+    (memories, formula party count, distances, noise, samples, seed) reuses
+    one Monte Carlo draw.  The memo is created by the command and dropped
+    with it.
     """
     cfg = scenario.network
     key = (
         spec.memories,
-        cfg.with_parties(formula_party_count(cfg, spec)),
+        formula_party_count(cfg, spec),
+        cfg.d_a_km,
+        cfg.d_b_km,
         scenario.noise,
         scenario.mc_samples,
         scenario.seed,
@@ -354,7 +358,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="ghznet",
         description="Secret-key rates for GHZ-based secret sharing and conference key "
@@ -409,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -9,6 +9,7 @@ sampling the success-trial indices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,10 +40,20 @@ def trial_times(cfg: NetworkConfig, noise: NoiseParams) -> TimingConfig:
     return TimingConfig(tau_a, tau_b, comm_b, noise.t2_s)
 
 
+@functools.lru_cache(maxsize=256)
+def _seed_sequence(entropy: int | tuple[int, ...]) -> np.random.SeedSequence:
+    # generating a generator's state leaves the sequence as it was, so one
+    # sequence per seed serves every draw; nothing spawns from it
+    return np.random.SeedSequence(entropy)
+
+
 def as_rng(seed: int | np.random.Generator | Sequence[int]) -> np.random.Generator:
+    """The generator np.random.default_rng(seed) returns; the seed's entropy
+    is hashed once per process for the last 256 seeds."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    entropy = tuple(seed) if isinstance(seed, Sequence) else seed
+    return np.random.Generator(np.random.PCG64(_seed_sequence(entropy)))
 
 
 @dataclass(frozen=True)
@@ -83,12 +94,18 @@ def expected_alpha_beta(
     decay = np.exp(-2.0 * wait / timing.t2_s)
     f = noise.f_depol
     even_total = (1.0 - 0.5 * f) ** n_pairs
-    signed = (1.0 - f) ** n_pairs * decay.prod(axis=1)
+    # the running product over the columns multiplies in prod(axis=1)'s order
+    product = decay[:, 0]
+    for column in decay.T[1:]:
+        product = product * column
+    signed = (1.0 - f) ** n_pairs * product
     alpha_draws = 0.5 * (even_total + signed)
     alpha = float(alpha_draws.mean())
     beta = float(even_total - alpha)
     if samples > 1:
-        stderr = float(alpha_draws.std(ddof=1) / math.sqrt(samples))
+        # std(ddof=1)'s operations, about the mean already taken
+        deviation = alpha_draws - alpha
+        stderr = math.sqrt(np.add.reduce(deviation * deviation) / (samples - 1)) / math.sqrt(samples)
     else:
         stderr = 0.0
     return AlphaBetaEstimate(alpha, beta, stderr, samples)

@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 SIGNIFICANT_DIGITS = 12
+_FLOAT_SPEC = f".{SIGNIFICANT_DIGITS}g"
 
 
 def format_cell(value: Any) -> str:
+    # floats come first, as nearly every cell is one
+    if isinstance(value, float):
+        # + 0.0 turns -0.0 into 0.0, so no column prints "-0"
+        return format(value + 0.0, _FLOAT_SPEC)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        # + 0.0 turns -0.0 into 0.0, so no column prints "-0"
-        return f"{value + 0.0:.{SIGNIFICANT_DIGITS}g}"
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
         return '"' + text.replace('"', '""') + '"'
@@ -35,13 +36,10 @@ class ResultTable:
         self.rows.append(list(values))
 
     def render(self) -> str:
-        out = io.StringIO()
-        for key in sorted(self.metadata):
-            out.write(f"# {key} = {self.metadata[key]}\n")
-        out.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            out.write(",".join(format_cell(v) for v in row) + "\n")
-        return out.getvalue()
+        lines = [f"# {key} = {self.metadata[key]}" for key in sorted(self.metadata)]
+        lines.append(",".join(self.columns))
+        lines += [",".join([format_cell(v) for v in row]) for row in self.rows]
+        return "\n".join(lines) + "\n"
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:

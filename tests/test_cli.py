@@ -5,10 +5,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ghznet
-from ghznet.cli import EXIT_CONFIG, EXIT_OK, RATE_COLUMNS, main
+from ghznet.cli import EXIT_CONFIG, EXIT_OK, RATE_COLUMNS, build_parser, main
 from ghznet.config import SCHEMA, ConfigError, load_config, parse_kv_text, resolve_scenario
 from ghznet.tables import format_cell
 
@@ -185,9 +186,10 @@ def test_cli_memo_lasts_one_command(config_file, capsys, memory_draws):
     assert len(memory_draws) == 2 * first_calls
 
 
-# sha256 of the stdout of two memory sweeps over all four families (the
-# benchmark's N/finite and block/memory sweeps); a change that moves them on
-# purpose re-pins the digest and says why.
+# sha256 of the stdout of four memory sweeps over all four families (the
+# benchmark's N/finite, block/memory, d_A/finite and f_D/asymptotic sweeps:
+# every N from 2 to 30, and the N <= 3 draws at each distance and noise); a
+# change that moves them on purpose re-pins the digest and says why.
 PINNED_SWEEP_COMMON = [
     "protocol.family=mQSS,mCKA,bQSS,bCKA", "protocol.p_key=0.95", "network.d_A_km=50",
     "network.d_B_km=4", "noise.f_D=0.01", "memory.T2_s=1", "memory.Tp_s=2e-06",
@@ -203,6 +205,16 @@ PINNED_SWEEPS = {
         [*PINNED_SWEEP_COMMON, "sweep.parameter=finite.block_size", "sweep.from=1e4",
          "sweep.to=1e12", "sweep.steps=65", "sweep.log=true"],
         "b8bbc60d249794d2fcf833e33757477c4cfe60b29655766dd6e0a06b3c3b115a",
+    ),
+    "d_A/finite": (
+        [*PINNED_SWEEP_COMMON, "finite.block_size=1e8", "sweep.parameter=network.d_A_km",
+         "sweep.from=4", "sweep.to=100", "sweep.steps=97"],
+        "20a39d117cae317cc10382aa90454d50f9cbaca45bd360e8e273aa7c578dee3c",
+    ),
+    "f_D/asymptotic": (
+        [*PINNED_SWEEP_COMMON, "sweep.parameter=noise.f_D", "sweep.from=0", "sweep.to=0.08",
+         "sweep.steps=81"],
+        "96f3d2fad118b34465800675636b24bff9a53c8cea0e708d78152786b6b3290d",
     ),
 }
 
@@ -532,6 +544,45 @@ def test_negative_zero_prints_as_zero(capsys):
     assert main(["rate", "--set", "network.d_A_km=20000", "--set", "noise.f_D=0.5"]) == EXIT_OK
     (row,) = _data_rows(capsys.readouterr().out)
     assert ",asymptotic,0,0," in row and "-0" not in row
+
+
+def _reference_format_cell(value):
+    # format_cell as first written, with the float test after None and bool
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value + 0.0:.{12}g}"
+    text = str(value)
+    if any(ch in text for ch in ",\"\n"):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, 1e-300, 1e300, float("inf"), float("-inf"), float("nan"), 0.1 + 0.2,
+     np.float64(-0.0), np.float64(1 / 3), np.float32(0.5), True, False, 0, -3, None, "a,b",
+     'say "hi"', "x\ny"],
+)
+def test_format_cell_matches_reference(value):
+    assert format_cell(value) == _reference_format_cell(value)
+
+
+def test_cli_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    rate = ["rate", "--set", "protocol.memories=true", "--set", "mc.samples=200"]
+    assert main(rate) == EXIT_OK
+    first = capsys.readouterr().out
+    # a sweep with no sweep keys is a configuration error
+    assert main(["sweep", "--set", "network.N=3"]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0
+    capsys.readouterr()
+    assert main(rate) == EXIT_OK
+    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize("setting", ["finite.block_size=nan", "finite.block_size=inf"])

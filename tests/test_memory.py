@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghznet.memory import expected_alpha_beta, expected_memory_qbers, trial_times
+from ghznet.memory import as_rng, expected_alpha_beta, expected_memory_qbers, trial_times
 from ghznet.network import NetworkConfig
 from ghznet.noise import NoiseParams, alpha_beta_closed_form, pair_coefficients
 
@@ -127,3 +127,48 @@ def test_expected_memory_qbers_reference_point():
     assert 0.0149 < qbers.q_z < 0.015
     assert qbers.q_x > qbers.q_z
     assert est.samples == 1000
+
+
+def _reference_alpha_beta(cfg, noise, samples, seed):
+    """expected_alpha_beta as first written: a fresh default_rng, the
+    product over Bob pairs from prod(axis=1) and std(ddof=1) in its own
+    pass."""
+    rng = np.random.default_rng(seed)
+    timing = trial_times(cfg, noise)
+    n_pairs = cfg.n_parties - 1
+    n_a = rng.geometric(cfg.p_a, size=samples)
+    n_b = rng.geometric(cfg.p_b, size=(samples, n_pairs))
+    raw = n_a[:, None] * timing.tau_a_s - n_b * timing.tau_b_s
+    wait = np.maximum(raw, 0.0) + timing.comm_b_s
+    decay = np.exp(-2.0 * wait / timing.t2_s)
+    f = noise.f_depol
+    even_total = (1.0 - 0.5 * f) ** n_pairs
+    signed = (1.0 - f) ** n_pairs * decay.prod(axis=1)
+    alpha_draws = 0.5 * (even_total + signed)
+    alpha = float(alpha_draws.mean())
+    stderr = float(alpha_draws.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return alpha, float(even_total - alpha), stderr
+
+
+@pytest.mark.parametrize("n_parties", [2, 3, 5, 10, 20, 30])
+@pytest.mark.parametrize("d_a_km,d_b_km", [(4.0, 4.0), (50.0, 4.0), (100.0, 4.0)])
+def test_expected_alpha_beta_matches_reference_bit_for_bit(n_parties, d_a_km, d_b_km):
+    # (4, 4) km clamps some waits to the classical round trip
+    cfg = NetworkConfig(n_parties, d_a_km, d_b_km)
+    for samples in (1, 2, 7, 1000):
+        for seed in [*range(5), *([s, n_parties] for s in range(5))]:
+            est = expected_alpha_beta(cfg, NOISE, samples, seed)
+            expected = _reference_alpha_beta(cfg, NOISE, samples, seed)
+            assert (est.alpha, est.beta, est.stderr) == expected, (samples, seed)
+
+
+@pytest.mark.parametrize("seed", [[1, 3], [7, 2], 5, 0])
+def test_as_rng_streams_equal_default_rng(seed):
+    # the second call reuses the process's seed sequence for this seed
+    for _ in range(2):
+        assert np.array_equal(as_rng(seed).random(1000), np.random.default_rng(seed).random(1000))
+
+
+def test_as_rng_passes_generators_through():
+    generator = np.random.default_rng(3)
+    assert as_rng(generator) is generator
