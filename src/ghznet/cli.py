@@ -1,5 +1,5 @@
-"""Command-line surface: scenario evaluation, sweeps, thresholds,
-figure-style reproduction tables and the verification oracle.
+"""Command-line surface: scenario evaluation, sweeps, thresholds, player
+profiles, figure-style reproduction tables and the verification oracle.
 
 Exit codes: 0 success, 1 oracle/acceptance mismatch, 2 configuration error.
 """
@@ -17,13 +17,14 @@ import numpy as np
 from . import __version__
 from .analysis import (
     ThresholdQuery,
+    advantage_profile,
     find_threshold,
     optimized_fraction,
     scenario_qbers,
 )
-from .config import SCHEMA, ConfigError, Scenario, check_seed, load_config, resolve_scenario
+from .config import SCHEMA, ConfigError, Scenario, load_config, resolve_scenario
 from .finite import expected_key_length
-from .network import ProtocolSpec, formula_party_count, yields
+from .network import Family, ProtocolSpec, formula_party_count, yields
 from .noise import QberPair
 from .oracle import EXACT_RTOL, MAX_ORACLE_PARTIES, ORACLE_TOL, oracle_grid, parity_check_rows, sifting_check_rows
 from .rates import asymptotic_rate
@@ -38,6 +39,8 @@ _SCENARIO_KEYS = frozenset(key for key in SCHEMA if not key.startswith("sweep.")
 COMMAND_KEYS = {
     "rate": _SCENARIO_KEYS,
     "sweep": frozenset(SCHEMA),
+    # the profile picks p_key and the conference-key strategy itself
+    "profile": _SCENARIO_KEYS - {"protocol.p_key", "protocol.basis_strategy"},
     # a memoryless symmetric star, at a distance from network.d_km or d_B_km
     "threshold": frozenset(
         ("network.N", "network.d_km", "network.d_B_km", "noise.f_D", "finite.block_size",
@@ -217,6 +220,46 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the task a profile's multipartite family sets
+PROFILE_TASKS = {Family.MQSS: "QSS", Family.MCKA: "CKA"}
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    items = _load(args)
+    scenario = resolve_scenario(items)
+    spec, *others = scenario.specs
+    if others or spec.family not in PROFILE_TASKS:
+        text, source, line = items["protocol.family"]
+        raise ConfigError(f"profile takes one family, mQSS or mCKA, got {text!r}", source, line)
+    profile = advantage_profile(
+        scenario.network,
+        scenario.noise,
+        scenario.network.n_parties,
+        spec.memories,
+        scenario.finite,
+        PROFILE_TASKS[spec.family],
+        scenario.mc_samples,
+        scenario.seed,
+    )
+    table = ResultTable(
+        ["n_parties", "multi_rate", "bi_rate", "ratio", "status", "within_linear", "within_advantage"],
+        metadata=_metadata(scenario, "profile"),
+    )
+    for row in profile.rows:
+        n = row.n_parties
+        table.add_row(
+            n,
+            row.multi_rate,
+            row.bi_rate,
+            row.ratio,
+            row.status,
+            profile.max_n_linear is not None and n <= profile.max_n_linear,
+            profile.max_n_advantage is not None and n <= profile.max_n_advantage,
+        )
+    _emit(table, args.out, scenario)
+    return EXIT_OK
+
+
 def _threshold_overrides(args: argparse.Namespace) -> dict[str, str]:
     """The keys whose setting an argument of `threshold` replaces, each with
     that argument: the scanned quantity, the held one under --fixed and
@@ -295,11 +338,18 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    from .reproduce import run_reproduce
+    # imported here: the other commands do not need the recipes
+    from .reproduce import RECIPES, run_reproduce
 
-    check_seed(args.seed)
+    if args.figure != "all" and args.figure not in RECIPES:
+        raise ConfigError(f"unknown figure {args.figure!r}; choose {', '.join(RECIPES)} or all", "--figure")
+    # numpy's generators take non-negative seeds only, as mc.seed does
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    figures = RECIPES if args.figure == "all" else [args.figure]
     try:
-        run_reproduce(args.figure, args.outdir, seed=args.seed)
+        for figure in figures:
+            run_reproduce(figure, args.outdir, seed=args.seed)
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or args.outdir}: {exc.strerror}", "--outdir") from exc
     return EXIT_OK
@@ -388,6 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
+    p_prof = sub.add_parser("profile", help="multi/bipartite rate ratio for N = 2..network.N")
+    add_common(p_prof)
+    p_prof.set_defaults(func=cmd_profile)
+
     p_thr = sub.add_parser("threshold", help="bisect the multi/bi-partite crossing")
     add_common(p_thr)
     p_thr.add_argument("--target", choices=("noise", "distance"), required=True)
@@ -398,11 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.set_defaults(func=cmd_threshold)
 
     p_rep = sub.add_parser("reproduce", help="emit figure-style CSV tables")
-    p_rep.add_argument(
-        "--figure",
-        required=True,
-        choices=("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "figC1", "figC2"),
-    )
+    p_rep.add_argument("--figure", required=True, help="a figure id such as fig5, or all")
     p_rep.add_argument("--outdir", default="reproduce-out")
     p_rep.add_argument("--seed", type=int, default=1)
     p_rep.set_defaults(func=cmd_reproduce)

@@ -175,13 +175,6 @@ def _value(
         raise ConfigError(f"bad value for {key}: {exc}", source, line) from exc
 
 
-def check_seed(seed: int) -> None:
-    """The rule for a --seed argument: numpy's generators take non-negative
-    seeds only, as mc.seed does."""
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-
-
 def _fail_on(items, key, message):
     if key in items:
         _, source, line = items[key]

@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 
 import ghznet
+from ghznet import reproduce
+from ghznet.analysis import advantage_profile
 from ghznet.cli import EXIT_CONFIG, EXIT_OK, RATE_COLUMNS, build_parser, main
 from ghznet.config import SCHEMA, ConfigError, load_config, parse_kv_text, resolve_scenario
+from ghznet.finite import FiniteSizeParams
+from ghznet.network import NetworkConfig
+from ghznet.noise import NoiseParams
 from ghznet.tables import format_cell
 
 BASE_CFG = """
@@ -521,14 +526,22 @@ def test_cli_threshold_rejects_settings_its_arguments_override(
         ("rate", "sweep.parameter=noise.f_D"),
         ("rate", "sweep.log=true"),
         ("rate", "sweep.steps=3"),
+        ("profile", "protocol.p_key=0.5"),
+        ("profile", "protocol.basis_strategy=switching"),
+        ("profile", "sweep.steps=3"),
     ],
 )
 def test_cli_commands_reject_settings_they_would_ignore(capsys, command, setting):
-    # rate evaluates one point, also where it chooses p_key itself
-    argv = [command, "--set", "finite.block_size=1e6", "--set", setting, "--set", "protocol.p_key=opt"]
+    # rate evaluates one point, also where it chooses p_key itself; a
+    # profile picks p_key and the conference-key strategy itself
+    argv = [command, "--set", "finite.block_size=1e6", "--set", setting]
+    if command == "rate":
+        argv += ["--set", "protocol.p_key=opt"]
     assert main(argv) == EXIT_CONFIG
     key = setting.split("=")[0]
-    assert capsys.readouterr().err.startswith(f"error: --set[2]:1: {command} takes no {key}")
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --set[2]:1: {command} takes no {key}")
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -599,12 +612,22 @@ def test_cli_rejects_non_finite_distances(capsys, setting):
     assert "must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["network.d_A_km=2", "mc.samples=0", "network.d_A_km=20000"])
-def test_cli_memory_settings_are_config_errors(capsys, setting):
+MEMORY_SETTINGS = ["network.d_A_km=2", "mc.samples=0", "network.d_A_km=20000", "memory.T2_s=0"]
+
+
+@pytest.mark.parametrize(
+    "command,setting",
+    [pytest.param("rate", setting, id=setting) for setting in MEMORY_SETTINGS]
+    + [pytest.param("profile", setting, id=f"profile-{setting}") for setting in MEMORY_SETTINGS],
+)
+def test_cli_memory_settings_are_config_errors(capsys, command, setting):
     # memory yields assume d_A >= d_B; zero samples leave the dephasing
-    # undefined; at 20000 km p_a underflows to 0 and no trial ever succeeds
-    assert main(["rate", "--set", setting, "--set", "protocol.memories=true"]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: --set[1]:1: ")
+    # undefined; at 20000 km p_a underflows to 0 and no trial ever succeeds;
+    # a zero dephasing time leaves no coherence to store
+    assert main([command, "--set", setting, "--set", "protocol.memories=true"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --set[1]:1: ")
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_cli_rejects_p_key_out_of_range(capsys):
@@ -629,11 +652,29 @@ def test_cli_rejects_p_key_out_of_range(capsys):
         (["sweep", "--set", "mc.seed=-1", "--set", "protocol.memories=true"], "error: --set[1]:1: mc.seed"),
         (["rate", "--set", "mc.seed=-2", "--set", "finite.block_size=1e6", "--set", "protocol.p_key=opt"],
          "error: --set[1]:1: mc.seed"),
+        pytest.param(["profile", "--set", "network.N=1"], "error: --set[1]:1: need at least 2 parties, got 1",
+                     id="profile-n-max"),
+        pytest.param(["profile", "--set", "finite.block_size=0.5"],
+                     "error: --set[1]:1: block_size must be finite and >= 1", id="profile-block"),
+        pytest.param(["profile", "--set", "finite.block_size=1e8", "--set", "finite.epsilon=2"],
+                     "error: --set[2]:1: finite.epsilon must lie in [1e-100, 1)", id="profile-epsilon"),
+        pytest.param(["profile", "--set", "noise.f_D=2"], "error: --set[1]:1: f_depol must lie in [0, 1]",
+                     id="profile-f-depol"),
+        pytest.param(["profile", "--set", "mc.seed=-1"], "error: --set[1]:1: mc.seed must be >= 0, got -1",
+                     id="profile-seed"),
+        pytest.param(["profile", "--set", "protocol.family=bQSS"],
+                     "error: --set[1]:1: profile takes one family, mQSS or mCKA, got 'bQSS'",
+                     id="profile-bQSS"),
+        pytest.param(["profile", "--set", "protocol.family=mQSS,mCKA"],
+                     "error: --set[1]:1: profile takes one family, mQSS or mCKA, got 'mQSS,mCKA'",
+                     id="profile-two-families"),
     ],
 )
 def test_cli_model_errors_name_the_rejected_key(capsys, argv, message):
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(message)
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -686,8 +727,9 @@ def test_cli_sweep_point_errors_name_the_sweep_parameter(capsys, settings, messa
     [
         ["reproduce", "--figure", "fig4", "--seed", "-1"],
         ["reproduce", "--figure", "fig2", "--seed", "-5"],
+        ["reproduce", "--figure", "all", "--seed", "-1"],
     ],
-    ids=["fig4", "fig2"],
+    ids=["fig4", "fig2", "all"],
 )
 def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv):
     # rejected before anything runs or is written, as mc.seed < 0 is
@@ -772,6 +814,66 @@ def test_cli_reproduce_fig2(tmp_path):
     assert files == ["MANIFEST_fig2.txt", "fig2_rates_vs_distance.csv"]
     manifest = (outdir / "MANIFEST_fig2.txt").read_text()
     assert "fig2_rates_vs_distance.csv" in manifest
+
+
+def test_cli_reproduce_takes_every_recipe_and_all(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(reproduce, "run_reproduce", lambda figure, outdir, seed: ran.append(figure))
+    outdir = str(tmp_path / "out")
+    for figure in reproduce.RECIPES:
+        assert main(["reproduce", "--figure", figure, "--outdir", outdir]) == EXIT_OK
+        assert ran.pop() == figure and not ran
+    assert main(["reproduce", "--figure", "all", "--outdir", outdir]) == EXIT_OK
+    assert ran == list(reproduce.RECIPES)
+    ran.clear()
+    assert main(["reproduce", "--figure", "fig9", "--outdir", outdir]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --figure: unknown figure 'fig9'")
+    assert captured.out == "" and not ran
+
+
+PROFILE_SETTINGS = [
+    # fig7: d_A = 50 km, d_B = 4 km, N up to 20, finite blocks
+    *(
+        (memories, 50.0, 20, block, task)
+        for memories in (True, False)
+        for block in (1e6, 1e8, 1e10)
+        for task in ("QSS", "CKA")
+    ),
+    # fig4: asymptotic, N up to 25
+    *((memories, d_a, 25, None, "QSS") for d_a in (30.0, 50.0) for memories in (True, False)),
+]
+
+
+@pytest.mark.parametrize("memories,d_a,n_max,block,task", PROFILE_SETTINGS)
+def test_cli_profile_cells_equal_advantage_profile(capsys, memories, d_a, n_max, block, task):
+    settings = [f"network.N={n_max}", f"network.d_A_km={d_a}", f"protocol.memories={memories}",
+                f"protocol.family=m{task}", "mc.seed=1"]
+    if block is not None:
+        settings.append(f"finite.block_size={block}")
+    assert main(_argv("profile", *settings)) == EXIT_OK
+    rows = [row.split(",") for row in _data_rows(capsys.readouterr().out)]
+    fsp = None if block is None else FiniteSizeParams(epsilon=1e-10, block_size=block)
+    noise = NoiseParams(0.01, t2_s=1.0, prep_time_s=2e-6)
+    profile = advantage_profile(
+        NetworkConfig(2, d_a, 4.0), noise, n_max, memories=memories, fsp=fsp, task=task, seed=1
+    )
+    expected = [
+        [
+            format_cell(value)
+            for value in (
+                row.n_parties, row.multi_rate, row.bi_rate, row.ratio, row.status,
+                profile.max_n_linear is not None and row.n_parties <= profile.max_n_linear,
+                profile.max_n_advantage is not None and row.n_parties <= profile.max_n_advantage,
+            )
+        ]
+        for row in profile.rows
+    ]
+    assert rows == expected
+    # each extent is the last row its column marks
+    for column, extent in ((5, profile.max_n_linear), (6, profile.max_n_advantage)):
+        marked = [int(row[0]) for row in rows if row[column] == "true"]
+        assert (marked[-1] if marked else None) == extent
 
 
 def test_cli_oracle_check_fast(capsys):

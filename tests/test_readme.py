@@ -45,7 +45,16 @@ def test_readme_command_block_names_exactly_the_subcommands():
 
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
-    named = set(re.findall(r"^ghznet ([\w-]+)", block, re.M))
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", section, re.S))
+    named = set(re.findall(r"^\s*ghznet ([\w-]+)", blocks, re.M))
     (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert named == set(subparsers.choices)
+
+
+def test_readme_paths_exist():
+    # a backticked token with a slash and a file extension names a file of
+    # the repository, such as tests/test_memory.py
+    root = README.parent
+    paths = re.findall(r"`([\w.-]+(?:/[\w.-]+)+\.[A-Za-z]\w*)`", README.read_text(encoding="utf-8"))
+    assert paths
+    assert [path for path in paths if not (root / path).exists()] == []

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from ghznet.cli import main
 from ghznet.reproduce import RECIPES, run_reproduce
 
 # sha256 of every table `run_reproduce` writes at seed 1.  A change that
@@ -91,17 +92,63 @@ def test_block_size_figures_agree(tmp_path):
         assert float(row5["bipartite_optimal"]) == best
 
 
-def test_reproduce_tables_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def figures(tmp_path_factory):
+    """Every figure at seed 1, one run_reproduce call each, into one
+    directory; returns the directory and the table names written."""
+    outdir = tmp_path_factory.mktemp("figures")
     written = []
     for figure in RECIPES:
-        written += run_reproduce(figure, str(tmp_path))
+        written += run_reproduce(figure, str(outdir))
+    return outdir, written
+
+
+def test_reproduce_tables_are_pinned(figures):
+    outdir, written = figures
     assert sorted(written) == sorted(PINNED_DIGESTS)
     changed = [
         name
         for name in written
-        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != PINNED_DIGESTS[name]
+        if hashlib.sha256((outdir / name).read_bytes()).hexdigest() != PINNED_DIGESTS[name]
     ]
     assert not changed, f"reproduce tables differ from their pinned digests: {changed}"
+
+
+def test_reproduce_all_writes_what_single_figures_write(figures, tmp_path):
+    outdir, _ = figures
+    assert main(["reproduce", "--figure", "all", "--outdir", str(tmp_path)]) == 0
+    names = sorted(path.name for path in outdir.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    assert len([name for name in names if name.startswith("MANIFEST_")]) == len(RECIPES)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (outdir / name).read_bytes(), name
+
+
+def test_finite_thresholds_recover_their_asymptotes(figures):
+    # at a 1e10 block every fig6 threshold lies within 5% of its asymptotic
+    # fig3 value; the asymptotic CKA and QSS thresholds coincide
+    outdir, _ = figures
+    noise = {row["n_parties"]: row for row in _read_table(outdir / "fig3_noise_thresholds.csv")}
+    distance = {
+        row["n_parties"]: row
+        for row in _read_table(outdir / "fig3_distance_thresholds.csv")
+        if row["f_depol"] == "0.01"
+    }
+    checked = 0
+    for panel, asymptotic, column in (
+        ("noise", noise, "f_depol_threshold"),
+        ("distance", distance, "d_km_threshold"),
+    ):
+        for task in ("qss", "cka"):
+            for row in _read_table(outdir / f"fig6_{panel}_thresholds_{task}.csv"):
+                if float(row["block_size"]) != 1e10:
+                    continue
+                reference = asymptotic[row["n_parties"]]
+                assert row["status"] == reference["status"] == "ok"
+                value, limit = float(row[column]), float(reference[column])
+                assert abs(value - limit) <= 0.05 * limit, (panel, task, row["n_parties"])
+                checked += 1
+    assert checked == 4 * 6
 
 
 def test_manifest_lists_tables(tmp_path):
