@@ -3,6 +3,7 @@ optimization and multipartite-advantage profiles over the player number."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,20 @@ from .optimize import ScalarMaximum
 from .rates import asymptotic_rate
 
 
+# An entry holds a NetworkConfig, a NoiseParams and a QberPair with its key
+# tuple: about 700 bytes by tracemalloc over 4096 distinct entries, so a
+# full memo stays below 3 MB.
+_MEMORY_DRAWS = 4096
+
+
+@functools.lru_cache(maxsize=_MEMORY_DRAWS, typed=True)
+def _memory_qbers(cfg: NetworkConfig, noise: NoiseParams, mc_samples: int, seed: int) -> QberPair:
+    # a draw is a pure function of its stream, so equal inputs share it;
+    # typed, so a float sample count or seed, which cannot draw, gets no int's entry
+    qbers, _ = expected_memory_qbers(cfg, noise, mc_samples, as_rng([seed, cfg.n_parties]))
+    return qbers
+
+
 def scenario_qbers(
     cfg: NetworkConfig,
     spec: ProtocolSpec,
@@ -40,14 +55,17 @@ def scenario_qbers(
 
     Memoryless runs use the closed-form channel model; memory-assisted runs
     sample the dephasing chain with a seed derived from (seed, party count)
-    so repeated evaluations are reproducible.
+    so repeated evaluations are reproducible.  The error rates depend on
+    the family only through the formula party count, and not at all on
+    p_key or the block size, so each distinct (network at that party count,
+    noise, samples, seed) is drawn once per process and kept in a bounded
+    memo of the most recent draws.
     """
     n_formula = formula_party_count(cfg, spec)
     if not spec.memories:
         return memoryless_qber(noise.f_depol, n_formula)
     cfg_eff = cfg if n_formula == cfg.n_parties else cfg.with_parties(2)
-    qbers, _ = expected_memory_qbers(cfg_eff, noise, mc_samples, as_rng([seed, n_formula]))
-    return qbers
+    return _memory_qbers(cfg_eff, noise, mc_samples, seed)
 
 
 def optimized_fraction(

@@ -24,8 +24,7 @@ from .analysis import (
 )
 from .config import SCHEMA, ConfigError, Scenario, load_config, resolve_scenario
 from .finite import expected_key_length
-from .network import Family, ProtocolSpec, formula_party_count, yields
-from .noise import QberPair
+from .network import Family, ProtocolSpec, yields
 from .oracle import EXACT_RTOL, MAX_ORACLE_PARTIES, ORACLE_TOL, oracle_grid, parity_check_rows, sifting_check_rows
 from .rates import asymptotic_rate
 from .tables import ResultTable
@@ -88,33 +87,9 @@ def _metadata(scenario: Scenario, command: str) -> dict[str, str]:
     return meta
 
 
-def _qbers(memo: dict, scenario: Scenario, spec: ProtocolSpec) -> QberPair:
-    """scenario_qbers, evaluated once per distinct sample within one command.
-
-    The error rates depend on the family only through the formula party
-    count, and not at all on p_key or the block size, so every row sharing
-    (memories, formula party count, distances, noise, samples, seed) reuses
-    one Monte Carlo draw.  The memo is created by the command and dropped
-    with it.
-    """
+def _rate_row(scenario: Scenario, spec: ProtocolSpec) -> list:
     cfg = scenario.network
-    key = (
-        spec.memories,
-        formula_party_count(cfg, spec),
-        cfg.d_a_km,
-        cfg.d_b_km,
-        scenario.noise,
-        scenario.mc_samples,
-        scenario.seed,
-    )
-    if key not in memo:
-        memo[key] = scenario_qbers(cfg, spec, scenario.noise, scenario.mc_samples, scenario.seed)
-    return memo[key]
-
-
-def _rate_row(scenario: Scenario, spec: ProtocolSpec, memo: dict) -> list:
-    cfg = scenario.network
-    qbers = _qbers(memo, scenario, spec)
+    qbers = scenario_qbers(cfg, spec, scenario.noise, scenario.mc_samples, scenario.seed)
     if scenario.optimize_p_key:
         opt, result = optimized_fraction(
             cfg, spec.family, scenario.finite, qbers, spec.memories, spec.basis_strategy
@@ -188,9 +163,8 @@ def _load(args: argparse.Namespace) -> dict:
 def cmd_rate(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(_load(args))
     table = ResultTable(RATE_COLUMNS, metadata=_metadata(scenario, "rate"))
-    memo: dict = {}
     for spec in scenario.specs:
-        table.add_row(*_rate_row(scenario, spec, memo))
+        table.add_row(*_rate_row(scenario, spec))
     _emit(table, args.out, scenario)
     return EXIT_OK
 
@@ -210,12 +184,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     # a point the model rejects is blamed on the sweep.parameter setting
     _, source, line = items["sweep.parameter"]
-    memo: dict = {}
     for value in values:
         text = str(int(round(value))) if sweep.parameter == "network.N" else repr(float(value))
         point = resolve_scenario({**items, sweep.parameter: (text, source, line)})
         for spec in point.specs:
-            table.add_row(text, *_rate_row(point, spec, memo))
+            table.add_row(text, *_rate_row(point, spec))
     _emit(table, args.out, scenario)
     return EXIT_OK
 

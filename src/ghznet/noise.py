@@ -122,7 +122,7 @@ def ghz_prefactors(alpha: float, beta: float, f_depol: float, n_parties: int) ->
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
     check_probability(f_depol, "f_depol")
-    flip_all = 2 ** (n_parties - 1) * (f_depol / 4.0) ** n_parties
+    flip_all = math.ldexp((f_depol / 4.0) ** n_parties, n_parties - 1)
     a = (1.0 - 0.75 * f_depol) * alpha + 0.25 * f_depol * beta + flip_all
     b = (1.0 - 0.75 * f_depol) * beta + 0.25 * f_depol * alpha + flip_all
     return GhzPrefactors(a, b, alpha, beta)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ghznet import analysis
 from ghznet.analysis import (
     ThresholdQuery,
     _advantage,
@@ -19,6 +20,7 @@ from ghznet.network import Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, memoryless_qber
 from ghznet.optimize import UNIT_GRID, grid_peak, maximize_unit_interval
 from ghznet.rates import asymptotic_rate
+from ghznet.reproduce import run_reproduce
 
 
 def test_noiseless_distance_thresholds():
@@ -287,6 +289,40 @@ def test_scenario_qbers_dispatch():
     again = scenario_qbers(cfg, ProtocolSpec(Family.MQSS, memories=True), noise, 500, 3)
     assert mem == again
     assert mem.q_x > plain.q_x - 0.01
+
+
+MEMO_BASE = {"N": 3, "d_A": 50.0, "d_B": 4.0, "f_D": 0.01, "T2": 1.0, "Tp": 2e-6, "samples": 200, "seed": 7}
+
+
+def _memo_qbers(N, d_A, d_B, f_D, T2, Tp, samples, seed):
+    cfg = NetworkConfig(N, d_A, d_B)
+    noise = NoiseParams(f_D, t2_s=T2, prep_time_s=Tp)
+    return scenario_qbers(cfg, ProtocolSpec(Family.MQSS, memories=True), noise, samples, seed)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", 4), ("d_A", 60.0), ("d_B", 5.0), ("f_D", 0.02), ("T2", 2.0), ("Tp", 3e-6), ("samples", 201), ("seed", 8)],
+)
+def test_memory_draw_memo_keys_on_every_input(memory_draws, key, value):
+    base = _memo_qbers(**MEMO_BASE)
+    assert len(memory_draws) == 1
+    assert _memo_qbers(**MEMO_BASE) is base
+    assert len(memory_draws) == 1
+    moved = _memo_qbers(**{**MEMO_BASE, key: value})
+    assert len(memory_draws) == 2
+    assert moved != base
+
+
+def test_memory_draw_memo_is_bounded():
+    maxsize = analysis._memory_qbers.cache_info().maxsize
+    assert isinstance(maxsize, int) and 0 < maxsize < 1_000_000
+
+
+def test_fig7_draws_each_distinct_sample_once(memory_draws, tmp_path):
+    # six memory profiles (three blocks, two tasks) of N = 2..20 share 19 draws
+    run_reproduce("fig7", str(tmp_path))
+    assert sorted(memory_draws) == list(range(2, 21))
 
 
 def test_advantage_ratio_with_ideal_memories():

@@ -146,20 +146,6 @@ def _data_rows(out):
     return [l for l in out.splitlines() if l and not l.startswith("#")][1:]
 
 
-@pytest.fixture
-def memory_draws(monkeypatch):
-    """Party counts of every memory Monte Carlo run, in call order."""
-    calls = []
-    original = ghznet.analysis.expected_memory_qbers
-
-    def counted(cfg, *args, **kwargs):
-        calls.append(cfg.n_parties)
-        return original(cfg, *args, **kwargs)
-
-    monkeypatch.setattr(ghznet.analysis, "expected_memory_qbers", counted)
-    return calls
-
-
 def test_cli_sweep_rows_equal_single_family_rates(config_file, capsys):
     assert main(["sweep", "--config", config_file, *N_SWEEP]) == EXIT_OK
     swept = _data_rows(capsys.readouterr().out)
@@ -181,14 +167,25 @@ def test_cli_sweep_draws_each_memory_sample_once(config_file, capsys, memory_dra
     assert memory_draws == [2, 3, 4, 5, 6]
 
 
-def test_cli_memo_lasts_one_command(config_file, capsys, memory_draws):
+def test_cli_second_sweep_reuses_every_draw(config_file, capsys, memory_draws):
+    # the memo outlives the command: a repeated sweep in the same process
+    # draws nothing and prints the same bytes
     argv = ["sweep", "--config", config_file, *N_SWEEP]
     assert main(argv) == EXIT_OK
     first_out, first_calls = capsys.readouterr().out, len(memory_draws)
     assert first_calls > 0
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == first_out
-    assert len(memory_draws) == 2 * first_calls
+    assert len(memory_draws) == first_calls
+
+
+def test_cli_rate_runs_past_a_thousand_parties(capsys):
+    # 2^(N-1) * (f/4)^N once overflowed the int-to-float conversion at N >= 1025
+    argv = ["rate", "--set", "network.N=1100", "--set", "protocol.memories=true", "--set", "mc.samples=10"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    (row,) = _data_rows(captured.out)
+    assert row.split(",")[3] == "1100" and "Traceback" not in captured.err
 
 
 # sha256 of the stdout of four memory sweeps over all four families (the

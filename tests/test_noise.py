@@ -114,6 +114,20 @@ def test_ghz_prefactors_plugin_value():
     assert pref.b == pytest.approx(0.01 + 2.0 * 0.01**2, abs=1e-15)
 
 
+@pytest.mark.parametrize("f_depol", [0.0, 0.01, 0.04, 0.3, 1.0])
+def test_ghz_prefactors_flip_term_from_ldexp(f_depol):
+    # at alpha = beta = 0 both weights are the all-flipped term alone; it
+    # equals the integer-power product bit for bit wherever that product ran
+    for n in range(2, 1025):
+        pref = ghz_prefactors(0.0, 0.0, f_depol, n)
+        assert pref.a == pref.b == 2 ** (n - 1) * (f_depol / 4.0) ** n, n
+    # past N = 1024 the integer power no longer converts to a float
+    with pytest.raises(OverflowError):
+        2 ** 1024 * (f_depol / 4.0) ** 1025
+    # where (f/4)^N underflows, the term is 0
+    assert ghz_prefactors(0.0, 0.0, f_depol, 1100).a == 0.0
+
+
 @given(
     st.integers(min_value=2, max_value=8),
     unit,
