@@ -42,8 +42,8 @@ COMMAND_KEYS = {
     "profile": _SCENARIO_KEYS - {"protocol.p_key", "protocol.basis_strategy"},
     # a memoryless symmetric star, at a distance from network.d_km or d_B_km
     "threshold": frozenset(
-        ("network.N", "network.d_km", "network.d_B_km", "noise.f_D", "finite.block_size",
-         "finite.epsilon", "output.path")
+        ("network.N", "network.d_km", "network.d_B_km", "noise.f_D", "protocol.family",
+         "finite.block_size", "finite.epsilon", "output.path")
     ),
 }
 
@@ -193,24 +193,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# the task a profile's multipartite family sets
-PROFILE_TASKS = {Family.MQSS: "QSS", Family.MCKA: "CKA"}
+# the task of each multipartite family, for the commands that take one task
+TASKS = {Family.MQSS: "QSS", Family.MCKA: "CKA"}
+
+
+def _task(items: dict, scenario: Scenario, command: str) -> str:
+    """The task of the scenario's one family, which must be mQSS or mCKA."""
+    spec, *others = scenario.specs
+    if others or spec.family not in TASKS:
+        text, source, line = items["protocol.family"]
+        raise ConfigError(f"{command} takes one family, mQSS or mCKA, got {text!r}", source, line)
+    return TASKS[spec.family]
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     items = _load(args)
     scenario = resolve_scenario(items)
-    spec, *others = scenario.specs
-    if others or spec.family not in PROFILE_TASKS:
-        text, source, line = items["protocol.family"]
-        raise ConfigError(f"profile takes one family, mQSS or mCKA, got {text!r}", source, line)
+    task = _task(items, scenario, "profile")
     profile = advantage_profile(
         scenario.network,
         scenario.noise,
         scenario.network.n_parties,
-        spec.memories,
+        scenario.specs[0].memories,
         scenario.finite,
-        PROFILE_TASKS[spec.family],
+        task,
         scenario.mc_samples,
         scenario.seed,
     )
@@ -233,60 +239,31 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _threshold_overrides(args: argparse.Namespace) -> dict[str, str]:
-    """The keys whose setting an argument of `threshold` replaces, each with
-    that argument: the scanned quantity, the held one under --fixed and
-    network.N under --n."""
-    distance_keys = ("network.d_km", "network.d_B_km")
-    if args.target == "noise":
-        scanned, held = ("noise.f_D",), distance_keys
-    else:
-        scanned, held = distance_keys, ("noise.f_D",)
-    overrides = dict.fromkeys(scanned, f"--target {args.target}")
-    if args.fixed is not None:
-        overrides.update(dict.fromkeys(held, "--fixed"))
-    if args.n is not None:
-        overrides["network.N"] = "--n"
-    return overrides
-
-
 def cmd_threshold(args: argparse.Namespace) -> int:
     items = _load(args)
-    overrides = _threshold_overrides(args)
-    for key, (_, source, line) in items.items():
-        if key in overrides:
-            raise ConfigError(f"{overrides[key]} overrides {key}", source, line)
-    scenario = resolve_scenario(items)
-    block_size = scenario.finite.block_size if scenario.finite else None
     noise_target = args.target == "noise"
-    # one of f_D in [0, 1] and the distance in [0, inf) is scanned, the other held
-    noise_range, distance_range = (0.0, 1.0), (0.0, math.inf)
-    scanned, held = (
-        (noise_range, distance_range) if noise_target else (distance_range, noise_range)
-    )
+    # the scanned quantity's own keys would be resolved, printed and unused
+    scanned_keys = ("noise.f_D",) if noise_target else ("network.d_km", "network.d_B_km")
+    for key in scanned_keys:
+        if key in items:
+            _, source, line = items[key]
+            raise ConfigError(f"--target {args.target} overrides {key}", source, line)
+    scenario = resolve_scenario(items)
+    task = _task(items, scenario, "threshold")
     if args.bracket:
         lo, hi = args.bracket
-        if not (scanned[0] <= lo < hi <= scanned[1] and math.isfinite(hi)):
-            raise ConfigError(
-                f"--bracket needs finite lo < hi within {list(scanned)}, got {lo!r} {hi!r}"
-            )
-    if args.n is not None and args.n < 2:
-        raise ConfigError(f"--n needs at least 2 players, got {args.n}")
-    if args.fixed is not None and not (
-        held[0] <= args.fixed <= held[1] and math.isfinite(args.fixed)
-    ):
-        raise ConfigError(f"--fixed must be finite and within {list(held)}, got {args.fixed!r}")
-    fixed = args.fixed
-    if fixed is None:
-        fixed = scenario.network.d_b_km if noise_target else scenario.noise.f_depol
+        scan_range = [0.0, 1.0] if noise_target else [0.0, math.inf]
+        if not (scan_range[0] <= lo < hi <= scan_range[1] and math.isfinite(hi)):
+            raise ConfigError(f"--bracket needs finite lo < hi within {scan_range}, got {lo!r} {hi!r}")
+    held = scenario.network.d_b_km if noise_target else scenario.noise.f_depol
+    finite = scenario.finite
     query = ThresholdQuery(
         args.target,
-        args.n or scenario.network.n_parties,
-        fixed_noise=None if noise_target else fixed,
-        fixed_distance_km=fixed if noise_target else None,
-        task=args.task,
-        block_size=block_size,
-        epsilon=scenario.finite.epsilon if scenario.finite else 1e-10,
+        scenario.network.n_parties,
+        fixed_noise=None if noise_target else held,
+        fixed_distance_km=held if noise_target else None,
+        task=task,
+        **({} if finite is None else {"block_size": finite.block_size, "epsilon": finite.epsilon}),
     )
     default_bracket = (1e-9, 0.5) if noise_target else (1e-3, 60.0)
     bracket = tuple(args.bracket) if args.bracket else default_bracket
@@ -299,8 +276,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         query.target,
         query.task,
         query.n_parties,
-        "asymptotic" if block_size is None else f"block={block_size:g}",
-        fixed,
+        "asymptotic" if finite is None else f"block={finite.block_size:g}",
+        held,
         bracket[0],
         bracket[1],
         result.value,
@@ -417,10 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thr = sub.add_parser("threshold", help="bisect the multi/bi-partite crossing")
     add_common(p_thr)
-    p_thr.add_argument("--target", choices=("noise", "distance"), required=True)
-    p_thr.add_argument("--task", choices=("QSS", "CKA"), default="QSS")
-    p_thr.add_argument("--n", type=int, help="player count (default: network.N)")
-    p_thr.add_argument("--fixed", type=float, help="the non-scanned parameter value")
+    p_thr.add_argument(
+        "--target", choices=("noise", "distance"), required=True, help="scan noise.f_D or the link distance"
+    )
     p_thr.add_argument("--bracket", type=float, nargs=2, help="search bracket")
     p_thr.set_defaults(func=cmd_threshold)
 

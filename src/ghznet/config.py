@@ -1,8 +1,9 @@
 """Plain-text scenario configuration: key=value lines, strict key checking.
 
-No environment variables and no hidden defaults at run time: every run
-resolves to an explicit key/value mapping that is embedded verbatim in the
-output headers, so a table plus its header reproduces the run.
+No environment variables: a run reads only its config file and `--set`
+strings.  Output headers carry the keys that were set, verbatim; every key
+left unset takes its value from DEFAULTS, so a table plus its header and
+this version's DEFAULTS reproduce the run.
 """
 
 from __future__ import annotations
@@ -75,6 +76,26 @@ SCHEMA: dict[str, Callable[[str], object]] = {
     "sweep.steps": _parse_int,
     "sweep.log": _parse_bool,
     "output.path": _parse_str,
+}
+
+# The value of each key that no source sets.  Keys absent here have no
+# default: their absence selects a mode (asymptotic rates without
+# finite.block_size, an asymmetric star without network.d_km, the family's
+# own basis strategy, no sweep, stdout).
+DEFAULTS: dict[str, object] = {
+    "network.N": 3,
+    "network.d_A_km": 50.0,
+    "network.d_B_km": 4.0,
+    "noise.f_D": 0.01,
+    "memory.T2_s": 1.0,
+    "memory.Tp_s": 2e-6,
+    "protocol.family": "mQSS",
+    "protocol.memories": False,
+    "protocol.p_key": 1.0,
+    "finite.epsilon": 1e-10,
+    "mc.samples": 1000,
+    "mc.seed": 1,
+    "sweep.log": False,
 }
 
 # Smallest accepted security parameter: the key-length log term divides by
@@ -151,10 +172,16 @@ def load_config(
     items: dict[str, tuple[str, str, int]] = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}", path) from exc
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line of the first undecodable byte, counted as parse_kv_text counts
+            line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+            raise ConfigError(f"not UTF-8: cannot decode byte 0x{data[exc.start]:02x}", path, line) from exc
         parse_kv_text(text, path, items)
     for index, override in enumerate(overrides, start=1):
         parsed = parse_kv_text(override, f"--set[{index}]")
@@ -163,11 +190,9 @@ def load_config(
     return items
 
 
-def _value(
-    items: dict[str, tuple[str, str, int]], key: str, default=None
-):
+def _value(items: dict[str, tuple[str, str, int]], key: str):
     if key not in items:
-        return default
+        return DEFAULTS.get(key)
     text, source, line = items[key]
     try:
         return SCHEMA[key](text)
@@ -182,20 +207,20 @@ def _fail_on(items, key, message):
     raise ConfigError(message)
 
 
-def _build(items, factory, keys: tuple[tuple[str, object], ...]):
-    """factory(*values of keys), each key read from items or its default.
+def _build(items, factory, keys: tuple[str, ...]):
+    """factory(*values of keys), each key read from items or DEFAULTS.
 
     A ValueError from the model names the key whose value it rejects: the
     values are replayed over the defaults one key at a time, and the first
     key whose value makes factory fail is blamed with its source and line.
     The replay runs only on failure.
     """
-    values = [_value(items, key, default) for key, default in keys]
+    values = [_value(items, key) for key in keys]
     try:
         return factory(*values)
     except ValueError:
-        probe = [default for _, default in keys]
-        for i, (key, _) in enumerate(keys):
+        probe = [DEFAULTS.get(key) for key in keys]
+        for i, key in enumerate(keys):
             probe[i] = values[i]
             try:
                 factory(*probe)
@@ -207,7 +232,9 @@ def _build(items, factory, keys: tuple[tuple[str, object], ...]):
 def _finite_size_params(epsilon, block_size) -> FiniteSizeParams:
     if not MIN_EPSILON <= epsilon < 1.0:
         raise ValueError(f"finite.epsilon must lie in [{MIN_EPSILON:g}, 1), got {epsilon!r}")
-    return FiniteSizeParams(epsilon, block_size)
+    # a finite.block_size sweep sets the block at each point; the scenario
+    # itself holds the smallest one
+    return FiniteSizeParams(epsilon, 1.0 if block_size is None else block_size)
 
 
 def _fail_on_first(items, prefix, message):
@@ -225,19 +252,15 @@ def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
 
 
 def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
+    network_items = items
     if "network.d_km" in items:
         if "network.d_A_km" in items or "network.d_B_km" in items:
             _fail_on(items, "network.d_km", "network.d_km excludes network.d_A_km/d_B_km")
-        network = _build(
-            items, NetworkConfig.make_symmetric, (("network.N", 3), ("network.d_km", 50.0))
-        )
-    else:
-        network = _build(
-            items,
-            NetworkConfig,
-            (("network.N", 3), ("network.d_A_km", 50.0), ("network.d_B_km", 4.0)),
-        )
-    memories = _value(items, "protocol.memories", False)
+        # a symmetric star: network.d_km sets both link distances
+        d_km = items["network.d_km"]
+        network_items = {**items, "network.d_A_km": d_km, "network.d_B_km": d_km}
+    network = _build(network_items, NetworkConfig, ("network.N", "network.d_A_km", "network.d_B_km"))
+    memories = _value(items, "protocol.memories")
     if memories and network.p_a > network.p_b:
         key = "network.d_A_km" if "network.d_A_km" in items else "network.d_B_km"
         _fail_on(items, key, "memory-assisted networks need d_A_km >= d_B_km")
@@ -245,18 +268,14 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         key = "network.d_A_km" if "network.d_A_km" in items else "network.d_km"
         message = f"memory-assisted networks need p_a > 0; {key} = {network.d_a_km:g} gives 0"
         _fail_on(items, key, message)
-    mc_samples = _value(items, "mc.samples", 1000)
+    mc_samples = _value(items, "mc.samples")
     if mc_samples < 1:
         _fail_on(items, "mc.samples", "mc.samples must be >= 1")
-    seed = _value(items, "mc.seed", 1)
+    seed = _value(items, "mc.seed")
     if seed < 0:
         _fail_on(items, "mc.seed", f"mc.seed must be >= 0, got {seed}")
-    noise = _build(
-        items,
-        NoiseParams,
-        (("noise.f_D", 0.01), ("memory.T2_s", 1.0), ("memory.Tp_s", 2e-6)),
-    )
-    family_text = _value(items, "protocol.family", "mQSS")
+    noise = _build(items, NoiseParams, ("noise.f_D", "memory.T2_s", "memory.Tp_s"))
+    family_text = _value(items, "protocol.family")
     try:
         families = tuple(Family(part.strip()) for part in family_text.split(","))
     except ValueError:
@@ -273,7 +292,7 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     swept = _value(items, "sweep.parameter")
     # a block-size sweep supplies finite.block_size at every point
     sized = "finite.block_size" in items or swept == "finite.block_size"
-    p_key = _value(items, "protocol.p_key", 1.0)
+    p_key = _value(items, "protocol.p_key")
     optimize_p_key = p_key == "opt"
     if optimize_p_key:
         if swept == "protocol.p_key":
@@ -286,9 +305,7 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
     specs = tuple(ProtocolSpec(family, memories, strategy, p_key) for family in families)
     finite = None
     if sized:
-        finite = _build(
-            items, _finite_size_params, (("finite.epsilon", 1e-10), ("finite.block_size", 1.0))
-        )
+        finite = _build(items, _finite_size_params, ("finite.epsilon", "finite.block_size"))
     elif any(key.startswith("finite.") for key in items):
         _fail_on_first(items, "finite.", "finite.* keys need finite.block_size")
     sweep = None
@@ -302,7 +319,7 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         steps = _value(items, "sweep.steps")
         if steps < 2:
             _fail_on(items, "sweep.steps", "sweep.steps must be >= 2")
-        log = _value(items, "sweep.log", False)
+        log = _value(items, "sweep.log")
         endpoints = []
         for endpoint in ("sweep.from", "sweep.to"):
             value = _value(items, endpoint)

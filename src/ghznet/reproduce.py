@@ -17,6 +17,7 @@ from .analysis import (
     optimized_fraction,
     scenario_qbers,
 )
+from .config import DEFAULTS
 from .finite import BestFraction, FiniteSizeParams, bipartite_optimal
 from .network import Family, NetworkConfig, ProtocolSpec
 from .noise import NoiseParams, memoryless_qber
@@ -24,15 +25,18 @@ from .optimize import ScalarMaximum
 from .rates import asymptotic_rate
 from .tables import ResultTable
 
-# Shared parameters of the finite-size and memory panels.
-ASYM_D_A_KM = 50.0
-ASYM_D_B_KM = 4.0
-F_DEPOL = 0.01
-EPSILON = 1e-10
-T2_S = 1.0
-TP_S = 2e-6
-MC_SAMPLES = 1000
-DEFAULT_N = 3
+# Shared parameters of the finite-size and memory panels: the default scenario.
+ASYM_D_A_KM = DEFAULTS["network.d_A_km"]
+ASYM_D_B_KM = DEFAULTS["network.d_B_km"]
+F_DEPOL = DEFAULTS["noise.f_D"]
+EPSILON = DEFAULTS["finite.epsilon"]
+T2_S = DEFAULTS["memory.T2_s"]
+TP_S = DEFAULTS["memory.Tp_s"]
+MC_SAMPLES = DEFAULTS["mc.samples"]
+DEFAULT_N = DEFAULTS["network.N"]
+# the held distance of the noise-threshold panels, the one `ghznet threshold
+# --target noise` holds by default
+THRESHOLD_D_KM = DEFAULTS["network.d_B_km"]
 
 BLOCK_GRID = tuple(float(b) for b in np.logspace(4, 12, 17))
 THRESHOLD_BLOCKS = (1e6, 1e8, 1e10)
@@ -78,17 +82,17 @@ def _fig3(outdir: str, seed: int, manifest: list[str]) -> None:
     n_values = range(3, 11)
     noise_table = ResultTable(
         ["n_parties", "f_depol_threshold", "status"],
-        metadata=_meta("fig3", seed, fixed_d_km=4.0, panel="noise-threshold"),
+        metadata=_meta("fig3", seed, fixed_d_km=THRESHOLD_D_KM, panel="noise-threshold"),
     )
     for n in n_values:
         res = find_threshold(
-            ThresholdQuery("noise", n, fixed_distance_km=4.0), (1e-9, 0.5), xtol=1e-7
+            ThresholdQuery("noise", n, fixed_distance_km=THRESHOLD_D_KM), (1e-9, 0.5), xtol=1e-7
         )
         noise_table.add_row(n, res.value, res.status)
     _write(noise_table, outdir, "fig3_noise_thresholds.csv", manifest)
     distance_table = ResultTable(
         ["n_parties", "f_depol", "d_km_threshold", "status"],
-        metadata=_meta("fig3", seed, panel="distance-threshold", f_depol_values="0,0.01"),
+        metadata=_meta("fig3", seed, panel="distance-threshold", f_depol_values=f"0,{F_DEPOL:g}"),
     )
     for f_depol in (0.0, F_DEPOL):
         for n in n_values:
@@ -148,7 +152,7 @@ def _block_sweep(seed: int) -> list[dict]:
         # best_cka_fraction's selection, pre-shared strategy first
         cka = BestFraction(multi_models(cfg, "CKA", fsp, qb_multi, memories=True))
         bi = bipartite_optimal(cfg, noise, fsp, memory_qbers=qb_bi)
-        # an indeterminate link optimum has p_key nan
+        # an indeterminate link optimum has p_key nan: an empty cell
         pre_p, pre_v = bi.candidates[(Family.BCKA.value, True)]
         sw_p, sw_v = bi.candidates[(Family.BQSS.value, True)]
         rows.append({
@@ -163,8 +167,8 @@ def _block_sweep(seed: int) -> list[dict]:
             "bipartite_choice": f"{bi.family.value}{'+mem' if bi.memories else ''}",
             "b_preshared": pre_v,
             "b_switching": sw_v,
-            "p_key_b_preshared": pre_p,
-            "p_key_b_switching": sw_p,
+            "p_key_b_preshared": None if math.isnan(pre_p) else pre_p,
+            "p_key_b_switching": None if math.isnan(sw_p) else sw_p,
             "asymptote_multi": asym_multi,
             "asymptote_bipartite": asym_bi,
         })
@@ -213,14 +217,9 @@ def _fig_c2(outdir: str, seed: int, manifest: list[str]) -> None:
             f_depol=F_DEPOL, epsilon=EPSILON, memories="true",
         ),
     )
+    columns = ("block_size", "p_key_mCKA_preshared", "p_key_mQSS", "p_key_b_preshared", "p_key_b_switching")
     for row in _block_sweep(seed):
-        p_links = (row["p_key_b_preshared"], row["p_key_b_switching"])
-        table.add_row(
-            row["block_size"],
-            row["p_key_mCKA_preshared"],
-            row["p_key_mQSS"],
-            *(None if math.isnan(p) else p for p in p_links),
-        )
+        table.add_row(*(row[column] for column in columns))
     _write(table, outdir, "figC2_optimal_pkey.csv", manifest)
 
 
@@ -230,7 +229,7 @@ def _fig6(outdir: str, seed: int, manifest: list[str]) -> None:
     for task in ("QSS", "CKA"):
         noise_table = ResultTable(
             ["task", "block_size", "n_parties", "f_depol_threshold", "status"],
-            metadata=_meta("fig6", seed, fixed_d_km=4.0, epsilon=EPSILON, panel="noise"),
+            metadata=_meta("fig6", seed, fixed_d_km=THRESHOLD_D_KM, epsilon=EPSILON, panel="noise"),
         )
         dist_table = ResultTable(
             ["task", "block_size", "n_parties", "d_km_threshold", "status"],
@@ -240,7 +239,7 @@ def _fig6(outdir: str, seed: int, manifest: list[str]) -> None:
             for n in n_values:
                 res = find_threshold(
                     ThresholdQuery(
-                        "noise", n, fixed_distance_km=4.0, task=task,
+                        "noise", n, fixed_distance_km=THRESHOLD_D_KM, task=task,
                         block_size=block, epsilon=EPSILON,
                     ),
                     (1e-9, 0.5),

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 import ghznet
 from ghznet import reproduce
 from ghznet.analysis import advantage_profile
-from ghznet.cli import EXIT_CONFIG, EXIT_OK, RATE_COLUMNS, build_parser, main
-from ghznet.config import SCHEMA, ConfigError, load_config, parse_kv_text, resolve_scenario
+from ghznet.cli import COMMAND_KEYS, EXIT_CONFIG, EXIT_OK, RATE_COLUMNS, build_parser, main
+from ghznet.config import DEFAULTS, SCHEMA, ConfigError, load_config, parse_kv_text, resolve_scenario
 from ghznet.finite import FiniteSizeParams
 from ghznet.network import NetworkConfig
 from ghznet.noise import NoiseParams
@@ -83,6 +84,56 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"{bad}:2" in captured.err
+
+
+@pytest.mark.parametrize("command", ["rate", "sweep", "profile", "threshold"])
+def test_cli_non_utf8_config_names_its_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"network.N = 3\n\xff = 2\n")
+    argv = [command, "--config", str(bad)] + (["--target", "noise"] if command == "threshold" else [])
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}:2: ")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+# command, its arguments, the keys every run of it sets and the keys it
+# refuses besides: a threshold's scanned quantity
+DEFAULTS_RUNS = [
+    pytest.param(command, [], base, (), id=f"{command}-{name}")
+    for command in ("rate", "sweep", "profile")
+    for name, base in (("memoryless", ()), ("memories", ("protocol.memories=true",)))
+] + [
+    pytest.param("threshold", ["--target", "noise"], (), ("noise.f_D",), id="threshold-noise"),
+    pytest.param(
+        "threshold", ["--target", "distance"], (), ("network.d_km", "network.d_B_km"),
+        id="threshold-distance",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,arguments,base,refused", DEFAULTS_RUNS)
+def test_cli_defaults_table_is_what_unset_keys_take(capsys, command, arguments, base, refused):
+    # every DEFAULTS key the command takes, set to its default, prints the
+    # rows of a run that sets none of them; finite.epsilon needs a block size
+    base = ("finite.block_size=1e8", *base)
+    if command == "sweep":
+        base += ("sweep.parameter=noise.f_D", "sweep.from=0", "sweep.to=0.02", "sweep.steps=3")
+    set_keys = {setting.split("=")[0] for setting in base} | set(refused)
+    defaults = [
+        f"{key}={value}"
+        for key, value in DEFAULTS.items()
+        if key in COMMAND_KEYS[command] and key not in set_keys
+    ]
+    assert defaults
+    rows = []
+    for settings in (base, (*base, *defaults)):
+        argv = [command, *arguments]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == EXIT_OK
+        rows.append(_data_rows(capsys.readouterr().out))
+    assert rows[0] and rows[0] == rows[1]
 
 
 def test_cli_rate_runs_and_is_reproducible(config_file, capsys):
@@ -264,8 +315,8 @@ def test_oracle_check_output_is_pinned(capsys, name):
 
 def test_cli_threshold_matches_analytic(capsys):
     code = main(
-        ["threshold", "--target", "distance", "--task", "QSS", "--n", "3",
-         "--fixed", "0.0", "--bracket", "1", "30"]
+        ["threshold", "--target", "distance", "--set", "network.N=3", "--set", "noise.f_D=0",
+         "--bracket", "1", "30"]
     )
     assert code == EXIT_OK
     out = capsys.readouterr().out
@@ -459,7 +510,6 @@ def test_cli_threshold_rejects_unused_epsilon_overrides(capsys, key):
     [
         "protocol.memories=true",
         "network.d_A_km=80",
-        "protocol.family=bCKA",
         "protocol.basis_strategy=switching",
         "protocol.p_key=0.5",
         "memory.T2_s=5",
@@ -488,18 +538,13 @@ def test_cli_threshold_rejects_settings_it_would_ignore(tmp_path, capsys, settin
         (["--target", "noise"], "noise.f_D=0.3", "--target noise"),
         (["--target", "distance"], "network.d_km=10", "--target distance"),
         (["--target", "distance"], "network.d_B_km=10", "--target distance"),
-        (["--target", "noise", "--n", "4"], "network.N=7", "--n"),
-        (["--target", "distance", "--n", "4"], "network.N=7", "--n"),
-        (["--target", "noise", "--fixed", "1"], "network.d_km=10", "--fixed"),
-        (["--target", "noise", "--fixed", "1"], "network.d_B_km=10", "--fixed"),
-        (["--target", "distance", "--fixed", "0.01"], "noise.f_D=0.3", "--fixed"),
     ],
 )
 def test_cli_threshold_rejects_settings_its_arguments_override(
     tmp_path, capsys, arguments, setting, argument
 ):
-    # the scanned quantity, the --fixed one and the --n player count replace
-    # the key, which would be resolved, printed in the header and unused
+    # the scanned quantity replaces its key, which would be resolved,
+    # printed in the header and unused
     key = setting.split("=")[0]
     assert main(["threshold", *arguments, "--set", setting]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: --set[1]:1: {argument} overrides {key}")
@@ -507,14 +552,31 @@ def test_cli_threshold_rejects_settings_its_arguments_override(
     config.write_text(f"finite.block_size = 1e8\n{setting.replace('=', ' = ')}\n")
     assert main(["threshold", *arguments, "--config", str(config)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: {config}:2: {argument} overrides {key}")
-    if argument in ("--n", "--fixed"):
-        # without the overriding argument the key sets the value it replaced
-        index = arguments.index(argument)
-        kept = arguments[:index] + arguments[index + 2:]
-        assert main(["threshold", *kept, "--set", setting]) == EXIT_OK
-        row = capsys.readouterr().out.splitlines()[-1].split(",")
-        column = 2 if argument == "--n" else 4  # n_parties, fixed_value
-        assert float(row[column]) == float(setting.split("=")[1])
+
+
+@pytest.mark.parametrize(
+    "target,setting,column,value",
+    [
+        ("noise", "network.N=7", "n_parties", "7"),
+        ("distance", "network.N=7", "n_parties", "7"),
+        ("noise", "network.d_km=10", "fixed_value", "10"),
+        ("noise", "network.d_B_km=10", "fixed_value", "10"),
+        ("distance", "noise.f_D=0.3", "fixed_value", "0.3"),
+        ("noise", "protocol.family=mCKA", "task", "CKA"),
+        ("noise", "protocol.family=mQSS", "task", "QSS"),
+    ],
+)
+def test_cli_threshold_reads_its_query_from_the_keys(capsys, target, setting, column, value):
+    # the player count, the held quantity and the task are scenario keys
+    assert main(["threshold", "--target", target, "--set", setting]) == EXIT_OK
+    header, row = (l for l in capsys.readouterr().out.splitlines() if not l.startswith("#"))
+    assert dict(zip(header.split(","), row.split(",")))[column] == value
+
+
+def test_cli_threshold_takes_only_target_and_bracket():
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in subparsers.choices["threshold"]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--config", "--set", "--out", "--target", "--bracket"}
 
 
 @pytest.mark.parametrize(
@@ -665,6 +727,22 @@ def test_cli_rejects_p_key_out_of_range(capsys):
         pytest.param(["profile", "--set", "protocol.family=mQSS,mCKA"],
                      "error: --set[1]:1: profile takes one family, mQSS or mCKA, got 'mQSS,mCKA'",
                      id="profile-two-families"),
+        pytest.param(["threshold", "--target", "distance", "--set", "network.N=1"],
+                     "error: --set[1]:1: need at least 2 parties, got 1", id="threshold-n"),
+        pytest.param(["threshold", "--target", "noise", "--set", "network.d_km=nan"],
+                     "error: --set[1]:1: link distances must be finite and >= 0, got nan",
+                     id="threshold-d-km-nan"),
+        pytest.param(["threshold", "--target", "noise", "--set", "network.d_B_km=-1"],
+                     "error: --set[1]:1: link distances must be finite and >= 0, got -1.0",
+                     id="threshold-d-b-negative"),
+        pytest.param(["threshold", "--target", "distance", "--set", "noise.f_D=2"],
+                     "error: --set[1]:1: f_depol must lie in [0, 1], got 2.0", id="threshold-f-depol"),
+        pytest.param(["threshold", "--target", "noise", "--set", "protocol.family=bCKA"],
+                     "error: --set[1]:1: threshold takes one family, mQSS or mCKA, got 'bCKA'",
+                     id="threshold-bCKA"),
+        pytest.param(["threshold", "--target", "noise", "--set", "protocol.family=mQSS,mCKA"],
+                     "error: --set[1]:1: threshold takes one family, mQSS or mCKA, got 'mQSS,mCKA'",
+                     id="threshold-two-families"),
     ],
 )
 def test_cli_model_errors_name_the_rejected_key(capsys, argv, message):
@@ -793,10 +871,6 @@ def test_cli_unwritable_output_and_tiny_epsilon(tmp_path, capsys, argv, message)
     [
         ["--target", "distance", "--bracket", "5", "1"],
         ["--target", "noise", "--bracket", "0", "2"],
-        ["--target", "distance", "--n", "1"],
-        ["--target", "noise", "--fixed", "nan"],
-        ["--target", "noise", "--fixed", "-1"],
-        ["--target", "distance", "--fixed", "2"],
     ],
 )
 def test_cli_threshold_rejects_bad_arguments(capsys, argv):

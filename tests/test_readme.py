@@ -38,17 +38,43 @@ def test_readme_documents_exactly_the_configuration_keys():
     assert named == set(SCHEMA)
 
 
+def _command_lines() -> list[str]:
+    """The `ghznet ...` lines of the Command line section's sh blocks,
+    continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    return re.findall(r"^\s*(ghznet .*)$", blocks, re.M)
+
+
 def test_readme_command_block_names_exactly_the_subcommands():
     import argparse
 
     from ghznet.cli import build_parser
 
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    blocks = "".join(re.findall(r"```sh\n(.*?)```", section, re.S))
-    named = set(re.findall(r"^\s*ghznet ([\w-]+)", blocks, re.M))
+    named = {line.split()[1] for line in _command_lines()}
     (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert named == set(subparsers.choices)
+
+
+def test_readme_command_lines_parse():
+    # a flag the parser no longer has cannot linger in the documented commands
+    import contextlib
+    import shlex
+
+    from ghznet.cli import build_parser
+
+    lines = _command_lines()
+    refused = []
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(line)
+    assert len(lines) >= 10
+    assert refused == []
 
 
 def test_readme_paths_exist():

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ PINNED_DIGESTS = {
     "fig6_noise_thresholds_cka.csv": "840eb79bec68499094f149f99eeb42633592857a3ad29d07761781e310425b95",
     "fig6_noise_thresholds_qss.csv": "0595cf6b92a85c102208aa74ff1548397fabfb6723ed8356c5cf274d378a2d03",
     "fig7_player_scaling.csv": "9e59987d7caf5372b58f0834155ab6b4c9fdc54fce881be5acb564f20fac2b2d",
-    "figC1_blocksize_full.csv": "dcfb1188c164cdeebb718ce1d27dd6125ef579028e0b6312b0e864853fe30be2",
+    "figC1_blocksize_full.csv": "a756df479576e9ec168b2ab58e17fb0957e3ce3e8b6c1360bcd700f7d3e5bb19",
     "figC2_optimal_pkey.csv": "8e4d5661fc2654f66859acc1ce70afe5aa432e10838dea6820a6b09581e4eb71",
 }
 
@@ -80,14 +81,13 @@ def test_block_size_figures_agree(tmp_path):
     full = _read_table(tmp_path / "figC1_blocksize_full.csv")
     pkey = _read_table(tmp_path / "figC2_optimal_pkey.csv")
     assert len(fig5) == len(full) == len(pkey) == 17
-    assert any(row["p_key_b_preshared"] == "nan" for row in full)
+    # both write an indeterminate link optimum as an empty cell
+    assert any(row["p_key_b_preshared"] == "" for row in full)
     for row5, row_full, row_pkey in zip(fig5, full, pkey):
         assert row5["block_size"] == row_full["block_size"] == row_pkey["block_size"]
         assert row_pkey["p_key_mQSS"] == row_full["p_key_mQSS"]
-        # figC1 writes an indeterminate link optimum as nan, figC2 as an empty cell
         for short, long in (("bCKA", "b_preshared"), ("bQSS", "b_switching")):
-            p_full = row_full[f"p_key_{long}"]
-            assert row_pkey[f"p_key_{short}"] == ("" if p_full == "nan" else p_full)
+            assert row_pkey[f"p_key_{short}"] == row_full[f"p_key_{long}"]
         best = max(float(row_full["b_preshared"]), float(row_full["b_switching"]))
         assert float(row5["bipartite_optimal"]) == best
 
@@ -112,6 +112,23 @@ def test_reproduce_tables_are_pinned(figures):
         if hashlib.sha256((outdir / name).read_bytes()).hexdigest() != PINNED_DIGESTS[name]
     ]
     assert not changed, f"reproduce tables differ from their pinned digests: {changed}"
+
+
+def test_reproduce_tables_have_no_nan_inf_or_negative_zero(figures):
+    # an undefined value is an empty cell; `--figure all` writes these same
+    # files (test_reproduce_all_writes_what_single_figures_write)
+    outdir, written = figures
+    bad = re.compile(r"[+-]?(nan|inf(inity)?)|-0(\.0*)?(e[+-]?\d+)?", re.I)
+    found = [
+        (name, row[0], cell)
+        for name in written
+        for row in csv.reader(
+            l for l in (outdir / name).read_text().splitlines() if not l.startswith("#")
+        )
+        for cell in row
+        if bad.fullmatch(cell)
+    ]
+    assert found == []
 
 
 def test_reproduce_all_writes_what_single_figures_write(figures, tmp_path):
