@@ -4,6 +4,7 @@ optimization and multipartite-advantage profiles over the player number."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +27,7 @@ from .network import (
     formula_party_count,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import ScalarMaximum
+from .optimize import ScalarMaximum, itp_bracket
 from .rates import asymptotic_rate
 
 
@@ -166,25 +167,13 @@ def _best_fractions(
     return BestFraction(multi, rows[: len(multi)]), best_link(links, rows[len(multi) :])
 
 
-def _exceeds(multi: BestFraction, bi: BestFraction) -> bool:
-    """multi.exact() > bi.exact(), refining a side only where its lower
-    bound cannot settle the verdict: the side with the larger bound
-    (bipartite on a tie) stands on it while the other side is refined."""
-    if multi.lower > bi.lower:
-        bi_value = bi.exact()
-        return multi.lower > bi_value or multi.exact() > bi_value
-    multi_value = multi.exact()
-    return multi_value > bi.lower and multi_value > bi.exact()
+def _gap(query: ThresholdQuery) -> Callable[[float], float]:
+    """The advantage gap at a scanned value: the best multipartite rate
+    minus the best bipartite one, positive exactly where multipartite wins.
 
-
-def _advantage(query: ThresholdQuery) -> Callable[[float], bool]:
-    """The advantage predicate at a scanned value: multipartite rate
-    strictly above bipartite.
-
-    Asymptotic rates keep their sign (negative raw values carry the
-    crossing information); finite-size secret fractions are clamped, so the
-    advantage region is located by its boundary rather than a strict sign
-    change.  Whatever the scanned value leaves fixed is built once.
+    Asymptotic rates and finite-size secret fractions are both clamped at
+    0, so where neither side yields key the gap is 0 and shows no
+    advantage.  Whatever the scanned value leaves fixed is built once.
     """
     n = query.n_parties
     if query.target == "noise":
@@ -199,18 +188,18 @@ def _advantage(query: ThresholdQuery) -> Callable[[float], bool]:
         fsp = FiniteSizeParams(epsilon=query.epsilon, block_size=query.block_size)
         fsp_link = link_params(fsp, n)
 
-    def advantaged(x: float) -> bool:
+    def gap(x: float) -> float:
         if query.target == "noise":
             cfg, qb_multi, qb_bi = fixed_cfg, memoryless_qber(x, n), memoryless_qber(x, 2)
         else:
             cfg, (qb_multi, qb_bi) = NetworkConfig.make_symmetric(n, x), fixed_qbers
         if fsp is None:
             multi = asymptotic_rate(cfg, multi_spec, qb_multi)
-            return multi.raw > asymptotic_rate(cfg, bi_spec, qb_bi).raw
+            return multi.rate - asymptotic_rate(cfg, bi_spec, qb_bi).rate
         multi, bi = _best_fractions(cfg, query.task, fsp, fsp_link, qb_multi, [(False, qb_bi)])
-        return _exceeds(multi, bi)
+        return multi.exact() - bi.exact()
 
-    return advantaged
+    return gap
 
 
 def find_threshold(
@@ -218,29 +207,27 @@ def find_threshold(
     bracket: tuple[float, float],
     xtol: float = 1e-6,
 ) -> ThresholdResult:
-    """Locate the boundary of the multipartite-advantage region by bisection.
+    """Locate the boundary of the multipartite-advantage region by ITP search.
 
     The bracket must contain the boundary: the advantage predicate
-    (multipartite rate strictly above bipartite) must differ between its
-    ends, otherwise the result reports no-sign-change, distinguishing
-    always-advantage from never-advantage brackets.
+    (multipartite rate strictly above bipartite, a positive gap) must
+    differ between its ends, otherwise the result reports no-sign-change,
+    distinguishing always-advantage from never-advantage brackets.  The
+    search never takes more than one gap evaluation beyond bisection and
+    returns the midpoint of a final bracket no wider than xtol.
     """
     lo, hi = bracket
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"need a finite bracket, got {bracket!r}")
     if not lo < hi:
         raise ValueError("need bracket lo < hi")
-    advantaged = _advantage(query)
-    adv_lo = advantaged(lo)
-    if adv_lo == advantaged(hi):
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ValueError(f"xtol must be a positive finite number, got {xtol!r}")
+    gap = _gap(query)
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if (gap_lo > 0.0) == (gap_hi > 0.0):
         return ThresholdResult(None, "no-sign-change")
-
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if advantaged(mid) == adv_lo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = itp_bracket(gap, (lo, hi), gap_lo, gap_hi, xtol)
     return ThresholdResult(0.5 * (lo + hi), "ok")
 
 

@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
-    p_thr = sub.add_parser("threshold", help="bisect the multi/bi-partite crossing")
+    p_thr = sub.add_parser("threshold", help="find the multi/bi-partite crossing by ITP search")
     add_common(p_thr)
     p_thr.add_argument(
         "--target", choices=("noise", "distance"), required=True, help="scan noise.f_D or the link distance"

@@ -22,7 +22,7 @@ from .network import (
     yields,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import UNIT_GRID, ScalarMaximum, grid_peak, maximize_unit_interval
+from .optimize import UNIT_GRID, ScalarMaximum, maximize_unit_interval
 
 
 # The Hoeffding (xi1: m samples of a pre-characterized distribution) and
@@ -324,11 +324,10 @@ class BestFraction:
     optimum and, over them, the winning protocol variant.
 
     `rows` are the models' `stacked_fractions` rows, stacked here when not
-    given.  A model whose row has no positive fraction is dead.  `lower` is
-    the best live f(x_grid), a value the refined maximum never falls below.
-    `optima` refines every model once, on first use.  `winner` indexes the
-    first live model with the largest refined fraction; when every model is
-    dead it is `fallback`, whose p_key = 1/2 evaluation `result` reports.
+    given.  A model whose row has no positive fraction is dead.  `optima`
+    refines every model once, on first use.  `winner` indexes the first
+    live model with the largest refined fraction; when every model is dead
+    it is `fallback`, whose p_key = 1/2 evaluation `result` reports.
     """
 
     def __init__(
@@ -338,15 +337,7 @@ class BestFraction:
         self.rows = stacked_fractions(self.models) if rows is None else rows
         self.fallback = fallback
         # plain caches: functools.cached_property locks on each first read before Python 3.12
-        self._lower, self._optima = None, None
-
-    @property
-    def lower(self) -> float:
-        if self._lower is None:
-            peaks = [grid_peak(model.fraction, row) for model, row in zip(self.models, self.rows)]
-            # a dead set's exact value: 0.5 lies on UNIT_GRID, where its rows are 0
-            self._lower = max((peak[1] for peak in peaks if peak is not None), default=0.0)
-        return self._lower
+        self._optima = None
 
     @property
     def optima(self) -> list[ScalarMaximum]:

@@ -11,7 +11,7 @@ from .noise import NoiseParams, QberPair, memoryless_qber
 
 @dataclass(frozen=True)
 class AsymptoticRate:
-    """Secret bits per network use; `raw` keeps the sign for root finding."""
+    """Secret bits per network use; `raw` is `rate` before clamping at 0."""
 
     rate: float
     raw: float

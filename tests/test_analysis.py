@@ -6,9 +6,8 @@ import pytest
 from ghznet import analysis
 from ghznet.analysis import (
     ThresholdQuery,
-    _advantage,
     _best_fractions,
-    _exceeds,
+    _gap,
     advantage_profile,
     best_cka_fraction,
     find_threshold,
@@ -18,7 +17,7 @@ from ghznet.analysis import (
 from ghznet.finite import FiniteSizeParams, KeyLengthModel, bipartite_optimal, link_params
 from ghznet.network import Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, memoryless_qber
-from ghznet.optimize import UNIT_GRID, grid_peak, maximize_unit_interval
+from ghznet.optimize import UNIT_GRID, maximize_unit_interval
 from ghznet.rates import asymptotic_rate
 from ghznet.reproduce import run_reproduce
 
@@ -130,22 +129,26 @@ def _fully_optimized(query, x):
 @pytest.mark.parametrize("target", sorted(FIG6_SCANS))
 @pytest.mark.parametrize("task", ["QSS", "CKA"])
 def test_bound_decided_verdict_matches_full_optimization(task, target):
+    # the gap from one stacked grid is the fully optimised multi - bi, so
+    # its sign is the fully optimised verdict
     bracket, xtol, xs = FIG6_SCANS[target]
     fixed = {"fixed_distance_km": 4.0} if target == "noise" else {"fixed_noise": 0.01}
     verdicts, statuses = set(), set()
     for n in (2, 3, 5, 10):
         for block in (1e4, 1e6, 1e8, 1e10):
             query = ThresholdQuery(target, n, task=task, block_size=block, **fixed)
-            advantaged = _advantage(query)
+            gap = _gap(query)
             scan = list(xs)
             res = find_threshold(query, bracket, xtol=xtol)
             statuses.add(res.status)
             if res.value is not None:
-                # the verdict flips between these, where the bounds are closest
+                # the verdict flips between these, where the two sides are closest
                 scan += [res.value - xtol, res.value, res.value + xtol]
             for x in scan:
                 multi, bi = _fully_optimized(query, x)
-                assert advantaged(x) == (multi > bi), (n, block, x, multi, bi)
+                value = gap(x)
+                assert value == multi - bi, (n, block, x, multi, bi)
+                assert (value > 0.0) == (multi > bi), (n, block, x, multi, bi)
                 verdicts.add("both-dead" if multi == bi == 0.0 else multi > bi)
     assert statuses == {"ok", "no-sign-change"}
     # no block leaves both sides dead within 40 km at 1% noise
@@ -173,53 +176,33 @@ def test_dead_sides_keep_the_half_evaluation(task):
                     if all(opt.indeterminate for opt in multi.optima):
                         dead.add(("multi", target))
                         half = max(model.result(0.5).secret_fraction for model in multi.models)
-                        assert multi.exact() == multi.lower == half
+                        assert multi.exact() == half == 0.0
                         assert multi.result().secret_fraction == half
                     if all(opt.indeterminate for opt in bi.optima):
                         dead.add(("bi", target))
                         link = KeyLengthModel(cfg, Family.BQSS, fsp_link, qb_bi).result(0.5)
-                        assert bi.exact() == bi.lower == link.secret_fraction
+                        assert bi.exact() == link.secret_fraction == 0.0
                         assert bi.result() == link
     # at 1% noise every distance up to 40 km leaves both sides a live model
     assert dead == {("multi", "noise"), ("bi", "noise")}
-
-
-class _Counted:
-    # one side's selection with a given bound and optimum, counting refinements
-    def __init__(self, lower, exact):
-        self.lower, self.value, self.refined = lower, exact, 0
-
-    def exact(self):
-        self.refined += 1
-        return self.value
-
-
-@pytest.mark.parametrize(
-    "multi,bi,verdict,refined",
-    [
-        ((2.0, 3.0), (1.0, 1.5), True, (0, 1)),  # multi's bound beats bi's optimum
-        ((2.0, 3.0), (1.0, 2.5), True, (1, 1)),
-        ((2.0, 3.0), (1.0, 3.0), False, (1, 1)),  # equal optima: no advantage
-        ((1.0, 1.5), (2.0, 3.0), False, (1, 0)),  # bi's bound beats multi's optimum
-        ((1.0, 2.0), (2.0, 3.0), False, (1, 0)),  # multi's optimum only ties bi's bound
-        ((1.0, 2.5), (2.0, 2.2), True, (1, 1)),
-        ((1.0, 1.0), (1.0, 1.0), False, (1, 0)),  # equal bounds: bi stands on its bound
-    ],
-)
-def test_verdict_refines_only_what_can_flip_it(multi, bi, verdict, refined):
-    multi, bi = _Counted(*multi), _Counted(*bi)
-    assert _exceeds(multi, bi) is verdict
-    assert (multi.refined, bi.refined) == refined
 
 
 def test_grid_peak_bounds_the_refined_maximum():
     def hump(p):
         return np.maximum(0.0, 0.3 - (p - 0.6180339) ** 2)
 
-    best, bound = grid_peak(hump, hump(UNIT_GRID))
-    assert bound == hump(float(UNIT_GRID[best]))
-    assert maximize_unit_interval(hump, hump(UNIT_GRID)).value >= bound
-    assert grid_peak(hump, np.zeros_like(UNIT_GRID)) is None
+    values = hump(UNIT_GRID)
+    bound = hump(float(UNIT_GRID[values.argmax()]))
+    assert maximize_unit_interval(hump, values).value >= bound
+    # a peak that golden-section refinement cannot find keeps its grid point
+    peak = float(UNIT_GRID[200])
+
+    def spike(p):
+        return 1.0 if p == peak else 0.5
+
+    best = maximize_unit_interval(spike, np.where(UNIT_GRID == peak, 1.0, 0.5))
+    assert (best.x, best.value, best.indeterminate) == (peak, 1.0, False)
+    assert maximize_unit_interval(hump, np.zeros_like(UNIT_GRID)).indeterminate
 
 
 def test_optimize_pkey_grid_guarantee():

@@ -325,6 +325,16 @@ def test_cli_threshold_matches_analytic(capsys):
     assert threshold == pytest.approx(15.0515, abs=1e-3)
 
 
+@pytest.mark.parametrize("f_depol", ["0.2", "1"])
+def test_cli_threshold_needs_key_on_one_side(capsys, f_depol):
+    # at this noise neither side yields key at any distance: the raw,
+    # negative rates still cross, but the clamped ones do not
+    assert main(["threshold", "--target", "distance", "--set", f"noise.f_D={f_depol}"]) == EXIT_OK
+    header, row = (l for l in capsys.readouterr().out.splitlines() if not l.startswith("#"))
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["threshold"], cells["status"]) == ("", "no-sign-change")
+
+
 def _opt_rows(capsys, *settings, config=None):
     """The data rows of `rate` with protocol.p_key = opt, split into cells."""
     argv = ["rate"] + (["--config", config] if config else []) + ["--set", "protocol.p_key=opt"]

@@ -12,14 +12,14 @@ from ghznet.reproduce import RECIPES, run_reproduce
 # moves an output on purpose re-pins the affected digests and says why.
 PINNED_DIGESTS = {
     "fig2_rates_vs_distance.csv": "42c69801f24235eadde2a6a512fdd0295618192c99c763128620f41e44dfbb9a",
-    "fig3_distance_thresholds.csv": "3297b9ef381937f57fc29b5f8d737ba40d528f98de6ee8d186972a28d3f0f7cd",
-    "fig3_noise_thresholds.csv": "fd996a3550ccf32acddec1dc7be2ba92c9e5bba81fdca7a439211ce9edadc317",
+    "fig3_distance_thresholds.csv": "1acda4216ed150557af343a148cd3c2ca0309aec7eaa46f697c2882137cc5e9e",
+    "fig3_noise_thresholds.csv": "8396ac2556140e1b85e61d2b81b8c9e8589187e07835f11db5d1428a244cbcff",
     "fig4_advantage_profiles.csv": "a9026786e9f2e83da3be0719703833799a620700fc55d5d9c36327592e11f4f8",
     "fig5_blocksize.csv": "c2fecf58f7aa0c8e9619032e1ea22eace414ddab6e6b843ff82b8260752418d0",
-    "fig6_distance_thresholds_cka.csv": "d747217cb4cf0e1cae110572934b9f758138a8265b9731e2006528613c748e51",
-    "fig6_distance_thresholds_qss.csv": "b9c0ce1dec19ff5f9de5c70d8e8f5d7b62ee05992382bc4dfb7927b0914486c6",
-    "fig6_noise_thresholds_cka.csv": "840eb79bec68499094f149f99eeb42633592857a3ad29d07761781e310425b95",
-    "fig6_noise_thresholds_qss.csv": "0595cf6b92a85c102208aa74ff1548397fabfb6723ed8356c5cf274d378a2d03",
+    "fig6_distance_thresholds_cka.csv": "740543e245f66f6d186bd3015b1cbb3caae7c50725f83dc5cfb211f128d49754",
+    "fig6_distance_thresholds_qss.csv": "db648126c90d170fc62b77d443b22e40c98a33a467f02e5763bf1a7a1338a36b",
+    "fig6_noise_thresholds_cka.csv": "e8536966c616a6619def05f3ebd1549078430e8a27ae40e9c107df7279b03bc0",
+    "fig6_noise_thresholds_qss.csv": "455f34282cc0026fb8a48da6c9bfc72cef70249ecd764059e8963c6aa40530b7",
     "fig7_player_scaling.csv": "9e59987d7caf5372b58f0834155ab6b4c9fdc54fce881be5acb564f20fac2b2d",
     "figC1_blocksize_full.csv": "a756df479576e9ec168b2ab58e17fb0957e3ce3e8b6c1360bcd700f7d3e5bb19",
     "figC2_optimal_pkey.csv": "8e4d5661fc2654f66859acc1ce70afe5aa432e10838dea6820a6b09581e4eb71",
