@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -130,9 +132,23 @@ def _entropy_penalty_array(q_eff: np.ndarray) -> np.ndarray:
     return np.where(q_eff < 0.5, _entropy_array(q_eff), 1.0)
 
 
-def _raw(eps_c, m, pe_pen, ec_pen, preshared_term, log_term):
-    # floats, or a models x p_key stack with per-model columns, alike
-    return (1.0 - eps_c) * (m * (1.0 - pe_pen - ec_pen) - preshared_term - log_term)
+def _key_terms(
+    model, per_key, per_check, rounds, charge, maximum=max, sqrt=math.sqrt, penalty=_entropy_penalty
+):
+    """m, k, both effective error rates, both entropy penalties and the raw
+    key length, from the key and check detections per network use, the
+    rounds and the basis-string charge.  `model` holds the p_key-independent
+    terms: a KeyLengthModel's floats, or per-model columns of a stack with
+    the numpy operations passed in."""
+    m = per_key * rounds
+    k = per_check * rounds
+    m_pen = maximum(m, 1.0)
+    q_pe_eff = model.q_pe + _serfling(model.log_pe, m_pen, maximum(k, 1.0), sqrt)
+    q_ec_eff = model.q_ec + _hoeffding(model.log_ec, m_pen, sqrt)
+    pe_pen = penalty(q_pe_eff)
+    ec_pen = penalty(q_ec_eff)
+    raw = (1.0 - model.eps_c) * (m * (1.0 - pe_pen - ec_pen) - charge - model.log_term)
+    return m, k, q_pe_eff, q_ec_eff, pe_pen, ec_pen, raw
 
 
 class KeyLengthModel:
@@ -153,10 +169,11 @@ class KeyLengthModel:
     replenish.
 
     `result` evaluates one p_key in float arithmetic with its breakdown (the
-    path of every single-point call); `fraction` reads the same float terms
-    but returns only the secret fraction (the optimizer's refinement).
-    `stacked_fractions` evaluates it on the optimizer's UNIT_GRID for
-    several models at once.
+    path of every single-point call); `fraction` returns only the secret
+    fraction (the optimizer's refinement); `stacked_fractions` evaluates the
+    optimizer's UNIT_GRID for several models in one numpy pass.  All three
+    take the counts at p_key to the key length through one expression,
+    `_key_terms`.
     """
 
     def __init__(
@@ -194,60 +211,28 @@ class KeyLengthModel:
             math.log2(n_formula - 1) - 1.0 - math.log2(budget.eps_c) - 2.0 * math.log2(budget.eps_pa)
         )
 
-    def _terms(self, p_key: float) -> tuple:
-        """rounds, m, k, both effective error rates, both penalties, the log
-        term and the basis-string charge at one p_key, in float arithmetic."""
+    def _counts(self, p_key: float) -> tuple:
+        """Key and check detections per network use, the rounds the block
+        takes and the basis-string charge at one p_key."""
         eta_key, eta_check = sifting_fractions(self.strategy, self.n_formula, p_key)
         per_key = eta_key * self.per_use
         rounds = max(self.block_size / per_key, 1.0) if per_key > 0.0 else math.inf
-        if not math.isfinite(rounds):
-            return rounds, 0.0, 0.0, self.q_pe, self.q_ec, 1.0, 1.0, 0.0, 0.0
-        m = per_key * rounds
-        k = eta_check * self.per_use * rounds
-        preshared_term = rounds * binary_entropy(p_key) if self.preshared else 0.0
-        if m <= 0.0 or k <= 0.0:
-            return rounds, m, k, self.q_pe, self.q_ec, 1.0, 1.0, self.log_term, preshared_term
-        m_pen = max(m, 1.0)
-        q_pe_eff = self.q_pe + _serfling(self.log_pe, m_pen, max(k, 1.0))
-        q_ec_eff = self.q_ec + _hoeffding(self.log_ec, m_pen)
-        return (
-            rounds,
-            m,
-            k,
-            q_pe_eff,
-            q_ec_eff,
-            _entropy_penalty(q_pe_eff),
-            _entropy_penalty(q_ec_eff),
-            self.log_term,
-            preshared_term,
-        )
+        charge = rounds * binary_entropy(p_key) if self.preshared else 0.0
+        return per_key, eta_check * self.per_use, rounds, charge
 
     def result(self, p_key: float) -> KeyLengthResult:
-        return self._assemble(*self._terms(p_key))
-
-    def fraction(self, p_key: float) -> float:
-        """result(p_key).secret_fraction without building the breakdown."""
-        rounds, m, _, _, _, pe_pen, ec_pen, log_term, preshared_term = self._terms(p_key)
-        if not math.isfinite(rounds):
-            return 0.0
-        raw = _raw(self.eps_c, m, pe_pen, ec_pen, preshared_term, log_term)
-        return raw / rounds if raw > 0.0 else 0.0
-
-    def _assemble(
-        self,
-        rounds: float,
-        m: float,
-        k: float,
-        q_pe_eff: float,
-        q_ec_eff: float,
-        pe_pen: float,
-        ec_pen: float,
-        log_term: float,
-        preshared_term: float,
-    ) -> KeyLengthResult:
-        raw = _raw(self.eps_c, m, pe_pen, ec_pen, preshared_term, log_term)
-        # +0.0 also when raw is -0.0 (no rounds at all), where max(raw, 0.0)
-        # would keep the sign
+        per_key, per_check, rounds, charge = self._counts(p_key)
+        if math.isfinite(rounds):
+            m, k, q_pe_eff, q_ec_eff, pe_pen, ec_pen, raw = _key_terms(
+                self, per_key, per_check, rounds, charge
+            )
+            log_term = self.log_term
+        else:
+            m = k = raw = log_term = charge = 0.0
+        if m <= 0.0 or k <= 0.0:
+            # no detections or no checks: the breakdown shows the unpenalized
+            # error rates and saturated penalties, and raw <= 0 either way
+            q_pe_eff, q_ec_eff, pe_pen, ec_pen = self.q_pe, self.q_ec, 1.0, 1.0
         ell = raw if raw > 0.0 else 0.0
         if m < 1.0 or k < 1.0:
             status = STATUS_INSUFFICIENT
@@ -260,7 +245,7 @@ class KeyLengthModel:
             ell=ell,
             raw=raw,
             rounds=rounds,
-            secret_fraction=ell / rounds if math.isfinite(rounds) else 0.0,
+            secret_fraction=ell / rounds,
             status=status,
             m=m,
             k=k,
@@ -269,8 +254,16 @@ class KeyLengthModel:
             pe_term=m * pe_pen,
             ec_term=m * ec_pen,
             log_term=log_term,
-            preshared_term=preshared_term,
+            preshared_term=charge,
         )
+
+    def fraction(self, p_key: float) -> float:
+        """result(p_key).secret_fraction without building the breakdown."""
+        per_key, per_check, rounds, charge = self._counts(p_key)
+        if not math.isfinite(rounds):
+            return 0.0
+        raw = _key_terms(self, per_key, per_check, rounds, charge)[-1]
+        return raw / rounds if raw > 0.0 else 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,11 +276,14 @@ def _grid_sifting(strategy: BasisStrategy, n_formula: int) -> tuple:
 
 _GRID_ENTROPY = _entropy_array(UNIT_GRID)
 _GRID_ENTROPY.flags.writeable = False
+# the model attributes stacked_fractions broadcasts as columns
+_COLUMNS = ("per_use", "block_size", "eps_c", "q_pe", "q_ec", "log_pe", "log_ec", "log_term")
+_column_values = operator.attrgetter(*_COLUMNS)
 
 
 def stacked_fractions(models: Sequence[KeyLengthModel]) -> np.ndarray:
     """Secret fractions of several models on the optimizer's UNIT_GRID, as
-    a (models x p_key) array from one numpy pass.
+    a (models x p_key) array from one numpy pass of `_key_terms`.
 
     Each model's p_key-independent terms broadcast as a column; the sifting
     rows per (strategy, party count) and the basis-string entropy are cached
@@ -296,26 +292,20 @@ def stacked_fractions(models: Sequence[KeyLengthModel]) -> np.ndarray:
     rows = [_grid_sifting(model.strategy, model.n_formula) for model in models]
     eta_key = np.array([eta for eta, _ in rows])
     eta_check = np.array([eta for _, eta in rows])
-    per_use, block_size, log_pe, log_ec, q_pe, q_ec, eps_c, log_term = np.array(
-        [
-            (m.per_use, m.block_size, m.log_pe, m.log_ec, m.q_pe, m.q_ec, m.eps_c, m.log_term)
-            for m in models
-        ]
-    ).T[:, :, None]
+    columns = np.array([_column_values(model) for model in models]).T[:, :, None]
+    terms = SimpleNamespace(**dict(zip(_COLUMNS, columns)))
     preshared = np.array([[model.preshared] for model in models])
-    per_key = eta_key * per_use
+    per_key = eta_key * terms.per_use
+    per_check = eta_check * terms.per_use
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rounds = np.where(per_key > 0.0, np.maximum(block_size / per_key, 1.0), np.inf)
-        m = per_key * rounds
-        k = eta_check * per_use * rounds
-        m_pen = np.maximum(m, 1.0)
-        pe_pen = _entropy_penalty_array(q_pe + _serfling(log_pe, m_pen, np.maximum(k, 1.0), np.sqrt))
-        ec_pen = _entropy_penalty_array(q_ec + _hoeffding(log_ec, m_pen, np.sqrt))
-        preshared_term = np.where(preshared, rounds * _GRID_ENTROPY, 0.0)
+        rounds = np.where(per_key > 0.0, np.maximum(terms.block_size / per_key, 1.0), np.inf)
+        charge = np.where(preshared, rounds * _GRID_ENTROPY, 0.0)
         # Without key or check detections the penalties need no mask:
         # one check round already saturates the Serfling penalty and the
         # log term is positive, so raw < 0 there as in `result`.
-        raw = _raw(eps_c, m, pe_pen, ec_pen, preshared_term, log_term)
+        raw = _key_terms(
+            terms, per_key, per_check, rounds, charge, np.maximum, np.sqrt, _entropy_penalty_array
+        )[-1]
         return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
 
 

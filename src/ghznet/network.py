@@ -144,10 +144,13 @@ def sifting_fractions(strategy: BasisStrategy, n_parties: int, p_key):
     """Key and check sifting fractions for a float or a numpy array of p_key.
 
     Under switching a check round needs Alice in the check basis; for N >= 3
-    the key lengths use (1-p)(1-p^(N-2)) for it.  The exact count over the
-    basis strings, `oracle.sifting_enumeration`, of "Alice plus at least one
-    of the N-1 Bobs" is (1-p)(1-p^(N-1)); `oracle-check` prints both, and
-    they agree only at N = 2.
+    the key lengths use (1-p)(1-p^(N-2)) for it, formed as
+    (p-1) expm1((N-2) log p): 1 - p^(N-2) cancels as p -> 1, where math and
+    numpy also round pow differently.  log 0 = -inf gives 1 - p at p = 0,
+    and the form is +0.0 at p = 1.  The exact count over the basis strings,
+    `oracle.sifting_enumeration`, of "Alice plus at least one of the N-1
+    Bobs" is (1-p)(1-p^(N-1)); `oracle-check` prints both, and they agree
+    only at N = 2.
     """
     p = p_key
     if strategy is BasisStrategy.PRESHARED:
@@ -155,7 +158,11 @@ def sifting_fractions(strategy: BasisStrategy, n_parties: int, p_key):
     if n_parties == 2:
         # Two-party switching: both in key basis / both in check basis.
         return p * p, (1.0 - p) ** 2
-    return p**n_parties, (1.0 - p) * (1.0 - p ** (n_parties - 2))
+    if isinstance(p, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return p**n_parties, (p - 1.0) * np.expm1((n_parties - 2) * np.log(p))
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    return p**n_parties, (p - 1.0) * math.expm1((n_parties - 2) * log_p)
 
 
 def sifting(spec: ProtocolSpec, n_parties: int) -> SiftingEfficiencies:

@@ -2,6 +2,7 @@ import ast
 import math
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ghznet.finite import (
     _entropy_penalty,
     _grid_sifting,
     _hoeffding,
+    _key_terms,
     _serfling,
     bipartite_optimal,
     expected_key_length,
@@ -336,18 +338,54 @@ def test_fraction_approaches_asymptote_from_below():
     assert gaps[-1] < 0.025
 
 
+@pytest.mark.parametrize(
+    "cfg,memories",
+    [(NetworkConfig(3, 50.0, 4.0), True), (NetworkConfig.make_symmetric(5, 2.0), False)],
+    ids=["criterion-8a", "memoryless-n5"],
+)
+def test_switching_gap_falls_as_block_to_the_minus_quarter(cfg, memories):
+    # A switching check needs Alice and a Bob in the check basis, so
+    # k ~ (1 - p)^2 n for a block of n: the loss a (1 - p) + b / ((1 - p) sqrt(n))
+    # is smallest at 1 - p ~ n^(-1/4), and the gap to the asymptote follows.
+    # The local exponent per decade of block approaches 1/4 from below.
+    from ghznet.analysis import optimized_fraction, scenario_qbers
+    from ghznet.rates import asymptotic_rate
+
+    spec = ProtocolSpec(Family.MQSS, memories=memories)
+    qbers = scenario_qbers(cfg, spec, NOISE, 1000, 1)
+    asymptote = asymptotic_rate(cfg, spec, qbers).rate
+    gaps = []
+    for exponent in range(11, 16):
+        fsp = FiniteSizeParams(epsilon=1e-10, block_size=10.0**exponent)
+        _, result = optimized_fraction(cfg, Family.MQSS, fsp, qbers, memories)
+        gaps.append(1.0 - result.secret_fraction / asymptote)
+    slopes = [math.log10(a / b) for a, b in zip(gaps, gaps[1:])]
+    assert all(abs(slope - 0.25) <= 0.01 for slope in slopes), slopes
+    assert slopes == sorted(slopes), slopes
+
+
 def test_key_term_duality_at_formula_level():
     # with the pre-shared and log terms zeroed, both protocol styles reduce
     # to (1 - eps_c) m (1 - h(q_a) - h(q_b)); the basis roles only swap
     # which error rate takes which penalty
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6)
     cka = KeyLengthModel(CFG, Family.MCKA, fsp, QB_MULTI)
-    qss = KeyLengthModel(CFG, Family.MQSS, fsp, QB_MULTI)
-    cka_like = cka._assemble(1e6, 1e5, 1e3, 0.02, 0.01, 0.3, 0.2, 0.0, 0.0)
-    qss_like = qss._assemble(1e6, 1e5, 1e3, 0.02, 0.01, 0.3, 0.2, 0.0, 0.0)
-    assert cka_like.ell == qss_like.ell
-    assert cka_like.ell == pytest.approx((1.0 - cka.eps_c) * 1e5 * (1.0 - 0.3 - 0.2), rel=1e-12)
-    assert (cka_like.q_x_eff, cka_like.q_z_eff) == (qss_like.q_z_eff, qss_like.q_x_eff)
+    terms = SimpleNamespace(
+        eps_c=cka.eps_c, q_pe=0.02, q_ec=0.01, log_pe=cka.log_pe, log_ec=cka.log_ec, log_term=0.0
+    )
+    m, k, q_pe_eff, q_ec_eff, pe_pen, ec_pen, raw = _key_terms(terms, 0.1, 0.001, 1e6, 0.0)
+    assert (m, k) == (1e5, 1e3)
+    assert (pe_pen, ec_pen) == (binary_entropy(q_pe_eff), binary_entropy(q_ec_eff))
+    assert raw == pytest.approx((1.0 - cka.eps_c) * 1e5 * (1.0 - pe_pen - ec_pen), rel=1e-12)
+    # pre-shared checks X (Serfling) and keys in Z (Hoeffding); switching swaps them
+    qbers = QberPair(0.02, 0.01)
+    for family, q_pe, q_ec in ((Family.MCKA, "q_x", "q_z"), (Family.MQSS, "q_z", "q_x")):
+        model = KeyLengthModel(CFG, family, fsp, qbers)
+        result = model.result(0.9)
+        serfling = _serfling(model.log_pe, result.m, result.k)
+        hoeffding = _hoeffding(model.log_ec, result.m)
+        assert getattr(result, q_pe + "_eff") == getattr(qbers, q_pe) + serfling
+        assert getattr(result, q_ec + "_eff") == getattr(qbers, q_ec) + hoeffding
 
 
 def test_two_party_baseline_uses_full_budget():
