@@ -83,6 +83,8 @@ def optimized_fraction(
 
 
 CKA_STRATEGIES = (BasisStrategy.PRESHARED, BasisStrategy.SWITCHING)
+# the multipartite family of each task
+TASK_FAMILIES = {"QSS": Family.MQSS, "CKA": Family.MCKA}
 
 
 def multi_models(
@@ -134,7 +136,7 @@ class ThresholdQuery:
     def __post_init__(self) -> None:
         if self.target not in ("noise", "distance"):
             raise ValueError("target must be 'noise' or 'distance'")
-        if self.task not in ("QSS", "CKA"):
+        if self.task not in TASK_FAMILIES:
             raise ValueError("task must be 'QSS' or 'CKA'")
         if self.target == "noise" and self.fixed_distance_km is None:
             raise ValueError("noise threshold needs fixed_distance_km")
@@ -148,56 +150,53 @@ class ThresholdResult:
     status: str
 
 
-def _best_fractions(
+def _advantage(
     cfg: NetworkConfig,
     task: str,
-    fsp: FiniteSizeParams,
-    fsp_link: FiniteSizeParams,
+    fsp: FiniteSizeParams | None,
     qb_multi: QberPair,
     link_modes: list[tuple[bool, QberPair]],
     memories: bool = False,
-) -> tuple[BestFraction, BestFraction]:
-    """The task's best multipartite fraction and the best bipartite
-    baseline's, the selections of `best_cka_fraction` (CKA) or
-    `optimized_fraction` (QSS) and `bipartite_optimal`, from one stacked
-    grid of every model of both sides."""
+) -> tuple[float, float]:
+    """The task's best multipartite rate and the best bipartite one over
+    `link_modes` (memories, error rates), both clamped at 0: asymptotic
+    rates without `fsp`, else the secret fractions that `best_cka_fraction`
+    (CKA) or `optimized_fraction` (QSS) and `bipartite_optimal` select,
+    from one stacked grid of every model of both sides."""
+    if fsp is None:
+        multi = asymptotic_rate(cfg, ProtocolSpec(TASK_FAMILIES[task], memories), qb_multi)
+        links = (asymptotic_rate(cfg, ProtocolSpec(Family.BQSS, mem), qbers) for mem, qbers in link_modes)
+        return multi.rate, max(link.rate for link in links)
     multi = multi_models(cfg, task, fsp, qb_multi, memories)
-    links = bipartite_models(cfg, fsp_link, link_modes)
+    links = bipartite_models(cfg, link_params(fsp, cfg.n_parties), link_modes)
     rows = stacked_fractions(multi + list(links.values()))
-    return BestFraction(multi, rows[: len(multi)]), best_link(links, rows[len(multi) :])
+    return BestFraction(multi, rows[: len(multi)]).exact(), best_link(links, rows[len(multi) :]).exact()
 
 
 def _gap(query: ThresholdQuery) -> Callable[[float], float]:
     """The advantage gap at a scanned value: the best multipartite rate
     minus the best bipartite one, positive exactly where multipartite wins.
 
-    Asymptotic rates and finite-size secret fractions are both clamped at
-    0, so where neither side yields key the gap is 0 and shows no
-    advantage.  Whatever the scanned value leaves fixed is built once.
+    Both rates are clamped at 0, so where neither side yields key the gap
+    is 0 and shows no advantage.  Whatever the scanned value leaves fixed
+    is built once.
     """
     n = query.n_parties
     if query.target == "noise":
         fixed_cfg = NetworkConfig.make_symmetric(n, query.fixed_distance_km)
     else:
         fixed_qbers = memoryless_qber(query.fixed_noise, n), memoryless_qber(query.fixed_noise, 2)
-
-    multi_spec = ProtocolSpec(Family.MQSS if query.task == "QSS" else Family.MCKA)
-    bi_spec = ProtocolSpec(Family.BQSS)
-    fsp = fsp_link = None
+    fsp = None
     if query.block_size is not None:
         fsp = FiniteSizeParams(epsilon=query.epsilon, block_size=query.block_size)
-        fsp_link = link_params(fsp, n)
 
     def gap(x: float) -> float:
         if query.target == "noise":
             cfg, qb_multi, qb_bi = fixed_cfg, memoryless_qber(x, n), memoryless_qber(x, 2)
         else:
             cfg, (qb_multi, qb_bi) = NetworkConfig.make_symmetric(n, x), fixed_qbers
-        if fsp is None:
-            multi = asymptotic_rate(cfg, multi_spec, qb_multi)
-            return multi.rate - asymptotic_rate(cfg, bi_spec, qb_bi).rate
-        multi, bi = _best_fractions(cfg, query.task, fsp, fsp_link, qb_multi, [(False, qb_bi)])
-        return multi.exact() - bi.exact()
+        multi, bi = _advantage(cfg, query.task, fsp, qb_multi, [(False, qb_bi)])
+        return multi - bi
 
     return gap
 
@@ -280,10 +279,9 @@ def advantage_profile(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if task not in ("QSS", "CKA"):
+    if task not in TASK_FAMILIES:
         raise ValueError("task must be 'QSS' or 'CKA'")
-    multi_family = Family.MQSS if task == "QSS" else Family.MCKA
-    multi_spec = ProtocolSpec(multi_family, memories=memories, p_key=1.0)
+    multi_spec = ProtocolSpec(TASK_FAMILIES[task], memories)
     # two-party links: the same draw serves every N
     link_modes = [(False, memoryless_qber(noise.f_depol, 2))]
     if memories:
@@ -293,16 +291,7 @@ def advantage_profile(
     for n in range(2, n_max + 1):
         cfg_n = cfg.with_parties(n)
         qb_multi = scenario_qbers(cfg_n, multi_spec, noise, mc_samples, seed)
-        if fsp is None:
-            multi_rate = asymptotic_rate(cfg_n, multi_spec, qb_multi).rate
-            bi_rate = max(
-                asymptotic_rate(cfg_n, ProtocolSpec(Family.BQSS, mem), qbers).rate
-                for mem, qbers in link_modes
-            )
-        else:
-            fsp_link = link_params(fsp, n)
-            multi, bi = _best_fractions(cfg_n, task, fsp, fsp_link, qb_multi, link_modes, memories)
-            multi_rate, bi_rate = multi.exact(), bi.exact()
+        multi_rate, bi_rate = _advantage(cfg_n, task, fsp, qb_multi, link_modes, memories)
         if multi_rate <= 0.0 and bi_rate <= 0.0:
             rows.append(AdvantageRow(n, multi_rate, bi_rate, None, "both-zero"))
             continue

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    TASK_FAMILIES,
     ThresholdQuery,
     advantage_profile,
     find_threshold,
@@ -24,7 +25,7 @@ from .analysis import (
 )
 from .config import SCHEMA, ConfigError, Scenario, load_config, resolve_scenario
 from .finite import expected_key_length
-from .network import Family, ProtocolSpec, yields
+from .network import ProtocolSpec, yields
 from .oracle import EXACT_RTOL, MAX_ORACLE_PARTIES, ORACLE_TOL, oracle_grid, parity_check_rows, sifting_check_rows
 from .rates import asymptotic_rate
 from .tables import ResultTable
@@ -182,10 +183,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = ResultTable(
         [sweep.parameter] + RATE_COLUMNS, metadata=_metadata(scenario, "sweep")
     )
+    integer = sweep.parameter == "network.N"
+    texts = [str(int(round(value))) if integer else repr(float(value)) for value in values]
+    if len(set(texts)) < len(texts):
+        message = f"sweep.steps = {sweep.steps} repeats {sweep.parameter} values"
+        raise ConfigError(f"{message}: {len(set(texts))} distinct", *items["sweep.steps"][1:])
     # a point the model rejects is blamed on the sweep.parameter setting
     _, source, line = items["sweep.parameter"]
-    for value in values:
-        text = str(int(round(value))) if sweep.parameter == "network.N" else repr(float(value))
+    for text in texts:
         point = resolve_scenario({**items, sweep.parameter: (text, source, line)})
         for spec in point.specs:
             table.add_row(text, *_rate_row(point, spec))
@@ -194,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # the task of each multipartite family, for the commands that take one task
-TASKS = {Family.MQSS: "QSS", Family.MCKA: "CKA"}
+TASKS = {family: task for task, family in TASK_FAMILIES.items()}
 
 
 def _task(items: dict, scenario: Scenario, command: str) -> str:

@@ -24,7 +24,7 @@ from .network import (
     yields,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import UNIT_GRID, ScalarMaximum, maximize_unit_interval
+from .optimize import UNIT_GRID, maximize_unit_interval
 
 
 # The Hoeffding (xi1: m samples of a pre-characterized distribution) and
@@ -311,13 +311,14 @@ def stacked_fractions(models: Sequence[KeyLengthModel]) -> np.ndarray:
 
 class BestFraction:
     """The largest secret fraction among several models: each model's p_key
-    optimum and, over them, the winning protocol variant.
+    optimum and, over them, the winning protocol variant, both selected
+    when it is built.
 
     `rows` are the models' `stacked_fractions` rows, stacked here when not
-    given.  A model whose row has no positive fraction is dead.  `optima`
-    refines every model once, on first use.  `winner` indexes the first
-    live model with the largest refined fraction; when every model is dead
-    it is `fallback`, whose p_key = 1/2 evaluation `result` reports.
+    given.  A model whose row has no positive fraction is dead.  `winner`
+    indexes the first live model with the largest refined fraction; when
+    every model is dead it is `fallback`, whose p_key = 1/2 evaluation
+    `result` reports.
     """
 
     def __init__(
@@ -325,22 +326,10 @@ class BestFraction:
     ) -> None:
         self.models = list(models)
         self.rows = stacked_fractions(self.models) if rows is None else rows
-        self.fallback = fallback
-        # plain caches: functools.cached_property locks on each first read before Python 3.12
-        self._optima = None
-
-    @property
-    def optima(self) -> list[ScalarMaximum]:
-        if self._optima is None:
-            pairs = zip(self.models, self.rows)
-            self._optima = [maximize_unit_interval(model.fraction, row) for model, row in pairs]
-        return self._optima
-
-    @property
-    def winner(self) -> int:
+        self.optima = [maximize_unit_interval(model.fraction, row) for model, row in zip(self.models, self.rows)]
         live = [i for i, opt in enumerate(self.optima) if not opt.indeterminate]
         # max keeps the first of equal fractions
-        return max(live, key=lambda i: self.optima[i].value, default=self.fallback)
+        self.winner = max(live, key=lambda i: self.optima[i].value, default=fallback)
 
     def exact(self) -> float:
         return self.optima[self.winner].value

@@ -6,15 +6,23 @@ import pytest
 from ghznet import analysis
 from ghznet.analysis import (
     ThresholdQuery,
-    _best_fractions,
     _gap,
     advantage_profile,
     best_cka_fraction,
     find_threshold,
+    multi_models,
     optimized_fraction,
     scenario_qbers,
 )
-from ghznet.finite import FiniteSizeParams, KeyLengthModel, bipartite_optimal, link_params
+from ghznet.finite import (
+    BestFraction,
+    FiniteSizeParams,
+    KeyLengthModel,
+    best_link,
+    bipartite_models,
+    bipartite_optimal,
+    link_params,
+)
 from ghznet.network import Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, memoryless_qber
 from ghznet.optimize import UNIT_GRID, maximize_unit_interval
@@ -170,9 +178,8 @@ def test_dead_sides_keep_the_half_evaluation(task):
                     distance, f_depol = (4.0, x) if target == "noise" else (x, 0.01)
                     cfg = NetworkConfig.make_symmetric(n, distance)
                     qb_bi = memoryless_qber(f_depol, 2)
-                    multi, bi = _best_fractions(
-                        cfg, task, fsp, fsp_link, memoryless_qber(f_depol, n), [(False, qb_bi)]
-                    )
+                    multi = BestFraction(multi_models(cfg, task, fsp, memoryless_qber(f_depol, n)))
+                    bi = best_link(bipartite_models(cfg, fsp_link, [(False, qb_bi)]))
                     if all(opt.indeterminate for opt in multi.optima):
                         dead.add(("multi", target))
                         half = max(model.result(0.5).secret_fraction for model in multi.models)
@@ -378,3 +385,33 @@ def test_finite_profile_equals_the_eager_path(task, memories, network):
             assert row.bi_rate == bi.result.secret_fraction
             statuses.add(row.status)
     assert ("both-zero" in statuses) is (network == "short-T2")
+
+
+@pytest.mark.parametrize("block", [None, 1e4, 1e6, 1e10])
+def test_two_party_multipartite_side_is_a_baseline_candidate(block):
+    # at N = 2 without memories the multipartite models are baseline links:
+    # the conference key's two strategies are both links, secret sharing one
+    fsp = None if block is None else FiniteSizeParams(epsilon=1e-10, block_size=block)
+    for d_b in (0.0, 2.0, 10.0):
+        for f_depol in (0.0, 0.02, 0.05):
+            cfg, noise = NetworkConfig(2, 30.0, d_b), NoiseParams(f_depol)
+            (cka,) = advantage_profile(cfg, noise, 2, False, fsp, "CKA").rows
+            (qss,) = advantage_profile(cfg, noise, 2, False, fsp, "QSS").rows
+            assert cka.multi_rate == cka.bi_rate, (d_b, f_depol)
+            assert qss.multi_rate <= qss.bi_rate, (d_b, f_depol)
+
+
+@pytest.mark.parametrize("task", ["QSS", "CKA"])
+def test_asymptotic_ratio_does_not_depend_on_alice_link(task):
+    # without memories both yields carry Alice's transmission once, so it
+    # cancels out of the ratio: the statuses and extents are the same
+    for f_depol in (0.0, 0.01, 0.03):
+        near, far = (
+            advantage_profile(NetworkConfig(2, d_a, 4.0), NoiseParams(f_depol), 25, False, task=task)
+            for d_a in (30.0, 50.0)
+        )
+        assert (near.max_n_linear, near.max_n_advantage) == (far.max_n_linear, far.max_n_advantage)
+        assert [row.status for row in near.rows] == [row.status for row in far.rows]
+        for a, b in zip(near.rows, far.rows):
+            if a.status == "ok":
+                assert a.ratio == pytest.approx(b.ratio, rel=1e-15, abs=0.0), (f_depol, a.n_parties)

@@ -790,6 +790,29 @@ def test_cli_sweep_endpoints_must_be_finite(capsys, settings, message):
 @pytest.mark.parametrize(
     "settings,message",
     [
+        (["sweep.parameter=network.N", "sweep.from=2", "sweep.to=3", "sweep.steps=5"],
+         "error: --set[4]:1: sweep.steps = 5 repeats network.N values: 2 distinct"),
+        (["sweep.parameter=network.N", "sweep.log=true", "sweep.from=2", "sweep.to=30", "sweep.steps=29"],
+         "error: --set[5]:1: sweep.steps = 29 repeats network.N values: 20 distinct"),
+        (["network.N=3", "sweep.parameter=noise.f_D", "sweep.from=0.01", "sweep.to=0.01", "sweep.steps=3"],
+         "error: --set[5]:1: sweep.steps = 3 repeats noise.f_D values: 1 distinct"),
+    ],
+    ids=["linear-player-count", "log-player-count", "empty-noise-range"],
+)
+def test_cli_sweep_prints_no_repeated_rows(capsys, settings, message):
+    # rounding the grid to whole player counts, or an empty range, must not
+    # print one point twice
+    argv = ["sweep"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "settings,message",
+    [
         (["sweep.parameter=network.N", "sweep.from=1", "sweep.to=3", "sweep.steps=3"],
          "error: --set[1]:1: need at least 2 parties, got 1"),
         (["network.N=3", "sweep.parameter=noise.f_D", "sweep.from=0", "sweep.to=2", "sweep.steps=3"],

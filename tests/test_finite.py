@@ -503,4 +503,12 @@ def test_one_selection_calls_the_optimizer():
         if path.name != "optimize.py"
         for scope in _call_scopes("maximize_unit_interval", ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert sites == [("finite", "BestFraction.optima")]
+    assert sites == [("finite", "BestFraction.__init__")]
+
+
+@pytest.mark.parametrize("name", ["asymptotic_rate", "stacked_fractions"])
+def test_one_comparison_computes_both_sides(name):
+    # thresholds and profiles compare the two sides only through
+    # _advantage, in both regimes: a second call site would fork the comparison
+    tree = ast.parse(Path(ghznet.__file__).with_name("analysis.py").read_text(encoding="utf-8"))
+    assert set(_call_scopes(name, tree)) == {"_advantage"}
