@@ -15,7 +15,6 @@ from .finite import (
     KeyLengthResult,
     best_link,
     bipartite_models,
-    link_params,
     stacked_fractions,
 )
 from .memory import as_rng, expected_memory_qbers
@@ -168,7 +167,7 @@ def _advantage(
         links = (asymptotic_rate(cfg, ProtocolSpec(Family.BQSS, mem), qbers) for mem, qbers in link_modes)
         return multi.rate, max(link.rate for link in links)
     multi = multi_models(cfg, task, fsp, qb_multi, memories)
-    links = bipartite_models(cfg, link_params(fsp, cfg.n_parties), link_modes)
+    links = bipartite_models(cfg, fsp, link_modes)
     rows = stacked_fractions(multi + list(links.values()))
     return BestFraction(multi, rows[: len(multi)]).exact(), best_link(links, rows[len(multi) :]).exact()
 

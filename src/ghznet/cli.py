@@ -153,26 +153,40 @@ def _emit(table: ResultTable, out: str | None, scenario: Scenario) -> None:
 
 
 def _load(args: argparse.Namespace) -> dict:
-    """The command's configuration items, each one a key the command reads."""
+    """The command's configuration items: each one a key the command reads
+    and none that its arguments override."""
     items = load_config(args.config, args.set or [])
     for key, (_, source, line) in items.items():
         if key not in COMMAND_KEYS[args.command]:
             raise ConfigError(f"{args.command} takes no {key}", source, line)
+    if args.command == "threshold":
+        # the scanned quantity's own keys would be resolved, printed and unused
+        scanned_keys = ("noise.f_D",) if args.target == "noise" else ("network.d_km", "network.d_B_km")
+        for key in scanned_keys:
+            if key in items:
+                _, source, line = items[key]
+                raise ConfigError(f"--target {args.target} overrides {key}", source, line)
     return items
 
 
-def cmd_rate(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(_load(args))
-    table = ResultTable(RATE_COLUMNS, metadata=_metadata(scenario, "rate"))
-    for spec in scenario.specs:
-        table.add_row(*_rate_row(scenario, spec))
+def _run_table(args: argparse.Namespace) -> int:
+    """The one path of the table commands: load the command's keys, resolve
+    the scenario, build the columns and rows, then write the CSV."""
+    items = _load(args)
+    scenario = resolve_scenario(items)
+    columns, rows = args.build(items, scenario, args)
+    table = ResultTable(columns, metadata=_metadata(scenario, args.command))
+    for row in rows:
+        table.add_row(*row)
     _emit(table, args.out, scenario)
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    items = _load(args)
-    scenario = resolve_scenario(items)
+def _rate(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[list, list]:
+    return RATE_COLUMNS, [_rate_row(scenario, spec) for spec in scenario.specs]
+
+
+def _sweep(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[list, list]:
     if scenario.sweep is None:
         raise ConfigError("sweep needs sweep.parameter/from/to/steps")
     sweep = scenario.sweep
@@ -180,22 +194,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = np.logspace(np.log10(sweep.start), np.log10(sweep.stop), sweep.steps)
     else:
         values = np.linspace(sweep.start, sweep.stop, sweep.steps)
-    table = ResultTable(
-        [sweep.parameter] + RATE_COLUMNS, metadata=_metadata(scenario, "sweep")
-    )
     integer = sweep.parameter == "network.N"
     texts = [str(int(round(value))) if integer else repr(float(value)) for value in values]
     if len(set(texts)) < len(texts):
         message = f"sweep.steps = {sweep.steps} repeats {sweep.parameter} values"
         raise ConfigError(f"{message}: {len(set(texts))} distinct", *items["sweep.steps"][1:])
-    # a point the model rejects is blamed on the sweep.parameter setting
+    # each point is a scenario of its own; a point the model rejects is
+    # blamed on the sweep.parameter setting
     _, source, line = items["sweep.parameter"]
+    rows = []
     for text in texts:
         point = resolve_scenario({**items, sweep.parameter: (text, source, line)})
-        for spec in point.specs:
-            table.add_row(text, *_rate_row(point, spec))
-    _emit(table, args.out, scenario)
-    return EXIT_OK
+        rows += ([text, *_rate_row(point, spec)] for spec in point.specs)
+    return [sweep.parameter] + RATE_COLUMNS, rows
 
 
 # the task of each multipartite family, for the commands that take one task
@@ -211,10 +222,8 @@ def _task(items: dict, scenario: Scenario, command: str) -> str:
     return TASKS[spec.family]
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    items = _load(args)
-    scenario = resolve_scenario(items)
-    task = _task(items, scenario, "profile")
+def _profile(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[list, list]:
+    task = _task(items, scenario, args.command)
     profile = advantage_profile(
         scenario.network,
         scenario.noise,
@@ -225,13 +234,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         scenario.mc_samples,
         scenario.seed,
     )
-    table = ResultTable(
-        ["n_parties", "multi_rate", "bi_rate", "ratio", "status", "within_linear", "within_advantage"],
-        metadata=_metadata(scenario, "profile"),
-    )
+    rows = []
     for row in profile.rows:
         n = row.n_parties
-        table.add_row(
+        rows.append([
             n,
             row.multi_rate,
             row.bi_rate,
@@ -239,22 +245,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
             row.status,
             profile.max_n_linear is not None and n <= profile.max_n_linear,
             profile.max_n_advantage is not None and n <= profile.max_n_advantage,
-        )
-    _emit(table, args.out, scenario)
-    return EXIT_OK
+        ])
+    columns = ["n_parties", "multi_rate", "bi_rate", "ratio", "status", "within_linear", "within_advantage"]
+    return columns, rows
 
 
-def cmd_threshold(args: argparse.Namespace) -> int:
-    items = _load(args)
+def _threshold(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[list, list]:
     noise_target = args.target == "noise"
-    # the scanned quantity's own keys would be resolved, printed and unused
-    scanned_keys = ("noise.f_D",) if noise_target else ("network.d_km", "network.d_B_km")
-    for key in scanned_keys:
-        if key in items:
-            _, source, line = items[key]
-            raise ConfigError(f"--target {args.target} overrides {key}", source, line)
-    scenario = resolve_scenario(items)
-    task = _task(items, scenario, "threshold")
+    task = _task(items, scenario, args.command)
     if args.bracket:
         lo, hi = args.bracket
         scan_range = [0.0, 1.0] if noise_target else [0.0, math.inf]
@@ -273,11 +271,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     default_bracket = (1e-9, 0.5) if noise_target else (1e-3, 60.0)
     bracket = tuple(args.bracket) if args.bracket else default_bracket
     result = find_threshold(query, bracket)
-    table = ResultTable(
-        ["target", "task", "n_parties", "regime", "fixed_value", "bracket_lo", "bracket_hi", "threshold", "status"],
-        metadata=_metadata(scenario, "threshold"),
-    )
-    table.add_row(
+    columns = ["target", "task", "n_parties", "regime", "fixed_value", "bracket_lo", "bracket_hi", "threshold", "status"]
+    row = [
         query.target,
         query.task,
         query.n_parties,
@@ -287,9 +282,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         bracket[1],
         result.value,
         result.status,
-    )
-    _emit(table, args.out, scenario)
-    return EXIT_OK
+    ]
+    return columns, [row]
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -375,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ghznet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_table(name: str, build, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument(
             "--set",
@@ -384,26 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a configuration key (repeatable)",
         )
         p.add_argument("--out", help="write the CSV table here instead of stdout")
+        p.set_defaults(func=_run_table, build=build)
+        return p
 
-    p_rate = sub.add_parser("rate", help="single-point rate evaluation")
-    add_common(p_rate)
-    p_rate.set_defaults(func=cmd_rate)
-
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter, one row per point")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_prof = sub.add_parser("profile", help="multi/bipartite rate ratio for N = 2..network.N")
-    add_common(p_prof)
-    p_prof.set_defaults(func=cmd_profile)
-
-    p_thr = sub.add_parser("threshold", help="find the multi/bi-partite crossing by ITP search")
-    add_common(p_thr)
+    add_table("rate", _rate, "single-point rate evaluation")
+    add_table("sweep", _sweep, "sweep one parameter, one row per point")
+    add_table("profile", _profile, "multi/bipartite rate ratio for N = 2..network.N")
+    p_thr = add_table("threshold", _threshold, "find the multi/bi-partite crossing by ITP search")
     p_thr.add_argument(
         "--target", choices=("noise", "distance"), required=True, help="scan noise.f_D or the link distance"
     )
     p_thr.add_argument("--bracket", type=float, nargs=2, help="search bracket")
-    p_thr.set_defaults(func=cmd_threshold)
 
     p_rep = sub.add_parser("reproduce", help="emit figure-style CSV tables")
     p_rep.add_argument("--figure", required=True, help="a figure id such as fig5, or all")

@@ -42,13 +42,6 @@ def _serfling(log_inv_eps, m, k, sqrt=math.sqrt):
 
 
 @dataclass(frozen=True)
-class EpsilonBudget:
-    eps_c: float
-    eps_pa: float
-    eps_pe: float
-
-
-@dataclass(frozen=True)
 class FiniteSizeParams:
     """Finite-run description: the target block size (expected key-basis
     detections) plus the security parameter epsilon."""
@@ -66,23 +59,26 @@ class FiniteSizeParams:
             raise ValueError("block_size must be finite and >= 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        self.budget()  # raises when the split underflows the key-length log term
-
-    def budget(self) -> EpsilonBudget:
-        """eps_c + eps_pa + 2*eps_pe = epsilon with the 1/2, 1/4, 1/8 weights."""
-        budget = EpsilonBudget(
-            eps_c=self.epsilon / 2.0, eps_pa=self.epsilon / 4.0, eps_pe=self.epsilon / 8.0
-        )
         # KeyLengthModel's log term is log2 of 1/(eps_c * eps_pa**2)
-        if not 2.0 * budget.eps_c * budget.eps_pa**2 > 0.0:
+        if not 2.0 * self.eps_c * self.eps_pa**2 > 0.0:
             raise ValueError(
                 f"epsilon={self.epsilon!r} is too small: "
                 "eps_c * eps_pa**2 underflows to 0 in the key-length log term"
             )
-        total = budget.eps_c + budget.eps_pa + 2.0 * budget.eps_pe
-        if abs(total - self.epsilon) > 1e-12 * self.epsilon:
-            raise AssertionError("security budget does not add up")
-        return budget
+
+    # The security budget eps_c + eps_pa + 2*eps_pe = epsilon, with the
+    # 1/2, 1/4, 1/8 weights: powers of two, so the split is exact.
+    @property
+    def eps_c(self) -> float:
+        return self.epsilon / 2.0
+
+    @property
+    def eps_pa(self) -> float:
+        return self.epsilon / 4.0
+
+    @property
+    def eps_pe(self) -> float:
+        return self.epsilon / 8.0
 
 
 STATUS_OK = "ok"
@@ -187,7 +183,6 @@ class KeyLengthModel:
     ) -> None:
         spec = ProtocolSpec(family, memories, basis_strategy)
         n_formula = formula_party_count(cfg, spec)
-        budget = fsp.budget()
         self.strategy = spec.basis_strategy
         self.n_formula = n_formula
         self.block_size = fsp.block_size
@@ -195,20 +190,20 @@ class KeyLengthModel:
         # eps_c also plays the two roles that lie outside the secrecy budget:
         # the robustness (the 1 - eps_c factor and the Hoeffding penalty) and
         # the error correction (the log term)
-        self.eps_c = budget.eps_c
+        self.eps_c = fsp.eps_c
         self.preshared = self.strategy is BasisStrategy.PRESHARED
         if self.preshared:
             self.q_pe, self.q_ec = qbers.q_x, qbers.q_z
-            eps_pe, eps_ec = budget.eps_pe, budget.eps_c / math.sqrt(n_formula - 1)
+            eps_pe, eps_ec = fsp.eps_pe, fsp.eps_c / math.sqrt(n_formula - 1)
         else:
             self.q_pe, self.q_ec = qbers.q_z, qbers.q_x
-            eps_pe, eps_ec = budget.eps_pe / math.sqrt(n_formula - 1), budget.eps_c
+            eps_pe, eps_ec = fsp.eps_pe / math.sqrt(n_formula - 1), fsp.eps_c
         self.log_pe = math.log(1.0 / eps_pe)
         self.log_ec = math.log(1.0 / eps_ec)
         # log2((n-1) / (2 eps_c eps_pa^2)) as a sum of logs: the quotient
         # overflows once the baseline splits a tiny epsilon over many links
         self.log_term = (
-            math.log2(n_formula - 1) - 1.0 - math.log2(budget.eps_c) - 2.0 * math.log2(budget.eps_pa)
+            math.log2(n_formula - 1) - 1.0 - math.log2(fsp.eps_c) - 2.0 * math.log2(fsp.eps_pa)
         )
 
     def _counts(self, p_key: float) -> tuple:
@@ -359,17 +354,13 @@ class BipartiteOptimum:
     candidates: dict
 
 
-def link_params(fsp: FiniteSizeParams, n_parties: int) -> FiniteSizeParams:
-    """Budget of each of the N-1 parallel links of the bipartite baseline:
-    epsilon/(N-1) per link."""
-    return replace(fsp, epsilon=fsp.epsilon / (n_parties - 1)) if n_parties > 2 else fsp
-
-
 def bipartite_models(
-    cfg: NetworkConfig, fsp_link: FiniteSizeParams, modes: list[tuple[bool, QberPair]]
+    cfg: NetworkConfig, fsp: FiniteSizeParams, modes: list[tuple[bool, QberPair]]
 ) -> dict[tuple[Family, bool], KeyLengthModel]:
     """The baseline's candidate link models, keyed (family, memories): bCKA
-    then bQSS, each in every (memories, error rates) mode."""
+    then bQSS, each in every (memories, error rates) mode.  Each of the N-1
+    parallel links runs with security parameter epsilon/(N-1)."""
+    fsp_link = replace(fsp, epsilon=fsp.epsilon / (cfg.n_parties - 1))
     return {
         (family, memories): KeyLengthModel(cfg, family, fsp_link, qbers, memories)
         for family in (Family.BCKA, Family.BQSS)
@@ -399,7 +390,7 @@ def bipartite_optimal(
     modes = [(False, memoryless_qber(noise.f_depol, 2))]
     if memory_qbers is not None:
         modes.append((True, memory_qbers))
-    links = bipartite_models(cfg, link_params(fsp, cfg.n_parties), modes)
+    links = bipartite_models(cfg, fsp, modes)
     best = best_link(links)
     keys = list(links)
     candidates = {(f.value, mem): (opt.x, opt.value) for (f, mem), opt in zip(keys, best.optima)}

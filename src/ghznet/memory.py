@@ -9,7 +9,6 @@ sampling the success-trial indices.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,20 +39,10 @@ def trial_times(cfg: NetworkConfig, noise: NoiseParams) -> TimingConfig:
     return TimingConfig(tau_a, tau_b, comm_b, noise.t2_s)
 
 
-@functools.lru_cache(maxsize=256)
-def _seed_sequence(entropy: int | tuple[int, ...]) -> np.random.SeedSequence:
-    # generating a generator's state leaves the sequence as it was, so one
-    # sequence per seed serves every draw; nothing spawns from it
-    return np.random.SeedSequence(entropy)
-
-
 def as_rng(seed: int | np.random.Generator | Sequence[int]) -> np.random.Generator:
-    """The generator np.random.default_rng(seed) returns; the seed's entropy
-    is hashed once per process for the last 256 seeds."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    entropy = tuple(seed) if isinstance(seed, Sequence) else seed
-    return np.random.Generator(np.random.PCG64(_seed_sequence(entropy)))
+    """The generator np.random.default_rng(seed) returns: a Generator
+    passes through, a seed or a sequence of seeds starts a PCG64 stream."""
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)

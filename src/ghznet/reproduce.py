@@ -10,7 +10,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    TASK_FAMILIES,
     ThresholdQuery,
+    ThresholdResult,
     advantage_profile,
     find_threshold,
     multi_models,
@@ -40,33 +42,30 @@ THRESHOLD_D_KM = DEFAULTS["network.d_B_km"]
 
 BLOCK_GRID = tuple(float(b) for b in np.logspace(4, 12, 17))
 THRESHOLD_BLOCKS = (1e6, 1e8, 1e10)
+# the search bracket of each threshold target, in fig3 and fig6 alike
+THRESHOLD_BRACKETS = {"noise": (1e-9, 0.5), "distance": (1e-3, 40.0)}
 
 
-def _meta(figure: str, seed: int, **params) -> dict[str, str]:
+def _table(figure: str, seed: int, columns: list[str], **params) -> ResultTable:
+    """An empty table whose header records the figure, the seed and `params`."""
     meta = {"ghznet.version": __version__, "figure": figure, "seed": str(seed)}
     for key, value in params.items():
         meta[f"param.{key}"] = f"{value:g}" if isinstance(value, float) else str(value)
-    return meta
+    return ResultTable(columns, metadata=meta)
 
 
 def _memory_noise() -> NoiseParams:
     return NoiseParams(f_depol=F_DEPOL, t2_s=T2_S, prep_time_s=TP_S)
 
 
-def _write(table: ResultTable, outdir: str, name: str, manifest: list[str]) -> None:
-    path = os.path.join(outdir, name)
-    table.write(path)
-    manifest.append(name)
-
-
-def _fig2(outdir: str, seed: int, manifest: list[str]) -> None:
+def _fig2(seed: int) -> dict[str, ResultTable]:
     """Asymptotic rates versus symmetric link distance at 2% depolarization."""
     f_depol = 0.02
     n_values = (3, 4, 5)
     columns = ["d_km"]
     for n in n_values:
         columns += [f"mQSS_N{n}", f"bQSS_N{n}"]
-    table = ResultTable(columns, metadata=_meta("fig2", seed, f_depol=f_depol))
+    table = _table("fig2", seed, columns, f_depol=f_depol)
     for d_km in np.linspace(0.0, 20.0, 81):
         row = [float(d_km)]
         for n in n_values:
@@ -74,46 +73,48 @@ def _fig2(outdir: str, seed: int, manifest: list[str]) -> None:
             row.append(asymptotic_rate(cfg, ProtocolSpec(Family.MQSS), memoryless_qber(f_depol, n)).rate)
             row.append(asymptotic_rate(cfg, ProtocolSpec(Family.BQSS), memoryless_qber(f_depol, 2)).rate)
         table.rows.append(row)
-    _write(table, outdir, "fig2_rates_vs_distance.csv", manifest)
+    return {"fig2_rates_vs_distance.csv": table}
 
 
-def _fig3(outdir: str, seed: int, manifest: list[str]) -> None:
+def _threshold(target: str, n: int, held: float, xtol: float, **finite) -> ThresholdResult:
+    """The fig3/fig6 search of one target at n players: `held` is the
+    distance of a noise threshold and the noise of a distance threshold."""
+    fixed = {"fixed_distance_km": held} if target == "noise" else {"fixed_noise": held}
+    query = ThresholdQuery(target, n, **fixed, **finite)
+    return find_threshold(query, THRESHOLD_BRACKETS[target], xtol=xtol)
+
+
+def _fig3(seed: int) -> dict[str, ResultTable]:
     """Asymptotic advantage thresholds versus player number."""
     n_values = range(3, 11)
-    noise_table = ResultTable(
-        ["n_parties", "f_depol_threshold", "status"],
-        metadata=_meta("fig3", seed, fixed_d_km=THRESHOLD_D_KM, panel="noise-threshold"),
+    noise_table = _table(
+        "fig3", seed, ["n_parties", "f_depol_threshold", "status"],
+        fixed_d_km=THRESHOLD_D_KM, panel="noise-threshold",
     )
     for n in n_values:
-        res = find_threshold(
-            ThresholdQuery("noise", n, fixed_distance_km=THRESHOLD_D_KM), (1e-9, 0.5), xtol=1e-7
-        )
+        res = _threshold("noise", n, THRESHOLD_D_KM, xtol=1e-7)
         noise_table.add_row(n, res.value, res.status)
-    _write(noise_table, outdir, "fig3_noise_thresholds.csv", manifest)
-    distance_table = ResultTable(
-        ["n_parties", "f_depol", "d_km_threshold", "status"],
-        metadata=_meta("fig3", seed, panel="distance-threshold", f_depol_values=f"0,{F_DEPOL:g}"),
+    distance_table = _table(
+        "fig3", seed, ["n_parties", "f_depol", "d_km_threshold", "status"],
+        panel="distance-threshold", f_depol_values=f"0,{F_DEPOL:g}",
     )
     for f_depol in (0.0, F_DEPOL):
         for n in n_values:
-            res = find_threshold(
-                ThresholdQuery("distance", n, fixed_noise=f_depol), (1e-3, 40.0), xtol=1e-5
-            )
+            res = _threshold("distance", n, f_depol, xtol=1e-5)
             distance_table.add_row(n, f_depol, res.value, res.status)
-    _write(distance_table, outdir, "fig3_distance_thresholds.csv", manifest)
+    return {"fig3_noise_thresholds.csv": noise_table, "fig3_distance_thresholds.csv": distance_table}
 
 
-def _fig4(outdir: str, seed: int, manifest: list[str]) -> None:
+def _fig4(seed: int) -> dict[str, ResultTable]:
     """Asymptotic multipartite advantage versus player number, with and
     without memories, in asymmetric networks."""
     noise = _memory_noise()
-    table = ResultTable(
+    table = _table(
+        "fig4", seed,
         ["d_a_km", "n_parties", "ratio_memory", "ratio_memoryless", "rate_multi_memory",
          "rate_bi_memory", "rate_multi_memoryless", "rate_bi_memoryless"],
-        metadata=_meta(
-            "fig4", seed, d_b_km=ASYM_D_B_KM, f_depol=F_DEPOL, t2_s=T2_S, tp_s=TP_S,
-            mc_samples=MC_SAMPLES,
-        ),
+        d_b_km=ASYM_D_B_KM, f_depol=F_DEPOL, t2_s=T2_S, tp_s=TP_S,
+        mc_samples=MC_SAMPLES,
     )
     for d_a in (30.0, 50.0):
         cfg = NetworkConfig(2, d_a, ASYM_D_B_KM)
@@ -124,7 +125,7 @@ def _fig4(outdir: str, seed: int, manifest: list[str]) -> None:
                 d_a, row_m.n_parties, row_m.ratio, row_n.ratio, row_m.multi_rate,
                 row_m.bi_rate, row_n.multi_rate, row_n.bi_rate,
             )
-    _write(table, outdir, "fig4_advantage_profiles.csv", manifest)
+    return {"fig4_advantage_profiles.csv": table}
 
 
 def _p_key(opt: ScalarMaximum) -> float | None:
@@ -175,106 +176,90 @@ def _block_sweep(seed: int) -> list[dict]:
     return rows
 
 
-def _block_table(seed: int, bi_columns: list[str]) -> ResultTable:
-    rows = _block_sweep(seed)
-    columns = ["block_size", "mQSS", "mCKA", "mCKA_strategy", "p_key_mQSS", "p_key_mCKA"]
-    columns += bi_columns + ["asymptote_multi", "asymptote_bipartite"]
-    table = ResultTable(
-        columns,
-        metadata=_meta(
-            "fig5/figC1", seed, n_parties=DEFAULT_N, d_a_km=ASYM_D_A_KM, d_b_km=ASYM_D_B_KM,
-            f_depol=F_DEPOL, epsilon=EPSILON, t2_s=T2_S, tp_s=TP_S, mc_samples=MC_SAMPLES,
-            memories="true",
-        ),
+def _block_table(
+    seed: int, figure: str, cells: list[str], columns: list[str] | None = None, **params
+) -> ResultTable:
+    """The `_block_sweep` cells named by `cells`, one row per block, under
+    the headers `columns` (the cell names by default)."""
+    table = _table(
+        figure, seed, columns or cells, n_parties=DEFAULT_N, d_a_km=ASYM_D_A_KM,
+        d_b_km=ASYM_D_B_KM, f_depol=F_DEPOL, epsilon=EPSILON, memories="true", **params,
     )
-    for row in rows:
-        table.add_row(*(row[column] for column in columns))
+    for row in _block_sweep(seed):
+        table.add_row(*(row[cell] for cell in cells))
     return table
 
 
-def _fig5(outdir: str, seed: int, manifest: list[str]) -> None:
+def _fig5_table(seed: int, bi_cells: list[str]) -> ResultTable:
+    """fig5's and figC1's projection: the multipartite cells, `bi_cells`
+    and the asymptotes."""
+    cells = ["block_size", "mQSS", "mCKA", "mCKA_strategy", "p_key_mQSS", "p_key_mCKA"]
+    cells += bi_cells + ["asymptote_multi", "asymptote_bipartite"]
+    return _block_table(seed, "fig5/figC1", cells, t2_s=T2_S, tp_s=TP_S, mc_samples=MC_SAMPLES)
+
+
+def _fig5(seed: int) -> dict[str, ResultTable]:
     """Secret fraction versus block size, bipartite collapsed to its best."""
-    table = _block_table(seed, ["bipartite_optimal", "bipartite_choice"])
-    _write(table, outdir, "fig5_blocksize.csv", manifest)
+    return {"fig5_blocksize.csv": _fig5_table(seed, ["bipartite_optimal", "bipartite_choice"])}
 
 
-def _fig_c1(outdir: str, seed: int, manifest: list[str]) -> None:
+def _fig_c1(seed: int) -> dict[str, ResultTable]:
     """Secret fraction versus block size with both bipartite strategies shown."""
-    columns = ["b_preshared", "b_switching", "p_key_b_preshared", "p_key_b_switching"]
-    _write(_block_table(seed, columns), outdir, "figC1_blocksize_full.csv", manifest)
+    cells = ["b_preshared", "b_switching", "p_key_b_preshared", "p_key_b_switching"]
+    return {"figC1_blocksize_full.csv": _fig5_table(seed, cells)}
 
 
-def _fig_c2(outdir: str, seed: int, manifest: list[str]) -> None:
+def _fig_c2(seed: int) -> dict[str, ResultTable]:
     """Optimal key-basis probability versus block size.
 
     p_key_mCKA is the pre-shared conference-key optimum, which differs from
     the sweep's best mCKA wherever switching wins.
     """
-    table = ResultTable(
-        ["block_size", "p_key_mCKA", "p_key_mQSS", "p_key_bCKA", "p_key_bQSS"],
-        metadata=_meta(
-            "figC2", seed, n_parties=DEFAULT_N, d_a_km=ASYM_D_A_KM, d_b_km=ASYM_D_B_KM,
-            f_depol=F_DEPOL, epsilon=EPSILON, memories="true",
-        ),
-    )
-    columns = ("block_size", "p_key_mCKA_preshared", "p_key_mQSS", "p_key_b_preshared", "p_key_b_switching")
-    for row in _block_sweep(seed):
-        table.add_row(*(row[column] for column in columns))
-    _write(table, outdir, "figC2_optimal_pkey.csv", manifest)
+    cells = ["block_size", "p_key_mCKA_preshared", "p_key_mQSS", "p_key_b_preshared", "p_key_b_switching"]
+    columns = ["block_size", "p_key_mCKA", "p_key_mQSS", "p_key_bCKA", "p_key_bQSS"]
+    return {"figC2_optimal_pkey.csv": _block_table(seed, "figC2", cells, columns)}
 
 
-def _fig6(outdir: str, seed: int, manifest: list[str]) -> None:
+def _fig6(seed: int) -> dict[str, ResultTable]:
     """Finite-size advantage thresholds over a symmetric network."""
     n_values = (3, 4, 5, 6, 8, 10)
-    for task in ("QSS", "CKA"):
-        noise_table = ResultTable(
-            ["task", "block_size", "n_parties", "f_depol_threshold", "status"],
-            metadata=_meta("fig6", seed, fixed_d_km=THRESHOLD_D_KM, epsilon=EPSILON, panel="noise"),
+    tables = {}
+    for task in TASK_FAMILIES:
+        noise_table = _table(
+            "fig6", seed, ["task", "block_size", "n_parties", "f_depol_threshold", "status"],
+            fixed_d_km=THRESHOLD_D_KM, epsilon=EPSILON, panel="noise",
         )
-        dist_table = ResultTable(
-            ["task", "block_size", "n_parties", "d_km_threshold", "status"],
-            metadata=_meta("fig6", seed, fixed_f_depol=F_DEPOL, epsilon=EPSILON, panel="distance"),
+        dist_table = _table(
+            "fig6", seed, ["task", "block_size", "n_parties", "d_km_threshold", "status"],
+            fixed_f_depol=F_DEPOL, epsilon=EPSILON, panel="distance",
         )
         for block in THRESHOLD_BLOCKS:
+            finite = {"task": task, "block_size": block, "epsilon": EPSILON}
             for n in n_values:
-                res = find_threshold(
-                    ThresholdQuery(
-                        "noise", n, fixed_distance_km=THRESHOLD_D_KM, task=task,
-                        block_size=block, epsilon=EPSILON,
-                    ),
-                    (1e-9, 0.5),
-                    xtol=1e-5,
-                )
+                res = _threshold("noise", n, THRESHOLD_D_KM, xtol=1e-5, **finite)
                 noise_table.add_row(task, block, n, res.value, res.status)
-                res = find_threshold(
-                    ThresholdQuery(
-                        "distance", n, fixed_noise=F_DEPOL, task=task,
-                        block_size=block, epsilon=EPSILON,
-                    ),
-                    (1e-3, 40.0),
-                    xtol=1e-4,
-                )
+                res = _threshold("distance", n, F_DEPOL, xtol=1e-4, **finite)
                 dist_table.add_row(task, block, n, res.value, res.status)
-        _write(noise_table, outdir, f"fig6_noise_thresholds_{task.lower()}.csv", manifest)
-        _write(dist_table, outdir, f"fig6_distance_thresholds_{task.lower()}.csv", manifest)
+        tables[f"fig6_noise_thresholds_{task.lower()}.csv"] = noise_table
+        tables[f"fig6_distance_thresholds_{task.lower()}.csv"] = dist_table
+    return tables
 
 
-def _fig7(outdir: str, seed: int, manifest: list[str]) -> None:
+def _fig7(seed: int) -> dict[str, ResultTable]:
     """Finite-size performance versus player number, with and without memories."""
     noise = _memory_noise()
     cfg = NetworkConfig(2, ASYM_D_A_KM, ASYM_D_B_KM)
-    table = ResultTable(
+    table = _table(
+        "fig7", seed,
         ["memories", "block_size", "n_parties", "task", "multi_fraction", "bi_fraction",
          "ratio", "status"],
-        metadata=_meta(
-            "fig7", seed, d_a_km=ASYM_D_A_KM, d_b_km=ASYM_D_B_KM, f_depol=F_DEPOL,
-            epsilon=EPSILON, t2_s=T2_S, tp_s=TP_S, mc_samples=MC_SAMPLES,
-        ),
+        d_a_km=ASYM_D_A_KM, d_b_km=ASYM_D_B_KM, f_depol=F_DEPOL,
+        epsilon=EPSILON, t2_s=T2_S, tp_s=TP_S, mc_samples=MC_SAMPLES,
     )
     for memories in (True, False):
         for block in THRESHOLD_BLOCKS:
             fsp = FiniteSizeParams(epsilon=EPSILON, block_size=block)
-            for task in ("QSS", "CKA"):
+            for task in TASK_FAMILIES:
                 profile = advantage_profile(
                     cfg, noise, 20, memories=memories, fsp=fsp, task=task,
                     mc_samples=MC_SAMPLES, seed=seed,
@@ -284,7 +269,7 @@ def _fig7(outdir: str, seed: int, manifest: list[str]) -> None:
                         memories, block, row.n_parties, task, row.multi_rate,
                         row.bi_rate, row.ratio, row.status,
                     )
-    _write(table, outdir, "fig7_player_scaling.csv", manifest)
+    return {"fig7_player_scaling.csv": table}
 
 
 RECIPES = {
@@ -300,16 +285,18 @@ RECIPES = {
 
 
 def run_reproduce(figure_id: str, outdir: str, seed: int = 1) -> list[str]:
-    """Write the CSV tables for one figure id; returns the file names."""
+    """Write the CSV tables for one figure id and its manifest; returns the
+    file names, in the order the recipe returns its tables."""
     if figure_id not in RECIPES:
         raise ValueError(f"unknown figure id {figure_id!r}")
     os.makedirs(outdir, exist_ok=True)
-    manifest: list[str] = []
-    RECIPES[figure_id](outdir, seed, manifest)
+    tables = RECIPES[figure_id](seed)
+    for name, table in tables.items():
+        table.write(os.path.join(outdir, name))
     manifest_path = os.path.join(outdir, f"MANIFEST_{figure_id}.txt")
     with open(manifest_path, "w", encoding="utf-8") as handle:
         handle.write(f"figure: {figure_id}\nseed: {seed}\nversion: {__version__}\n")
         handle.write("tables:\n")
-        for name in manifest:
+        for name in tables:
             handle.write(f"  {name}\n")
-    return manifest
+    return list(tables)

@@ -1,10 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ghznet
 from ghznet import analysis
 from ghznet.analysis import (
+    TASK_FAMILIES,
     ThresholdQuery,
     _gap,
     advantage_profile,
@@ -21,7 +26,6 @@ from ghznet.finite import (
     best_link,
     bipartite_models,
     bipartite_optimal,
-    link_params,
 )
 from ghznet.network import Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import NoiseParams, memoryless_qber
@@ -172,14 +176,14 @@ def test_dead_sides_keep_the_half_evaluation(task):
     for n in (2, 3, 5, 10):
         for block in (1e4, 1e6, 1e8, 1e10):
             fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
-            fsp_link = link_params(fsp, n)
+            fsp_link = FiniteSizeParams(epsilon=1e-10 / (n - 1), block_size=block)
             for target, (_, _, xs) in FIG6_SCANS.items():
                 for x in xs:
                     distance, f_depol = (4.0, x) if target == "noise" else (x, 0.01)
                     cfg = NetworkConfig.make_symmetric(n, distance)
                     qb_bi = memoryless_qber(f_depol, 2)
                     multi = BestFraction(multi_models(cfg, task, fsp, memoryless_qber(f_depol, n)))
-                    bi = best_link(bipartite_models(cfg, fsp_link, [(False, qb_bi)]))
+                    bi = best_link(bipartite_models(cfg, fsp, [(False, qb_bi)]))
                     if all(opt.indeterminate for opt in multi.optima):
                         dead.add(("multi", target))
                         half = max(model.result(0.5).secret_fraction for model in multi.models)
@@ -415,3 +419,64 @@ def test_asymptotic_ratio_does_not_depend_on_alice_link(task):
         for a, b in zip(near.rows, far.rows):
             if a.status == "ok":
                 assert a.ratio == pytest.approx(b.ratio, rel=1e-15, abs=0.0), (f_depol, a.n_parties)
+
+
+def test_no_module_spells_the_task_list():
+    # the tasks are the keys of TASK_FAMILIES; a literal list of them would
+    # be a second vocabulary to keep in step
+    tasks = set(TASK_FAMILIES)
+    literals = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(ghznet.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Tuple, ast.List))
+        and len(node.elts) == len(tasks)
+        and {getattr(elt, "value", None) for elt in node.elts} == tasks
+    ]
+    assert literals == []
+
+
+def _best_fraction(task, n, d_km, f_depol, block, epsilon):
+    """The task's optimised multipartite secret fraction on a memoryless
+    symmetric star."""
+    cfg = NetworkConfig.make_symmetric(n, d_km)
+    fsp = FiniteSizeParams(epsilon=epsilon, block_size=block)
+    qbers = memoryless_qber(f_depol, n)
+    if task == "CKA":
+        _, result, _ = best_cka_fraction(cfg, fsp, qbers)
+    else:
+        _, result = optimized_fraction(cfg, Family.MQSS, fsp, qbers)
+    return result.secret_fraction
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    task=st.sampled_from(sorted(TASK_FAMILIES)),
+    n=st.integers(2, 11),
+    d_km=st.floats(0.0, 15.0),
+    f_depol=st.floats(0.0, 0.08),
+    log_block=st.floats(4.0, 12.0),
+    log_epsilon=st.floats(-14.0, -3.0),
+)
+def test_fraction_metamorphic_relations(task, n, d_km, f_depol, log_block, log_epsilon):
+    block, epsilon = 10.0**log_block, 10.0**log_epsilon
+    point = dict(task=task, n=n, d_km=d_km, f_depol=f_depol, block=block, epsilon=epsilon)
+    base = _best_fraction(**point)
+    # a longer block and less noise or distance never cost key
+    assert _best_fraction(**{**point, "block": 1.5 * block}) >= base
+    assert _best_fraction(**{**point, "f_depol": f_depol + 0.002}) <= base
+    assert _best_fraction(**{**point, "d_km": d_km + 0.5}) <= base
+    # a looser epsilon lowers every penalty but also the 1 - eps_c factor
+    # (eps_c = epsilon/2), so only the fraction net of that factor never falls
+    doubled = _best_fraction(**{**point, "epsilon": 2.0 * epsilon})
+    assert doubled / (1.0 - epsilon) >= base / (1.0 - epsilon / 2.0)
+
+
+def test_doubling_epsilon_can_lower_the_fraction():
+    # the plain relation "a doubled epsilon never lowers the fraction" is
+    # false: at a large block the penalties are already small, and the
+    # 1 - eps_c factor falls by more than they do
+    point = dict(task="CKA", n=2, d_km=0.0, f_depol=0.0, block=1e11)
+    loose, looser = (_best_fraction(**point, epsilon=epsilon) for epsilon in (1e-3, 2e-3))
+    assert looser < loose
+    assert (round(loose, 6), round(looser, 6)) == (0.988464, 0.988231)

@@ -1021,3 +1021,15 @@ def test_python_m_ghznet_runs_the_cli():
     )
     assert done.returncode == 0
     assert done.stdout.strip() == f"ghznet {ghznet.__version__}"
+
+
+def test_cli_import_leaves_the_recipes_and_numpy_ma_unloaded():
+    # what a fresh `ghznet` process imports before it parses its arguments:
+    # the recipes load with `reproduce` only, and numpy.ma, which np.unique
+    # pulls in, stays out of start-up
+    src = str(Path(ghznet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ghznet.cli; print(*(m for m in ('ghznet.reproduce', 'numpy.ma') if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

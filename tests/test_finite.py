@@ -20,9 +20,9 @@ from ghznet.finite import (
     _hoeffding,
     _key_terms,
     _serfling,
+    bipartite_models,
     bipartite_optimal,
     expected_key_length,
-    link_params,
     stacked_fractions,
 )
 from ghznet.network import BasisStrategy, Family, NetworkConfig, ProtocolSpec
@@ -65,13 +65,13 @@ def test_xi2_no_overflow_for_huge_counts():
 
 
 def test_epsilon_budget_values():
-    budget = FiniteSizeParams(1e-10, block_size=1.0).budget()
-    assert budget.eps_c == pytest.approx(5e-11)
-    assert budget.eps_pa == pytest.approx(2.5e-11)
-    assert budget.eps_pe == pytest.approx(1.25e-11)
+    fsp = FiniteSizeParams(1e-10, block_size=1.0)
+    assert fsp.eps_c == pytest.approx(5e-11)
+    assert fsp.eps_pa == pytest.approx(2.5e-11)
+    assert fsp.eps_pe == pytest.approx(1.25e-11)
     # powers of two make the split exact in binary floating point
-    assert budget.eps_c + budget.eps_pa + 2.0 * budget.eps_pe == 1e-10
-    loose = FiniteSizeParams(0.8, block_size=1.0).budget()
+    assert fsp.eps_c + fsp.eps_pa + 2.0 * fsp.eps_pe == 1e-10
+    loose = FiniteSizeParams(0.8, block_size=1.0)
     assert (loose.eps_c, loose.eps_pa, loose.eps_pe) == (0.4, 0.2, 0.1)
 
 
@@ -105,18 +105,25 @@ def test_smallest_config_epsilon_survives_the_link_split():
     # every player count a recipe, a benchmark workload or a script default
     # reaches, and past N ~ 225, where (N-1)/(2 eps_c eps_pa^2) overflows
     for n in (*range(2, 31), 300):
-        link = link_params(fsp, n)
-        for family in Family:
-            model = KeyLengthModel(NetworkConfig(n, 1.0, 1.0), family, link, qbers)
+        cfg = NetworkConfig(n, 1.0, 1.0)
+        link = FiniteSizeParams(MIN_EPSILON / (n - 1), block_size=1e8)
+        models = [KeyLengthModel(cfg, family, link, qbers) for family in Family]
+        models += bipartite_models(cfg, fsp, [(False, qbers)]).values()
+        for model in models:
             assert math.isfinite(model.log_term)
 
 
-def test_link_params_split_epsilon_over_the_links():
+def test_bipartite_models_split_epsilon_over_the_links():
     fsp = FiniteSizeParams(1e-10, block_size=1e8)
-    assert link_params(fsp, 2) is fsp
-    link = link_params(fsp, 5)
-    assert link == FiniteSizeParams(2.5e-11, block_size=1e8)
-    assert link.budget() == FiniteSizeParams(2.5e-11, block_size=1e8).budget()
+    modes = [(False, QB_BI), (True, QberPair(0.0125, 0.00995))]
+    # each link of an N-party baseline runs at epsilon/(N-1): two parties
+    # keep the whole epsilon, five split it four ways
+    for n, link in ((2, fsp), (5, FiniteSizeParams(2.5e-11, block_size=1e8))):
+        cfg = NetworkConfig(n, 50.0, 4.0)
+        for (family, memories), model in bipartite_models(cfg, fsp, modes).items():
+            qbers = dict(modes)[memories]
+            assert vars(model) == vars(KeyLengthModel(cfg, family, link, qbers, memories))
+            assert model.eps_c == link.eps_c
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

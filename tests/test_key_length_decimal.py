@@ -18,7 +18,6 @@ from ghznet.finite import (
     FiniteSizeParams,
     KeyLengthModel,
     bipartite_models,
-    link_params,
     stacked_fractions,
 )
 from ghznet.network import Family, NetworkConfig
@@ -90,7 +89,7 @@ def _models(block: float) -> list[KeyLengthModel]:
             for family in (Family.MQSS, Family.MCKA):
                 models.append(KeyLengthModel(cfg, family, fsp, qbers, memories))
     modes = [(False, memoryless_qber(0.01, 2)), (True, QberPair(0.0125, 0.00995))]
-    models += bipartite_models(NetworkConfig(5, 50.0, 4.0), link_params(fsp, 5), modes).values()
+    models += bipartite_models(NetworkConfig(5, 50.0, 4.0), fsp, modes).values()
     return models
 
 
