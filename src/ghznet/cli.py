@@ -169,17 +169,29 @@ def _load(args: argparse.Namespace) -> dict:
     return items
 
 
-def _run_table(args: argparse.Namespace) -> int:
+def _table(args: argparse.Namespace) -> tuple[ResultTable, Scenario]:
     """The one path of the table commands: load the command's keys, resolve
-    the scenario, build the columns and rows, then write the CSV."""
+    the scenario, build the columns and rows into a table with its header."""
     items = _load(args)
     scenario = resolve_scenario(items)
     columns, rows = args.build(items, scenario, args)
     table = ResultTable(columns, metadata=_metadata(scenario, args.command))
     for row in rows:
         table.add_row(*row)
+    return table, scenario
+
+
+def _run_table(args: argparse.Namespace) -> int:
+    table, scenario = _table(args)
     _emit(table, args.out, scenario)
     return EXIT_OK
+
+
+def command_rows(argv: list[str]) -> list[dict]:
+    """The rows that the table command `ghznet <argv>` prints, each keyed by
+    column, as values rather than text; a bad setting raises ConfigError."""
+    table, _ = _table(build_parser().parse_args(argv))
+    return [dict(zip(table.columns, row)) for row in table.rows]
 
 
 def _rate(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[list, list]:

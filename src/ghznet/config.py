@@ -39,43 +39,35 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-def _parse_str(text: str) -> str:
-    return text.strip()
-
 def _parse_p_key(text: str) -> float | str:
     # `opt`: every row takes the p_key that maximizes its secret fraction
     return "opt" if text.strip() == "opt" else float(text)
 
 
-# key -> parser; presence here is what makes a key legal.
+# key -> parser of its stripped value text; presence here is what makes a
+# key legal.
 SCHEMA: dict[str, Callable[[str], object]] = {
-    "network.N": _parse_int,
-    "network.d_km": _parse_float,
-    "network.d_A_km": _parse_float,
-    "network.d_B_km": _parse_float,
-    "noise.f_D": _parse_float,
-    "memory.T2_s": _parse_float,
-    "memory.Tp_s": _parse_float,
-    "protocol.family": _parse_str,
+    "network.N": int,
+    "network.d_km": float,
+    "network.d_A_km": float,
+    "network.d_B_km": float,
+    "noise.f_D": float,
+    "memory.T2_s": float,
+    "memory.Tp_s": float,
+    "protocol.family": str,
     "protocol.memories": _parse_bool,
-    "protocol.basis_strategy": _parse_str,
+    "protocol.basis_strategy": str,
     "protocol.p_key": _parse_p_key,
-    "finite.block_size": _parse_float,
-    "finite.epsilon": _parse_float,
-    "mc.samples": _parse_int,
-    "mc.seed": _parse_int,
-    "sweep.parameter": _parse_str,
-    "sweep.from": _parse_float,
-    "sweep.to": _parse_float,
-    "sweep.steps": _parse_int,
+    "finite.block_size": float,
+    "finite.epsilon": float,
+    "mc.samples": int,
+    "mc.seed": int,
+    "sweep.parameter": str,
+    "sweep.from": float,
+    "sweep.to": float,
+    "sweep.steps": int,
     "sweep.log": _parse_bool,
-    "output.path": _parse_str,
+    "output.path": str,
 }
 
 # The value of each key that no source sets.  Keys absent here have no

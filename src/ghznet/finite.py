@@ -211,7 +211,7 @@ class KeyLengthModel:
         takes and the basis-string charge at one p_key."""
         eta_key, eta_check = sifting_fractions(self.strategy, self.n_formula, p_key)
         per_key = eta_key * self.per_use
-        rounds = max(self.block_size / per_key, 1.0) if per_key > 0.0 else math.inf
+        rounds = self.block_size / per_key if per_key > 0.0 else math.inf
         charge = rounds * binary_entropy(p_key) if self.preshared else 0.0
         return per_key, eta_check * self.per_use, rounds, charge
 
@@ -293,7 +293,7 @@ def stacked_fractions(models: Sequence[KeyLengthModel]) -> np.ndarray:
     per_key = eta_key * terms.per_use
     per_check = eta_check * terms.per_use
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rounds = np.where(per_key > 0.0, np.maximum(terms.block_size / per_key, 1.0), np.inf)
+        rounds = np.where(per_key > 0.0, terms.block_size / per_key, np.inf)
         charge = np.where(preshared, rounds * _GRID_ENTROPY, 0.0)
         # Without key or check detections the penalties need no mask:
         # one check round already saturates the Serfling penalty and the

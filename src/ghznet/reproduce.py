@@ -1,28 +1,23 @@
 """Figure-style reproduction recipes: pinned parameter grids for the
-standard scenario panels, one CSV per panel plus a manifest of the choices."""
+standard scenario panels, one CSV per panel plus a manifest of the choices.
+fig2, fig3, fig4, fig6 and fig7 pivot the rows that the `sweep`, `threshold`
+and `profile` commands print for the recipe's invocations."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    TASK_FAMILIES,
-    ThresholdQuery,
-    ThresholdResult,
-    advantage_profile,
-    find_threshold,
-    multi_models,
-    optimized_fraction,
-    scenario_qbers,
-)
+from .analysis import TASK_FAMILIES, multi_models, optimized_fraction, scenario_qbers
+from .cli import command_rows
 from .config import DEFAULTS
 from .finite import BestFraction, FiniteSizeParams, bipartite_optimal
 from .network import Family, NetworkConfig, ProtocolSpec
-from .noise import NoiseParams, memoryless_qber
+from .noise import NoiseParams
 from .optimize import ScalarMaximum
 from .rates import asymptotic_rate
 from .tables import ResultTable
@@ -42,8 +37,6 @@ THRESHOLD_D_KM = DEFAULTS["network.d_B_km"]
 
 BLOCK_GRID = tuple(float(b) for b in np.logspace(4, 12, 17))
 THRESHOLD_BLOCKS = (1e6, 1e8, 1e10)
-# the search bracket of each threshold target, in fig3 and fig6 alike
-THRESHOLD_BRACKETS = {"noise": (1e-9, 0.5), "distance": (1e-3, 40.0)}
 
 
 def _table(figure: str, seed: int, columns: list[str], **params) -> ResultTable:
@@ -54,8 +47,17 @@ def _table(figure: str, seed: int, columns: list[str], **params) -> ResultTable:
     return ResultTable(columns, metadata=meta)
 
 
-def _memory_noise() -> NoiseParams:
-    return NoiseParams(f_depol=F_DEPOL, t2_s=T2_S, prep_time_s=TP_S)
+def _rows(command: str, settings: dict, *options: str) -> list[dict]:
+    """The rows of `ghznet <command> <options>` with every key of `settings`
+    set to its value, keyed by column."""
+    return command_rows([command, *options, *(f"--set={key}={value}" for key, value in settings.items())])
+
+
+def _threshold(target: str, settings: dict) -> tuple[float | None, str]:
+    """The threshold and status that `ghznet threshold --target <target>`
+    prints for `settings`, under its default bracket and tolerance."""
+    (row,) = _rows("threshold", settings, "--target", target)
+    return row["threshold"], row["status"]
 
 
 def _fig2(seed: int) -> dict[str, ResultTable]:
@@ -66,22 +68,18 @@ def _fig2(seed: int) -> dict[str, ResultTable]:
     for n in n_values:
         columns += [f"mQSS_N{n}", f"bQSS_N{n}"]
     table = _table("fig2", seed, columns, f_depol=f_depol)
-    for d_km in np.linspace(0.0, 20.0, 81):
-        row = [float(d_km)]
-        for n in n_values:
-            cfg = NetworkConfig.make_symmetric(n, float(d_km))
-            row.append(asymptotic_rate(cfg, ProtocolSpec(Family.MQSS), memoryless_qber(f_depol, n)).rate)
-            row.append(asymptotic_rate(cfg, ProtocolSpec(Family.BQSS), memoryless_qber(f_depol, 2)).rate)
+    sweep = {
+        "noise.f_D": f_depol, "protocol.family": "mQSS,bQSS", "sweep.parameter": "network.d_km",
+        "sweep.from": 0.0, "sweep.to": 20.0, "sweep.steps": 81,
+    }
+    # each sweep prints an mQSS row, then a bQSS row, at every distance
+    sweeps = [_rows("sweep", {"network.N": n, **sweep}) for n in n_values]
+    for point in range(0, len(sweeps[0]), 2):
+        row = [float(sweeps[0][point]["network.d_km"])]
+        for rows in sweeps:
+            row += [rows[point]["rate"], rows[point + 1]["rate"]]
         table.rows.append(row)
     return {"fig2_rates_vs_distance.csv": table}
-
-
-def _threshold(target: str, n: int, held: float, xtol: float, **finite) -> ThresholdResult:
-    """The fig3/fig6 search of one target at n players: `held` is the
-    distance of a noise threshold and the noise of a distance threshold."""
-    fixed = {"fixed_distance_km": held} if target == "noise" else {"fixed_noise": held}
-    query = ThresholdQuery(target, n, **fixed, **finite)
-    return find_threshold(query, THRESHOLD_BRACKETS[target], xtol=xtol)
 
 
 def _fig3(seed: int) -> dict[str, ResultTable]:
@@ -92,23 +90,20 @@ def _fig3(seed: int) -> dict[str, ResultTable]:
         fixed_d_km=THRESHOLD_D_KM, panel="noise-threshold",
     )
     for n in n_values:
-        res = _threshold("noise", n, THRESHOLD_D_KM, xtol=1e-7)
-        noise_table.add_row(n, res.value, res.status)
+        noise_table.add_row(n, *_threshold("noise", {"network.N": n, "network.d_km": THRESHOLD_D_KM}))
     distance_table = _table(
         "fig3", seed, ["n_parties", "f_depol", "d_km_threshold", "status"],
         panel="distance-threshold", f_depol_values=f"0,{F_DEPOL:g}",
     )
     for f_depol in (0.0, F_DEPOL):
         for n in n_values:
-            res = _threshold("distance", n, f_depol, xtol=1e-5)
-            distance_table.add_row(n, f_depol, res.value, res.status)
+            distance_table.add_row(n, f_depol, *_threshold("distance", {"network.N": n, "noise.f_D": f_depol}))
     return {"fig3_noise_thresholds.csv": noise_table, "fig3_distance_thresholds.csv": distance_table}
 
 
 def _fig4(seed: int) -> dict[str, ResultTable]:
     """Asymptotic multipartite advantage versus player number, with and
     without memories, in asymmetric networks."""
-    noise = _memory_noise()
     table = _table(
         "fig4", seed,
         ["d_a_km", "n_parties", "ratio_memory", "ratio_memoryless", "rate_multi_memory",
@@ -117,13 +112,13 @@ def _fig4(seed: int) -> dict[str, ResultTable]:
         mc_samples=MC_SAMPLES,
     )
     for d_a in (30.0, 50.0):
-        cfg = NetworkConfig(2, d_a, ASYM_D_B_KM)
-        mem = advantage_profile(cfg, noise, 25, memories=True, mc_samples=MC_SAMPLES, seed=seed)
-        nomem = advantage_profile(cfg, noise, 25, memories=False, mc_samples=MC_SAMPLES, seed=seed)
-        for row_m, row_n in zip(mem.rows, nomem.rows):
+        settings = {"network.N": 25, "network.d_A_km": d_a, "mc.seed": seed}
+        mem = _rows("profile", {**settings, "protocol.memories": True})
+        nomem = _rows("profile", {**settings, "protocol.memories": False})
+        for row_m, row_n in zip(mem, nomem):
             table.add_row(
-                d_a, row_m.n_parties, row_m.ratio, row_n.ratio, row_m.multi_rate,
-                row_m.bi_rate, row_n.multi_rate, row_n.bi_rate,
+                d_a, row_m["n_parties"], row_m["ratio"], row_n["ratio"], row_m["multi_rate"],
+                row_m["bi_rate"], row_n["multi_rate"], row_n["bi_rate"],
             )
     return {"fig4_advantage_profiles.csv": table}
 
@@ -132,13 +127,15 @@ def _p_key(opt: ScalarMaximum) -> float | None:
     return None if opt.indeterminate else opt.x
 
 
+@functools.lru_cache(maxsize=1)
 def _block_sweep(seed: int) -> list[dict]:
     """The asymmetric memory network at every BLOCK_GRID block.
 
     One row of named cells per block, of which the fig5, figC1 and figC2
-    tables are column projections.
+    tables are column projections: computed once for the seed of a
+    `--figure all` run, and read only.
     """
-    noise = _memory_noise()
+    noise = NoiseParams(f_depol=F_DEPOL, t2_s=T2_S, prep_time_s=TP_S)
     cfg = NetworkConfig(DEFAULT_N, ASYM_D_A_KM, ASYM_D_B_KM)
     spec_multi = ProtocolSpec(Family.MQSS, memories=True)
     spec_bi = ProtocolSpec(Family.BQSS, memories=True)
@@ -224,7 +221,7 @@ def _fig6(seed: int) -> dict[str, ResultTable]:
     """Finite-size advantage thresholds over a symmetric network."""
     n_values = (3, 4, 5, 6, 8, 10)
     tables = {}
-    for task in TASK_FAMILIES:
+    for task, family in TASK_FAMILIES.items():
         noise_table = _table(
             "fig6", seed, ["task", "block_size", "n_parties", "f_depol_threshold", "status"],
             fixed_d_km=THRESHOLD_D_KM, epsilon=EPSILON, panel="noise",
@@ -234,12 +231,12 @@ def _fig6(seed: int) -> dict[str, ResultTable]:
             fixed_f_depol=F_DEPOL, epsilon=EPSILON, panel="distance",
         )
         for block in THRESHOLD_BLOCKS:
-            finite = {"task": task, "block_size": block, "epsilon": EPSILON}
+            finite = {"protocol.family": family.value, "finite.block_size": block, "finite.epsilon": EPSILON}
             for n in n_values:
-                res = _threshold("noise", n, THRESHOLD_D_KM, xtol=1e-5, **finite)
-                noise_table.add_row(task, block, n, res.value, res.status)
-                res = _threshold("distance", n, F_DEPOL, xtol=1e-4, **finite)
-                dist_table.add_row(task, block, n, res.value, res.status)
+                noise = _threshold("noise", {"network.N": n, "network.d_km": THRESHOLD_D_KM, **finite})
+                noise_table.add_row(task, block, n, *noise)
+                distance = _threshold("distance", {"network.N": n, "noise.f_D": F_DEPOL, **finite})
+                dist_table.add_row(task, block, n, *distance)
         tables[f"fig6_noise_thresholds_{task.lower()}.csv"] = noise_table
         tables[f"fig6_distance_thresholds_{task.lower()}.csv"] = dist_table
     return tables
@@ -247,8 +244,6 @@ def _fig6(seed: int) -> dict[str, ResultTable]:
 
 def _fig7(seed: int) -> dict[str, ResultTable]:
     """Finite-size performance versus player number, with and without memories."""
-    noise = _memory_noise()
-    cfg = NetworkConfig(2, ASYM_D_A_KM, ASYM_D_B_KM)
     table = _table(
         "fig7", seed,
         ["memories", "block_size", "n_parties", "task", "multi_fraction", "bi_fraction",
@@ -258,16 +253,15 @@ def _fig7(seed: int) -> dict[str, ResultTable]:
     )
     for memories in (True, False):
         for block in THRESHOLD_BLOCKS:
-            fsp = FiniteSizeParams(epsilon=EPSILON, block_size=block)
-            for task in TASK_FAMILIES:
-                profile = advantage_profile(
-                    cfg, noise, 20, memories=memories, fsp=fsp, task=task,
-                    mc_samples=MC_SAMPLES, seed=seed,
-                )
-                for row in profile.rows:
+            for task, family in TASK_FAMILIES.items():
+                rows = _rows("profile", {
+                    "network.N": 20, "protocol.memories": memories, "finite.block_size": block,
+                    "protocol.family": family.value, "mc.seed": seed,
+                })
+                for row in rows:
                     table.add_row(
-                        memories, block, row.n_parties, task, row.multi_rate,
-                        row.bi_rate, row.ratio, row.status,
+                        memories, block, row["n_parties"], task, row["multi_rate"],
+                        row["bi_rate"], row["ratio"], row["status"],
                     )
     return {"fig7_player_scaling.csv": table}
 

@@ -109,12 +109,12 @@ def test_finite_cka_threshold_at_least_qss():
     assert cka.value > qss.value + 1e-4  # pre-shared key helps at this block size
 
 
-# fig6's brackets and tolerances, with scanned values from end to end: the
-# noise end 0.5 and the long distances leave both sides dead, and the
-# bracket ends show where a query has no sign change
+# fig6's brackets and tolerance, those of `ghznet threshold`, with scanned
+# values from end to end: the noise end 0.5 and the long distances leave
+# both sides dead, and the bracket ends show where a query has no sign change
 FIG6_SCANS = {
-    "noise": ((1e-9, 0.5), 1e-5, (1e-9, 1e-4, 2e-3, 0.01, 0.02, 0.04, 0.07, 0.1, 0.15, 0.25, 0.5)),
-    "distance": ((1e-3, 40.0), 1e-4, (1e-3, 0.5, 2.0, 5.0, 8.0, 12.0, 16.0, 20.0, 25.0, 30.0, 40.0)),
+    "noise": ((1e-9, 0.5), 1e-6, (1e-9, 1e-4, 2e-3, 0.01, 0.02, 0.04, 0.07, 0.1, 0.15, 0.25, 0.5)),
+    "distance": ((1e-3, 60.0), 1e-6, (1e-3, 0.5, 2.0, 5.0, 8.0, 12.0, 16.0, 20.0, 25.0, 30.0, 40.0, 50.0, 60.0)),
 }
 
 
@@ -163,7 +163,7 @@ def test_bound_decided_verdict_matches_full_optimization(task, target):
                 assert (value > 0.0) == (multi > bi), (n, block, x, multi, bi)
                 verdicts.add("both-dead" if multi == bi == 0.0 else multi > bi)
     assert statuses == {"ok", "no-sign-change"}
-    # no block leaves both sides dead within 40 km at 1% noise
+    # no block leaves both sides dead within 60 km at 1% noise
     assert verdicts == ({True, False, "both-dead"} if target == "noise" else {True, False})
 
 

@@ -1,25 +1,29 @@
+import ast
+import contextlib
 import csv
 import hashlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 
+from ghznet import reproduce
 from ghznet.cli import main
-from ghznet.reproduce import RECIPES, run_reproduce
+from ghznet.reproduce import BLOCK_GRID, RECIPES, run_reproduce
 
 # sha256 of every table `run_reproduce` writes at seed 1.  A change that
 # moves an output on purpose re-pins the affected digests and says why.
 PINNED_DIGESTS = {
     "fig2_rates_vs_distance.csv": "42c69801f24235eadde2a6a512fdd0295618192c99c763128620f41e44dfbb9a",
-    "fig3_distance_thresholds.csv": "1acda4216ed150557af343a148cd3c2ca0309aec7eaa46f697c2882137cc5e9e",
-    "fig3_noise_thresholds.csv": "8396ac2556140e1b85e61d2b81b8c9e8589187e07835f11db5d1428a244cbcff",
+    "fig3_distance_thresholds.csv": "db995b125e2c4b5272ec485ff6dd517222bb15c61df6fb0bcce653481dd5963f",
+    "fig3_noise_thresholds.csv": "c6ec2d1ddad7d0f23e42f1bada7f6a5ac3fe559770010907691075dfc73264ee",
     "fig4_advantage_profiles.csv": "a9026786e9f2e83da3be0719703833799a620700fc55d5d9c36327592e11f4f8",
     "fig5_blocksize.csv": "c2fecf58f7aa0c8e9619032e1ea22eace414ddab6e6b843ff82b8260752418d0",
-    "fig6_distance_thresholds_cka.csv": "740543e245f66f6d186bd3015b1cbb3caae7c50725f83dc5cfb211f128d49754",
-    "fig6_distance_thresholds_qss.csv": "db648126c90d170fc62b77d443b22e40c98a33a467f02e5763bf1a7a1338a36b",
-    "fig6_noise_thresholds_cka.csv": "e8536966c616a6619def05f3ebd1549078430e8a27ae40e9c107df7279b03bc0",
-    "fig6_noise_thresholds_qss.csv": "455f34282cc0026fb8a48da6c9bfc72cef70249ecd764059e8963c6aa40530b7",
+    "fig6_distance_thresholds_cka.csv": "2019c3ede9bc445ac6d6c7477d2b60bca18d98426b668403c894ee416e197a22",
+    "fig6_distance_thresholds_qss.csv": "d3806c42c7e64246c9f6217724aff8eb54702d14f6f04127745f44f74c4e0cfd",
+    "fig6_noise_thresholds_cka.csv": "8e295b0e4c289773a66d661dc2ec214b4b0b7e0159f5061c2e5475bd9d4c4b86",
+    "fig6_noise_thresholds_qss.csv": "41213e4fadf33a09ec917a13960eef2cf972c99af380411a76a75bd0fea4be63",
     "fig7_player_scaling.csv": "9e59987d7caf5372b58f0834155ab6b4c9fdc54fce881be5acb564f20fac2b2d",
     "figC1_blocksize_full.csv": "a756df479576e9ec168b2ab58e17fb0957e3ce3e8b6c1360bcd700f7d3e5bb19",
     "figC2_optimal_pkey.csv": "8e4d5661fc2654f66859acc1ce70afe5aa432e10838dea6820a6b09581e4eb71",
@@ -30,6 +34,25 @@ def _read_table(path):
     text = path.read_text()
     data = "\n".join(l for l in text.splitlines() if not l.startswith("#"))
     return list(csv.DictReader(io.StringIO(data)))
+
+
+def _header(path):
+    """The `# key = value` lines of a table, as a dict."""
+    lines = (l[2:].split(" = ", 1) for l in path.read_text().splitlines() if l.startswith("# "))
+    return dict(lines)
+
+
+def _printed(*argv):
+    """The rows, as text, that `ghznet <argv>` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return list(csv.DictReader(l for l in out.getvalue().splitlines() if not l.startswith("#")))
+
+
+def _set(settings):
+    """The --set arguments of a {key: value} dict."""
+    return [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
 
 
 def test_fig2_tables(tmp_path):
@@ -179,3 +202,97 @@ def test_manifest_lists_tables(tmp_path):
 def test_unknown_figure_rejected(tmp_path):
     with pytest.raises(ValueError):
         run_reproduce("fig99", str(tmp_path))
+
+
+# every threshold table: file -> (target, threshold column)
+THRESHOLD_TABLES = {
+    "fig3_noise_thresholds.csv": ("noise", "f_depol_threshold"),
+    "fig3_distance_thresholds.csv": ("distance", "d_km_threshold"),
+    **{
+        f"fig6_{target}_thresholds_{task}.csv": (target, column)
+        for target, column in (("noise", "f_depol_threshold"), ("distance", "d_km_threshold"))
+        for task in ("qss", "cka")
+    },
+}
+
+
+def test_threshold_cells_are_what_the_threshold_command_prints(figures):
+    # each row's query, read from the row and its table's header, put to
+    # `ghznet threshold` with its default bracket and tolerance
+    outdir, _ = figures
+    differ, checked = [], 0
+    for name, (target, column) in THRESHOLD_TABLES.items():
+        header = _header(outdir / name)
+        for row in _read_table(outdir / name):
+            settings = {"network.N": row["n_parties"]}
+            if target == "noise":
+                settings["network.d_km"] = header["param.fixed_d_km"]
+            else:
+                settings["noise.f_D"] = row.get("f_depol", header.get("param.fixed_f_depol"))
+            if "task" in row:
+                settings["protocol.family"] = f"m{row['task']}"
+                settings["finite.block_size"] = row["block_size"]
+                settings["finite.epsilon"] = header["param.epsilon"]
+            (printed,) = _printed("threshold", "--target", target, *_set(settings))
+            if (printed["threshold"], printed["status"]) != (row[column], row["status"]):
+                differ.append((name, settings, row[column], printed["threshold"]))
+            checked += 1
+    assert checked == 96
+    assert differ == []
+
+
+def test_player_and_distance_cells_are_command_rows(figures):
+    outdir, _ = figures
+    # fig2 at 5 km and N = 4: the first point of a sweep from 5 km
+    fig2 = _read_table(outdir / "fig2_rates_vs_distance.csv")[20]
+    sweep = {
+        "network.N": 4, "noise.f_D": 0.02, "protocol.family": "mQSS,bQSS",
+        "sweep.parameter": "network.d_km", "sweep.from": 5, "sweep.to": 20, "sweep.steps": 2,
+    }
+    multi, bi, *_ = _printed("sweep", *_set(sweep))
+    assert fig2["d_km"] == "5" and multi["network.d_km"] == "5.0"
+    assert (fig2["mQSS_N4"], fig2["bQSS_N4"]) == (multi["rate"], bi["rate"])
+    # fig4 at d_A = 30 km with memories, N = 10 of a profile up to 10
+    fig4 = next(
+        row for row in _read_table(outdir / "fig4_advantage_profiles.csv")
+        if (row["d_a_km"], row["n_parties"]) == ("30", "10")
+    )
+    *_, profile = _printed("profile", *_set({"network.N": 10, "network.d_A_km": 30, "protocol.memories": "true"}))
+    assert profile["n_parties"] == "10"
+    cells = [fig4["ratio_memory"], fig4["rate_multi_memory"], fig4["rate_bi_memory"]]
+    assert cells == [profile["ratio"], profile["multi_rate"], profile["bi_rate"]]
+    # fig7 without memories at a 1e8 block, conference keys, N = 5
+    fig7 = next(
+        row for row in _read_table(outdir / "fig7_player_scaling.csv")
+        if (row["memories"], row["block_size"], row["task"], row["n_parties"]) == ("false", "100000000", "CKA", "5")
+    )
+    *_, profile = _printed("profile", *_set({"network.N": 5, "finite.block_size": 1e8, "protocol.family": "mCKA"}))
+    cells = [fig7["multi_fraction"], fig7["bi_fraction"], fig7["ratio"], fig7["status"]]
+    assert cells == [profile["multi_rate"], profile["bi_rate"], profile["ratio"], profile["status"]]
+
+
+def test_reproduce_all_sweeps_the_blocks_once(monkeypatch, tmp_path):
+    # fig5, figC1 and figC2 project one block sweep: `--figure all`
+    # optimises mQSS once per block, not once per figure.  Seed 13 is one
+    # no other test computes, so the sweep starts uncomputed
+    optimized = []
+    real = reproduce.optimized_fraction
+
+    def counting(*args, **kwargs):
+        optimized.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reproduce, "optimized_fraction", counting)
+    assert main(["reproduce", "--figure", "all", "--outdir", str(tmp_path), "--seed", "13"]) == 0
+    sweeps = len(optimized) / len(BLOCK_GRID)
+    assert sweeps == 1
+
+
+def test_recipes_search_and_profile_only_through_the_commands():
+    # the threshold and profile numbers have one code path, the commands'
+    banned = {"find_threshold", "ThresholdQuery", "advantage_profile", "memoryless_qber"}
+    tree = ast.parse(Path(reproduce.__file__).read_text(encoding="utf-8"))
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used & banned == set()

@@ -5,11 +5,12 @@ used before ITP; it stays here as the oracle of every fig3 and fig6 query,
 of the evaluation counts and of the reported digits.
 """
 
+import inspect
 import math
 
 import pytest
 
-from ghznet import analysis, reproduce
+from ghznet import analysis, cli, reproduce
 from ghznet.analysis import ThresholdQuery, ThresholdResult, find_threshold
 from ghznet.core import binary_entropy
 from ghznet.noise import memoryless_qber
@@ -46,12 +47,17 @@ def bisect_threshold(query, bracket, xtol):
     return ThresholdResult(0.5 * (lo + hi), "ok"), gap.calls
 
 
+# the tolerance of every `ghznet threshold` search, and so of fig3 and fig6
+XTOL = inspect.signature(find_threshold).parameters["xtol"].default
+
+
 @pytest.fixture(scope="module")
 def searches(tmp_path_factory):
-    """Every find_threshold call of the fig3 and fig6 recipes: figure ->
-    list of (query, bracket, xtol, result, gap evaluations)."""
+    """Every find_threshold call of the fig3 and fig6 recipes, all made by
+    the threshold command: figure -> list of (query, bracket, xtol, result,
+    gap evaluations)."""
     calls = {}
-    real_search, real_gap = reproduce.find_threshold, analysis._gap
+    real_search, real_gap = cli.find_threshold, analysis._gap
     counted = []
 
     def counting_gap(query):
@@ -64,12 +70,12 @@ def searches(tmp_path_factory):
         for figure in ("fig3", "fig6"):
             records = calls[figure] = []
 
-            def recording(query, bracket, xtol, records=records):
+            def recording(query, bracket, xtol=XTOL, records=records):
                 result = real_search(query, bracket, xtol=xtol)
                 records.append((query, bracket, xtol, result, counted[-1].calls))
                 return result
 
-            patch.setattr(reproduce, "find_threshold", recording)
+            patch.setattr(cli, "find_threshold", recording)
             reproduce.run_reproduce(figure, str(outdir))
     return calls
 
@@ -107,8 +113,10 @@ def test_search_costs_at_most_one_evaluation_beyond_bisection(searches, bisectio
         bisection_total += bisection
     if figure == "fig6":
         # the claim of the ITP search: the finite-size gap is smooth enough
-        # near its sign change that interpolation saves about 4 in 10
-        assert bisection_total == 1404
+        # near its sign change that interpolation saves about half. Bisection
+        # needs 1,764 evaluations at the threshold command's xtol of 1e-6
+        # and distance bracket of 60 km
+        assert bisection_total == 1764
         assert itp_total <= 0.6 * bisection_total
 
 
