@@ -215,10 +215,8 @@ def find_threshold(
     returns the midpoint of a final bracket no wider than xtol.
     """
     lo, hi = bracket
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"need a finite bracket, got {bracket!r}")
-    if not lo < hi:
-        raise ValueError("need bracket lo < hi")
+    if not (math.isfinite(hi - lo) and lo < hi):
+        raise ValueError(f"need a finite bracket with lo < hi, got {bracket!r}")
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise ValueError(f"xtol must be a positive finite number, got {xtol!r}")
     gap = _gap(query)

@@ -23,7 +23,7 @@ from .analysis import (
     optimized_fraction,
     scenario_qbers,
 )
-from .config import SCHEMA, ConfigError, Scenario, load_config, resolve_scenario
+from .config import SCHEMA, ConfigError, Scenario, check_seed, load_config, resolve_scenario
 from .finite import expected_key_length
 from .network import ProtocolSpec, yields
 from .oracle import EXACT_RTOL, MAX_ORACLE_PARTIES, ORACLE_TOL, oracle_grid, parity_check_rows, sifting_check_rows
@@ -265,11 +265,6 @@ def _profile(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple
 def _threshold(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[list, list]:
     noise_target = args.target == "noise"
     task = _task(items, scenario, args.command)
-    if args.bracket:
-        lo, hi = args.bracket
-        scan_range = [0.0, 1.0] if noise_target else [0.0, math.inf]
-        if not (scan_range[0] <= lo < hi <= scan_range[1] and math.isfinite(hi)):
-            raise ConfigError(f"--bracket needs finite lo < hi within {scan_range}, got {lo!r} {hi!r}")
     held = scenario.network.d_b_km if noise_target else scenario.noise.f_depol
     finite = scenario.finite
     query = ThresholdQuery(
@@ -282,7 +277,11 @@ def _threshold(items: dict, scenario: Scenario, args: argparse.Namespace) -> tup
     )
     default_bracket = (1e-9, 0.5) if noise_target else (1e-3, 60.0)
     bracket = tuple(args.bracket) if args.bracket else default_bracket
-    result = find_threshold(query, bracket)
+    try:
+        result = find_threshold(query, bracket)
+    except ValueError as exc:
+        # the search and the model at the bracket ends reject a bracket
+        raise ConfigError(str(exc), "--bracket") from exc
     columns = ["target", "task", "n_parties", "regime", "fixed_value", "bracket_lo", "bracket_hi", "threshold", "status"]
     row = [
         query.target,
@@ -304,9 +303,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     if args.figure != "all" and args.figure not in RECIPES:
         raise ConfigError(f"unknown figure {args.figure!r}; choose {', '.join(RECIPES)} or all", "--figure")
-    # numpy's generators take non-negative seeds only, as mc.seed does
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    try:
+        check_seed(args.seed, "--seed")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     figures = RECIPES if args.figure == "all" else [args.figure]
     try:
         for figure in figures:
@@ -318,18 +318,17 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     max_n = args.max_n
-    if max_n > MAX_ORACLE_PARTIES:
-        raise ConfigError(f"oracle supports N <= {MAX_ORACLE_PARTIES}")
     if max_n == MAX_ORACLE_PARTIES and not args.widen_guard:
         raise ConfigError(
             f"oracle-check limited to N <= {MAX_ORACLE_PARTIES - 1} by default "
             f"(oracle supports N <= {MAX_ORACLE_PARTIES}; pass --widen-guard for N = "
             f"{MAX_ORACLE_PARTIES})"
         )
-    if max_n < 2:
-        raise ConfigError("need max-n >= 2")
+    try:
+        rows = oracle_grid(max_n=max_n)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "--max-n") from exc
     print(f"density oracle vs analytic chain (N = 2..{max_n}, tolerance {ORACLE_TOL:g})")
-    rows = oracle_grid(max_n=max_n)
     failures = 0
     for row in rows:
         if not row.passed or args.verbose:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .finite import FiniteSizeParams
-from .network import BasisStrategy, Family, NetworkConfig, ProtocolSpec
+from .memory import check_samples
+from .network import BasisStrategy, Family, NetworkConfig, ProtocolSpec, check_memory_network
 from .noise import NoiseParams
 
 
@@ -229,21 +230,34 @@ def _finite_size_params(epsilon, block_size) -> FiniteSizeParams:
     return FiniteSizeParams(epsilon, 1.0 if block_size is None else block_size)
 
 
+def _specs(family_text, memories, strategy_text, p_key) -> tuple[ProtocolSpec, ...]:
+    try:
+        families = [Family(part.strip()) for part in family_text.split(",")]
+    except ValueError:
+        raise ValueError(f"unknown protocol family in {family_text!r}") from None
+    try:
+        strategy = None if strategy_text is None else BasisStrategy(strategy_text)
+    except ValueError:
+        raise ValueError(f"unknown strategy {strategy_text!r}") from None
+    # protocol.p_key = opt: 1.0 holds the place of each row's optimum
+    p_key = 1.0 if p_key == "opt" else p_key
+    return tuple(ProtocolSpec(family, memories, strategy, p_key) for family in families)
+
+
+def check_seed(seed: int, name: str = "mc.seed") -> int:
+    """A Monte Carlo seed: numpy's generators take non-negative seeds only."""
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def _fail_on_first(items, prefix, message):
     _fail_on(items, next(key for key in items if key.startswith(prefix)), message)
 
 
 def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
-    """Validate a parsed key/value mapping into a runnable scenario."""
-    try:
-        return _resolve(items)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
+    """Validate a parsed key/value mapping into a runnable scenario: every
+    model object is built by _build, which blames a rejection on its key."""
     network_items = items
     if "network.d_km" in items:
         if "network.d_A_km" in items or "network.d_B_km" in items:
@@ -251,50 +265,25 @@ def _resolve(items: dict[str, tuple[str, str, int]]) -> Scenario:
         # a symmetric star: network.d_km sets both link distances
         d_km = items["network.d_km"]
         network_items = {**items, "network.d_A_km": d_km, "network.d_B_km": d_km}
-    network = _build(network_items, NetworkConfig, ("network.N", "network.d_A_km", "network.d_B_km"))
-    memories = _value(items, "protocol.memories")
-    if memories and network.p_a > network.p_b:
-        key = "network.d_A_km" if "network.d_A_km" in items else "network.d_B_km"
-        _fail_on(items, key, "memory-assisted networks need d_A_km >= d_B_km")
-    if memories and network.p_a == 0.0:
-        key = "network.d_A_km" if "network.d_A_km" in items else "network.d_km"
-        message = f"memory-assisted networks need p_a > 0; {key} = {network.d_a_km:g} gives 0"
-        _fail_on(items, key, message)
-    mc_samples = _value(items, "mc.samples")
-    if mc_samples < 1:
-        _fail_on(items, "mc.samples", "mc.samples must be >= 1")
-    seed = _value(items, "mc.seed")
-    if seed < 0:
-        _fail_on(items, "mc.seed", f"mc.seed must be >= 0, got {seed}")
+    network_keys = ("network.N", "network.d_A_km", "network.d_B_km")
+    network = _build(network_items, NetworkConfig, network_keys)
+    if _value(items, "protocol.memories"):
+        # replayed over the default network, a rejection names a distance key
+        _build(network_items, lambda *values: check_memory_network(NetworkConfig(*values)), network_keys)
+    mc_samples = _build(items, check_samples, ("mc.samples",))
+    seed = _build(items, check_seed, ("mc.seed",))
     noise = _build(items, NoiseParams, ("noise.f_D", "memory.T2_s", "memory.Tp_s"))
-    family_text = _value(items, "protocol.family")
-    try:
-        families = tuple(Family(part.strip()) for part in family_text.split(","))
-    except ValueError:
-        _fail_on(items, "protocol.family", f"unknown protocol family in {family_text!r}")
-    strategy_text = _value(items, "protocol.basis_strategy")
-    strategy = None
-    if strategy_text is not None:
-        try:
-            strategy = BasisStrategy(strategy_text)
-        except ValueError:
-            _fail_on(items, "protocol.basis_strategy", f"unknown strategy {strategy_text!r}")
-    if strategy is BasisStrategy.PRESHARED and Family.MQSS in families:
-        _fail_on(items, "protocol.basis_strategy", "mQSS requires active basis switching")
+    protocol_keys = ("protocol.family", "protocol.memories", "protocol.basis_strategy", "protocol.p_key")
+    specs = _build(items, _specs, protocol_keys)
     swept = _value(items, "sweep.parameter")
     # a block-size sweep supplies finite.block_size at every point
     sized = "finite.block_size" in items or swept == "finite.block_size"
-    p_key = _value(items, "protocol.p_key")
-    optimize_p_key = p_key == "opt"
+    optimize_p_key = _value(items, "protocol.p_key") == "opt"
     if optimize_p_key:
         if swept == "protocol.p_key":
             _fail_on(items, "protocol.p_key", "protocol.p_key = opt cannot be swept")
         if not sized:
             _fail_on(items, "protocol.p_key", "protocol.p_key = opt needs finite.block_size")
-        p_key = 1.0
-    elif not 0.0 <= p_key <= 1.0:
-        _fail_on(items, "protocol.p_key", f"protocol.p_key must lie in [0, 1], got {p_key!r}")
-    specs = tuple(ProtocolSpec(family, memories, strategy, p_key) for family in families)
     finite = None
     if sized:
         finite = _build(items, _finite_size_params, ("finite.epsilon", "finite.block_size"))

@@ -48,8 +48,8 @@ class FiniteSizeParams:
 
     epsilon: float
     block_size: float
-    # Read by nothing in ghznet; kept only because the benchmark's
-    # player-profiles workload passes it.
+    # Read and checked by nothing in ghznet; kept only because the
+    # benchmark's player-profiles workload passes it.
     mc_samples: int = 1000
 
     def __post_init__(self) -> None:
@@ -57,8 +57,6 @@ class FiniteSizeParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if not (math.isfinite(self.block_size) and self.block_size >= 1):
             raise ValueError("block_size must be finite and >= 1")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
         # KeyLengthModel's log term is log2 of 1/(eps_c * eps_pa**2)
         if not 2.0 * self.eps_c * self.eps_pa**2 > 0.0:
             raise ValueError(

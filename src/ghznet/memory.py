@@ -45,6 +45,13 @@ def as_rng(seed: int | np.random.Generator | Sequence[int]) -> np.random.Generat
     return np.random.default_rng(seed)
 
 
+def check_samples(samples: int) -> int:
+    """The Monte Carlo draw count: at least one draw."""
+    if samples < 1:
+        raise ValueError("mc.samples must be >= 1")
+    return samples
+
+
 @dataclass(frozen=True)
 class AlphaBetaEstimate:
     alpha: float
@@ -68,8 +75,7 @@ def expected_alpha_beta(
     dephasing-independent, so a single standard error describes both
     estimates.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_samples(samples)
     rng = as_rng(rng)
     timing = trial_times(cfg, noise)
     n_pairs = cfg.n_parties - 1

@@ -91,7 +91,7 @@ class ProtocolSpec:
             # A pre-shared basis key would hand malicious players the round
             # schedule, so secret sharing must switch bases actively.
             raise ValueError("mQSS requires active basis switching")
-        check_probability(self.p_key, "p_key")
+        check_probability(self.p_key, "protocol.p_key")
 
     @property
     def bipartite(self) -> bool:
@@ -119,25 +119,30 @@ def formula_party_count(cfg: NetworkConfig, spec: ProtocolSpec) -> int:
     return 2 if spec.bipartite else cfg.n_parties
 
 
+def check_memory_network(cfg: NetworkConfig) -> float:
+    """The Alice link's transmission p_a on a network that the memory-assisted
+    model holds on: a long Alice link, short Bob links and p_a > 0."""
+    p_a = cfg.p_a
+    if p_a > cfg.p_b:
+        raise ValueError("memory-assisted networks need d_A_km >= d_B_km")
+    if p_a == 0.0:
+        raise ValueError(f"memory-assisted networks need p_a > 0; d_A_km = {cfg.d_a_km:g} gives 0")
+    return p_a
+
+
 def yields(cfg: NetworkConfig, spec: ProtocolSpec) -> float:
     """Deliverable states per network use, before basis sifting.
 
     Without memories every link must succeed at once; with memories the
     short links are pre-established and the Alice link alone limits the
-    rate (valid for p_a <= p_b, enforced here).
+    rate (valid on a network that check_memory_network accepts).
     """
     n = cfg.n_parties
-    p_a, p_b = cfg.p_a, cfg.p_b
-    if spec.memories and p_a > p_b:
-        raise ValueError(
-            "memory-assisted yields assume p_a <= p_b (long Alice link, short Bob links)"
-        )
-    if spec.bipartite:
-        per_link = p_a if spec.memories else p_a * p_b
-        return per_link / (n - 1)
     if spec.memories:
-        return p_a
-    return p_a * p_b ** (n - 1)
+        p_a = check_memory_network(cfg)
+        return p_a / (n - 1) if spec.bipartite else p_a
+    p_a, p_b = cfg.p_a, cfg.p_b
+    return p_a * p_b / (n - 1) if spec.bipartite else p_a * p_b ** (n - 1)
 
 
 def sifting_fractions(strategy: BasisStrategy, n_parties: int, p_key):

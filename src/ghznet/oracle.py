@@ -305,7 +305,7 @@ def oracle_grid(
     injectable so tests can prove a perturbed formula is caught.
     """
     if not 2 <= max_n <= MAX_ORACLE_PARTIES:
-        raise ValueError(f"oracle supports N <= {MAX_ORACLE_PARTIES}")
+        raise ValueError(f"oracle supports 2 <= N <= {MAX_ORACLE_PARTIES}, got {max_n}")
     rows: list[OracleCheckRow] = []
     for n in range(2, max_n + 1):
         exponent_sets = [
