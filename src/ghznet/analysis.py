@@ -86,6 +86,12 @@ CKA_STRATEGIES = (BasisStrategy.PRESHARED, BasisStrategy.SWITCHING)
 TASK_FAMILIES = {"QSS": Family.MQSS, "CKA": Family.MCKA}
 
 
+def task_family(task: str) -> Family:
+    if task not in TASK_FAMILIES:
+        raise ValueError("task must be 'QSS' or 'CKA'")
+    return TASK_FAMILIES[task]
+
+
 def multi_models(
     cfg: NetworkConfig, task: str, fsp: FiniteSizeParams, qbers: QberPair, memories: bool = False
 ) -> list[KeyLengthModel]:
@@ -135,8 +141,7 @@ class ThresholdQuery:
     def __post_init__(self) -> None:
         if self.target not in ("noise", "distance"):
             raise ValueError("target must be 'noise' or 'distance'")
-        if self.task not in TASK_FAMILIES:
-            raise ValueError("task must be 'QSS' or 'CKA'")
+        task_family(self.task)
         if self.target == "noise" and self.fixed_distance_km is None:
             raise ValueError("noise threshold needs fixed_distance_km")
         if self.target == "distance" and self.fixed_noise is None:
@@ -276,9 +281,7 @@ def advantage_profile(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if task not in TASK_FAMILIES:
-        raise ValueError("task must be 'QSS' or 'CKA'")
-    multi_spec = ProtocolSpec(TASK_FAMILIES[task], memories)
+    multi_spec = ProtocolSpec(task_family(task), memories)
     # two-party links: the same draw serves every N
     link_modes = [(False, memoryless_qber(noise.f_depol, 2))]
     if memories:

@@ -23,7 +23,7 @@ from .analysis import (
     optimized_fraction,
     scenario_qbers,
 )
-from .config import SCHEMA, ConfigError, Scenario, check_seed, load_config, resolve_scenario
+from .config import SCHEMA, ConfigError, Scenario, at_point, check_seed, load_config, resolve_scenario
 from .finite import expected_key_length
 from .network import ProtocolSpec, yields
 from .oracle import EXACT_RTOL, MAX_ORACLE_PARTIES, ORACLE_TOL, oracle_grid, parity_check_rows, sifting_check_rows
@@ -211,13 +211,11 @@ def _sweep(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[l
     if len(set(texts)) < len(texts):
         message = f"sweep.steps = {sweep.steps} repeats {sweep.parameter} values"
         raise ConfigError(f"{message}: {len(set(texts))} distinct", *items["sweep.steps"][1:])
-    # each point is a scenario of its own; a point the model rejects is
-    # blamed on the sweep.parameter setting
+    # each point rebuilds only the object its key sets; a point the model
+    # rejects is blamed on the sweep.parameter setting
     _, source, line = items["sweep.parameter"]
-    rows = []
-    for text in texts:
-        point = resolve_scenario({**items, sweep.parameter: (text, source, line)})
-        rows += ([text, *_rate_row(point, spec)] for spec in point.specs)
+    points = ((text, at_point(scenario, items, sweep.parameter, text, source, line)) for text in texts)
+    rows = [[text, *_rate_row(point, spec)] for text, point in points for spec in point.specs]
     return [sweep.parameter] + RATE_COLUMNS, rows
 
 

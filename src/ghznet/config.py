@@ -9,7 +9,7 @@ this version's DEFAULTS reproduce the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .finite import FiniteSizeParams
@@ -96,17 +96,6 @@ DEFAULTS: dict[str, object] = {
 # even after the bipartite baseline splits epsilon over N-1 links.
 MIN_EPSILON = 1e-100
 
-SWEEPABLE = (
-    "network.d_km",
-    "network.d_A_km",
-    "network.d_B_km",
-    "network.N",
-    "noise.f_D",
-    "protocol.p_key",
-    "finite.block_size",
-)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
@@ -177,9 +166,7 @@ def load_config(
             raise ConfigError(f"not UTF-8: cannot decode byte 0x{data[exc.start]:02x}", path, line) from exc
         parse_kv_text(text, path, items)
     for index, override in enumerate(overrides, start=1):
-        parsed = parse_kv_text(override, f"--set[{index}]")
-        for key, value in parsed.items():
-            items[key] = value
+        items.update(parse_kv_text(override, f"--set[{index}]"))
     return items
 
 
@@ -255,9 +242,7 @@ def _fail_on_first(items, prefix, message):
     _fail_on(items, next(key for key in items if key.startswith(prefix)), message)
 
 
-def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
-    """Validate a parsed key/value mapping into a runnable scenario: every
-    model object is built by _build, which blames a rejection on its key."""
+def _network(items) -> NetworkConfig:
     network_items = items
     if "network.d_km" in items:
         if "network.d_A_km" in items or "network.d_B_km" in items:
@@ -270,11 +255,38 @@ def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
     if _value(items, "protocol.memories"):
         # replayed over the default network, a rejection names a distance key
         _build(network_items, lambda *values: check_memory_network(NetworkConfig(*values)), network_keys)
+    return network
+
+
+def _noise(items) -> NoiseParams:
+    return _build(items, NoiseParams, ("noise.f_D", "memory.T2_s", "memory.Tp_s"))
+
+
+def _protocol(items) -> tuple[ProtocolSpec, ...]:
+    return _build(items, _specs, ("protocol.family", "protocol.memories", "protocol.basis_strategy", "protocol.p_key"))
+
+
+def _finite(items) -> FiniteSizeParams:
+    return _build(items, _finite_size_params, ("finite.epsilon", "finite.block_size"))
+
+
+# sweepable key -> (the Scenario field it sets, that field's builder)
+SWEEPABLE = {
+    **dict.fromkeys(("network.d_km", "network.d_A_km", "network.d_B_km", "network.N"), ("network", _network)),
+    "noise.f_D": ("noise", _noise),
+    "protocol.p_key": ("specs", _protocol),
+    "finite.block_size": ("finite", _finite),
+}
+
+
+def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
+    """Validate a parsed key/value mapping into a runnable scenario: every
+    model object is built by _build, which blames a rejection on its key."""
+    network = _network(items)
     mc_samples = _build(items, check_samples, ("mc.samples",))
     seed = _build(items, check_seed, ("mc.seed",))
-    noise = _build(items, NoiseParams, ("noise.f_D", "memory.T2_s", "memory.Tp_s"))
-    protocol_keys = ("protocol.family", "protocol.memories", "protocol.basis_strategy", "protocol.p_key")
-    specs = _build(items, _specs, protocol_keys)
+    noise = _noise(items)
+    specs = _protocol(items)
     swept = _value(items, "sweep.parameter")
     # a block-size sweep supplies finite.block_size at every point
     sized = "finite.block_size" in items or swept == "finite.block_size"
@@ -286,14 +298,13 @@ def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
             _fail_on(items, "protocol.p_key", "protocol.p_key = opt needs finite.block_size")
     finite = None
     if sized:
-        finite = _build(items, _finite_size_params, ("finite.epsilon", "finite.block_size"))
+        finite = _finite(items)
     elif any(key.startswith("finite.") for key in items):
         _fail_on_first(items, "finite.", "finite.* keys need finite.block_size")
     sweep = None
     if "sweep.parameter" in items:
-        parameter = _value(items, "sweep.parameter")
-        if parameter not in SWEEPABLE:
-            _fail_on(items, "sweep.parameter", f"cannot sweep {parameter!r}")
+        if swept not in SWEEPABLE:
+            _fail_on(items, "sweep.parameter", f"cannot sweep {swept!r}")
         for required in ("sweep.from", "sweep.to", "sweep.steps"):
             if required not in items:
                 _fail_on(items, "sweep.parameter", f"sweep needs {required}")
@@ -310,7 +321,7 @@ def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
                 message = f"log sweeps need positive endpoints, got {endpoint} = {value!r}"
                 _fail_on(items, endpoint, message)
             endpoints.append(value)
-        sweep = SweepSpec(parameter, *endpoints, steps, log)
+        sweep = SweepSpec(swept, *endpoints, steps, log)
     elif any(key.startswith("sweep.") for key in items):
         _fail_on_first(items, "sweep.", "sweep.* keys need sweep.parameter")
     return Scenario(
@@ -326,3 +337,9 @@ def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
         output_source=items["output.path"][1:] if "output.path" in items else None,
         resolved={key: items[key][0] for key in sorted(items)},
     )
+
+
+def at_point(scenario: Scenario, items: dict, key: str, text: str, source: str, line: int) -> Scenario:
+    """`scenario` with the object that `key` sets rebuilt at `text`; a rejection blames source:line."""
+    field, build = SWEEPABLE[key]
+    return replace(scenario, **{field: build({**items, key: (text, source, line)})})

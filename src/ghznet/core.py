@@ -17,6 +17,11 @@ def check_probability(value: float, name: str = "probability") -> float:
     return value
 
 
+def check_parties(n_parties: int) -> None:
+    if n_parties < 2:
+        raise ValueError(f"need at least 2 parties, got {n_parties}")
+
+
 def binary_entropy(q: float) -> float:
     """Entropy in bits of a {q, 1-q} coin, with the 0*log(0) := 0 convention."""
     q = check_probability(q, "binary_entropy argument")

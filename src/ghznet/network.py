@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import check_probability, transmission
+from .core import check_parties, check_probability, transmission
 
 
 class Family(str, Enum):
@@ -42,8 +42,7 @@ class NetworkConfig:
     d_b_km: float
 
     def __post_init__(self) -> None:
-        if self.n_parties < 2:
-            raise ValueError(f"need at least 2 parties, got {self.n_parties}")
+        check_parties(self.n_parties)
         for distance in (self.d_a_km, self.d_b_km):
             if not (math.isfinite(distance) and distance >= 0):
                 raise ValueError(f"link distances must be finite and >= 0, got {distance!r}")
@@ -172,8 +171,7 @@ def sifting_fractions(strategy: BasisStrategy, n_parties: int, p_key):
 
 def sifting(spec: ProtocolSpec, n_parties: int) -> SiftingEfficiencies:
     """Probability that a delivered round is usable for key / for checks."""
-    if n_parties < 2:
-        raise ValueError("need at least 2 parties")
+    check_parties(n_parties)
     return SiftingEfficiencies(*sifting_fractions(spec.basis_strategy, n_parties, spec.p_key))
 
 

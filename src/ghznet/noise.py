@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import check_probability
+from .core import check_parties, check_probability
 
 QBER_CLAMP_SLACK = 1e-9
 
@@ -119,8 +119,7 @@ def ghz_prefactors(alpha: float, beta: float, f_depol: float, n_parties: int) ->
     pair all took the bit-flipped component: weight f/4 at the hub and
     f/4 per pair, with 2^(N-1) sign combinations.
     """
-    if n_parties < 2:
-        raise ValueError("need at least 2 parties")
+    check_parties(n_parties)
     check_probability(f_depol, "f_depol")
     flip_all = math.ldexp((f_depol / 4.0) ** n_parties, n_parties - 1)
     a = (1.0 - 0.75 * f_depol) * alpha + 0.25 * f_depol * beta + flip_all
@@ -138,8 +137,7 @@ def memoryless_qber(f_depol: float, n_parties: int) -> QberPair:
     """Error rates after direct transmission through n independently
     depolarizing channels; the bipartite baseline uses n_parties=2."""
     check_probability(f_depol, "f_depol")
-    if n_parties < 2:
-        raise ValueError("need at least 2 parties")
+    check_parties(n_parties)
     q = 0.5 * (1.0 - (1.0 - f_depol) ** n_parties)
     return QberPair(q, q)
 

@@ -6,22 +6,31 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 SIGNIFICANT_DIGITS = 12
-_FLOAT_SPEC = f".{SIGNIFICANT_DIGITS}g"
+# "%" prints the bytes that format(value, ".12g") prints, in less time
+_FLOAT_FORMAT = f"%.{SIGNIFICANT_DIGITS}g"
+
+
+def _text_cell(value: Any) -> str:
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# the formatter of each exact cell type, which render looks up; + 0.0 turns
+# -0.0 into 0.0, so no column prints "-0"
+_CELL_FORMATTERS = {
+    float: lambda value: _FLOAT_FORMAT % (value + 0.0),
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    int: _text_cell,
+    str: _text_cell,
+}
 
 
 def format_cell(value: Any) -> str:
-    # floats come first, as nearly every cell is one
-    if isinstance(value, float):
-        # + 0.0 turns -0.0 into 0.0, so no column prints "-0"
-        return format(value + 0.0, _FLOAT_SPEC)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    text = str(value)
-    if any(ch in text for ch in ",\"\n"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    # float subclasses such as np.float64 print as floats, other types as text
+    return _CELL_FORMATTERS.get(float if isinstance(value, float) else type(value), _text_cell)(value)
 
 
 @dataclass
@@ -38,7 +47,8 @@ class ResultTable:
     def render(self) -> str:
         lines = [f"# {key} = {self.metadata[key]}" for key in sorted(self.metadata)]
         lines.append(",".join(self.columns))
-        lines += [",".join([format_cell(v) for v in row]) for row in self.rows]
+        formatter = _CELL_FORMATTERS.get
+        lines += [",".join([formatter(type(v), format_cell)(v) for v in row]) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def write(self, path: str) -> None:

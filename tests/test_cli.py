@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import warnings
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import ghznet
 from ghznet import reproduce
@@ -17,7 +19,7 @@ from ghznet.config import DEFAULTS, SCHEMA, ConfigError, load_config, parse_kv_t
 from ghznet.finite import FiniteSizeParams
 from ghznet.network import NetworkConfig
 from ghznet.noise import NoiseParams
-from ghznet.tables import format_cell
+from ghznet.tables import SIGNIFICANT_DIGITS, ResultTable, format_cell
 
 BASE_CFG = """
 # memory-network demo
@@ -197,18 +199,54 @@ def _data_rows(out):
     return [l for l in out.splitlines() if l and not l.startswith("#")][1:]
 
 
-def test_cli_sweep_rows_equal_single_family_rates(config_file, capsys):
-    assert main(["sweep", "--config", config_file, *N_SWEEP]) == EXIT_OK
-    swept = _data_rows(capsys.readouterr().out)
-    assert len(swept) == 5 * len(FAMILIES)
-    for i, row in enumerate(swept):
-        n, family = 2 + i // len(FAMILIES), FAMILIES[i % len(FAMILIES)]
-        argv = ["rate", "--config", config_file, "--set", f"network.N={n}",
-                "--set", f"protocol.family={family}", "--set", "finite.block_size=1e8",
-                "--set", "protocol.p_key=0.9"]
-        assert main(argv) == EXIT_OK
-        (rate_row,) = _data_rows(capsys.readouterr().out)
-        assert row == f"{n},{rate_row}", (n, family)
+# (settings, sweep settings) per sweepable key: each point runs the checks
+# of the one object its key sets, and a full resolve must agree with it
+SWEEP_ROW_CASES = {
+    "network.N": (("protocol.memories=true", "finite.block_size=1e8", "protocol.p_key=0.9"),
+                  ("sweep.parameter=network.N", "sweep.from=2", "sweep.to=6", "sweep.steps=5")),
+    "network.d_km": ((), ("sweep.parameter=network.d_km", "sweep.from=1", "sweep.to=41", "sweep.steps=5")),
+    "network.d_A_km": (("protocol.memories=true", "finite.block_size=1e8"),
+                       ("sweep.parameter=network.d_A_km", "sweep.from=4", "sweep.to=100", "sweep.steps=5")),
+    "network.d_B_km": (("finite.block_size=1e8",),
+                       ("sweep.parameter=network.d_B_km", "sweep.from=1", "sweep.to=20", "sweep.steps=4")),
+    "noise.f_D": (("protocol.memories=true",),
+                  ("sweep.parameter=noise.f_D", "sweep.from=0", "sweep.to=0.08", "sweep.steps=5")),
+    "protocol.p_key": (("finite.block_size=1e6",),
+                       ("sweep.parameter=protocol.p_key", "sweep.from=0.5", "sweep.to=0.9", "sweep.steps=3")),
+    "finite.block_size": (("protocol.memories=true", "protocol.p_key=opt"),
+                          ("sweep.parameter=finite.block_size", "sweep.from=1e4", "sweep.to=1e10",
+                           "sweep.steps=4", "sweep.log=true")),
+}
+
+
+@pytest.mark.parametrize("key", SWEEP_ROW_CASES)
+def test_cli_sweep_rows_equal_single_family_rates(capsys, key):
+    settings, sweep = SWEEP_ROW_CASES[key]
+    settings += ("protocol.family=" + ",".join(FAMILIES), "mc.samples=500", "mc.seed=7")
+    assert main(_argv("sweep", *settings, *sweep)) == EXIT_OK
+    swept = [row.split(",", 1) for row in _data_rows(capsys.readouterr().out)]
+    assert len(swept) == int(sweep[3].partition("=")[2]) * len(FAMILIES)
+    for i, (text, cells) in enumerate(swept):
+        family = FAMILIES[i % len(FAMILIES)]
+        assert main(_argv("rate", *settings, f"{key}={text}", f"protocol.family={family}")) == EXIT_OK
+        assert [cells] == _data_rows(capsys.readouterr().out), (text, family)
+
+
+def test_cli_sweep_resolves_the_scenario_once(capsys, monkeypatch):
+    # a point rebuilds only the object its key sets, never the scenario
+    calls = []
+    resolve = ghznet.config.resolve_scenario
+
+    def counted(items):
+        calls.append(1)
+        return resolve(items)
+
+    monkeypatch.setattr(ghznet.config, "resolve_scenario", counted)
+    monkeypatch.setattr(ghznet.cli, "resolve_scenario", counted)
+    sweep = ("sweep.parameter=network.d_A_km", "sweep.from=4", "sweep.to=100", "sweep.steps=97")
+    assert main(_argv("sweep", "protocol.family=mQSS", *sweep)) == EXIT_OK
+    assert len(_data_rows(capsys.readouterr().out)) == 97
+    assert len(calls) == 1
 
 
 def test_cli_sweep_draws_each_memory_sample_once(config_file, capsys, memory_draws):
@@ -677,14 +715,45 @@ def _reference_format_cell(value):
     return text
 
 
-@pytest.mark.parametrize(
-    "value",
-    [0.0, -0.0, 1e-300, 1e300, float("inf"), float("-inf"), float("nan"), 0.1 + 0.2,
-     np.float64(-0.0), np.float64(1 / 3), np.float32(0.5), True, False, 0, -3, None, "a,b",
-     'say "hi"', "x\ny"],
-)
+class _Level(IntEnum):
+    HIGH = 5
+
+
+class _Tag(str, Enum):
+    QUOTED = 'tag,"q"'
+
+
+FORMAT_VALUES = [
+    0.0, -0.0, 1e-300, 1e300, float("inf"), float("-inf"), float("nan"), 0.1 + 0.2,
+    np.float64(-0.0), np.float64(1 / 3), np.float32(0.5), True, False, 0, -3, None, "a,b",
+    'say "hi"', "x\ny", _Level.HIGH, _Tag.QUOTED, np.int64(7), np.bool_(True),
+]
+
+
+@pytest.mark.parametrize("value", FORMAT_VALUES)
 def test_format_cell_matches_reference(value):
     assert format_cell(value) == _reference_format_cell(value)
+
+
+def test_render_formats_each_cell_as_format_cell():
+    # render picks a formatter by each cell's exact type; any other type,
+    # a numpy scalar or an enum, must print as format_cell prints it
+    table = ResultTable([f"c{i}" for i in range(len(FORMAT_VALUES))])
+    table.add_row(*FORMAT_VALUES)
+    row = ",".join(map(format_cell, FORMAT_VALUES))
+    assert table.render() == ",".join(table.columns) + "\n" + row + "\n"
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+def test_percent_float_format_equals_format(x):
+    assert f"%.{SIGNIFICANT_DIGITS}g" % x == format(x, f".{SIGNIFICANT_DIGITS}g")
 
 
 def test_cli_parser_is_built_once_and_reused(capsys):
@@ -822,6 +891,29 @@ def test_cli_rejects_p_key_out_of_range(capsys):
                      "error: --max-n: oracle supports 2 <= N <= 4, got 5", id="oracle-max-n-5"),
         pytest.param(["reproduce", "--figure", "fig2", "--seed", "-1", "--outdir", "/nonexistent/out"],
                      "error: --seed must be >= 0, got -1", id="reproduce-seed"),
+        # a sweep point the model rejects: the whole line, blamed on
+        # sweep.parameter as a full resolve of the point would blame it
+        *(
+            pytest.param(_argv("sweep", *settings), f"error: {line}\n", id=f"sweep-point-{name}")
+            for name, settings, line in (
+                ("one-player", ("sweep.parameter=network.N", "sweep.from=1", "sweep.to=3", "sweep.steps=3"),
+                 "--set[1]:1: need at least 2 parties, got 1"),
+                ("noise-above-one", ("sweep.parameter=noise.f_D", "sweep.from=0.5", "sweep.to=1.5", "sweep.steps=3"),
+                 "--set[1]:1: f_depol must lie in [0, 1], got 1.5"),
+                ("p-key-above-one",
+                 ("sweep.parameter=protocol.p_key", "sweep.from=0.5", "sweep.to=1.5", "sweep.steps=3"),
+                 "--set[1]:1: protocol.p_key must lie in [0, 1], got 1.5"),
+                ("block-below-one", ("protocol.family=mQSS", "sweep.parameter=finite.block_size",
+                                     "sweep.from=0.5", "sweep.to=10", "sweep.steps=3"),
+                 "--set[2]:1: block_size must be finite and >= 1"),
+                ("memory-short-alice", ("protocol.memories=true", "sweep.parameter=network.d_A_km",
+                                        "sweep.from=10", "sweep.to=1", "sweep.steps=3"),
+                 "--set[2]:1: memory-assisted networks need d_A_km >= d_B_km"),
+                ("memory-no-alice", ("protocol.memories=true", "sweep.parameter=network.d_km",
+                                     "sweep.from=10000", "sweep.to=20000", "sweep.steps=2"),
+                 "--set[2]:1: memory-assisted networks need p_a > 0; d_A_km = 20000 gives 0"),
+            )
+        ),
     ],
 )
 def test_cli_model_errors_name_the_rejected_key(capsys, argv, message):

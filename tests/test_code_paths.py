@@ -30,6 +30,8 @@ RULES = {
     "seeds >= 0": (r"must be >= 0, got", "config"),
     "the oracle's N": (r"^(oracle supports|need max-n)", "oracle"),
     "the threshold bracket": (r"^(--bracket needs|need (a finite )?bracket)", "analysis"),
+    "N >= 2 parties": (r"^need at least 2 parties", "core"),
+    "the task is QSS or CKA": (r"^task must be", "analysis"),
 }
 
 
