@@ -69,15 +69,10 @@ def scenario_qbers(
 
 
 def optimized_fraction(
-    cfg: NetworkConfig,
-    family: Family,
-    fsp: FiniteSizeParams,
-    qbers: QberPair,
-    memories: bool = False,
-    basis_strategy: BasisStrategy | None = None,
+    cfg: NetworkConfig, family: Family, fsp: FiniteSizeParams, qbers: QberPair, memories: bool = False
 ) -> tuple[ScalarMaximum, KeyLengthResult]:
     """Secret fraction of one protocol family, optimized over p_key."""
-    best = BestFraction([KeyLengthModel(cfg, family, fsp, qbers, memories, basis_strategy)])
+    best = BestFraction([KeyLengthModel(cfg, ProtocolSpec(family, memories), fsp, qbers)])
     return best.optima[0], best.result()
 
 
@@ -98,8 +93,10 @@ def multi_models(
     """The models a task's multipartite fraction is the best of: both
     conference-key strategies for CKA, switching secret sharing for QSS."""
     if task == "CKA":
-        return [KeyLengthModel(cfg, Family.MCKA, fsp, qbers, memories, s) for s in CKA_STRATEGIES]
-    return [KeyLengthModel(cfg, Family.MQSS, fsp, qbers, memories)]
+        specs = [ProtocolSpec(Family.MCKA, memories, strategy) for strategy in CKA_STRATEGIES]
+    else:
+        specs = [ProtocolSpec(Family.MQSS, memories)]
+    return [KeyLengthModel(cfg, spec, fsp, qbers) for spec in specs]
 
 
 def best_cka_fraction(

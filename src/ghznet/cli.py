@@ -10,7 +10,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,12 +19,11 @@ from .analysis import (
     ThresholdQuery,
     advantage_profile,
     find_threshold,
-    optimized_fraction,
     scenario_qbers,
 )
 from .config import SCHEMA, ConfigError, Scenario, at_point, check_seed, load_config, resolve_scenario
-from .finite import expected_key_length
-from .network import ProtocolSpec, yields
+from .finite import BestFraction, KeyLengthModel, expected_key_length
+from .network import ProtocolSpec, formula_party_count
 from .oracle import EXACT_RTOL, MAX_ORACLE_PARTIES, ORACLE_TOL, oracle_grid, parity_check_rows, sifting_check_rows
 from .rates import asymptotic_rate
 from .tables import ResultTable
@@ -88,55 +86,58 @@ def _metadata(scenario: Scenario, command: str) -> dict[str, str]:
     return meta
 
 
-def _rate_row(scenario: Scenario, spec: ProtocolSpec) -> list:
-    cfg = scenario.network
-    qbers = scenario_qbers(cfg, spec, scenario.noise, scenario.mc_samples, scenario.seed)
-    if scenario.optimize_p_key:
-        opt, result = optimized_fraction(
-            cfg, spec.family, scenario.finite, qbers, spec.memories, spec.basis_strategy
-        )
-        # an indeterminate optimum prints its evaluation at p_key = 1/2
-        spec = replace(spec, p_key=0.5 if opt.indeterminate else opt.x)
-        if opt.indeterminate:
-            result = replace(result, status="indeterminate")
-    elif scenario.finite is not None:
-        result = expected_key_length(cfg, spec, scenario.finite, qbers)
-    base = [
-        spec.family.value,
-        spec.memories,
-        spec.basis_strategy.value,
-        cfg.n_parties,
-        cfg.d_a_km,
-        cfg.d_b_km,
-        scenario.noise.f_depol,
-        spec.p_key,
-        yields(cfg, spec),
-        qbers.q_x,
-        qbers.q_z,
-    ]
-    if scenario.finite is None:
-        rate = asymptotic_rate(cfg, spec, qbers)
-        status = "ok" if rate.raw > 0 else "clamped"
-        return base + ["asymptotic", rate.raw, rate.rate] + [None] * 7 + [status] + [None] * 6
-    return base + [
-        "finite",
-        None,
-        None,
-        result.rounds,
-        result.m,
-        result.k,
-        math.floor(result.m),
-        math.floor(result.k),
-        result.ell,
-        result.secret_fraction,
-        result.status,
-        result.q_x_eff,
-        result.q_z_eff,
-        result.pe_term,
-        result.ec_term,
-        result.log_term,
-        result.preshared_term,
-    ]
+def _spec_columns(points: list[Scenario], specs: tuple[ProtocolSpec, ...], qbers: list) -> list[list]:
+    """The columns from p_key on of one spec's rows across the points, the
+    finite ones from one expected_key_length pass.  A p_key = opt row is
+    evaluated at its own optimum, an indeterminate one at p_key = 1/2."""
+    n = len(points)
+    p_keys = [spec.p_key for spec in specs]
+    inputs = list(zip(points, specs, qbers))
+    asymptotic = points[0].finite is None
+    if asymptotic:
+        rates = [asymptotic_rate(point.network, spec, q) for point, spec, q in inputs]
+        yields = [rate.yield_per_use for rate in rates]
+        status = ["ok" if rate.raw > 0 else "clamped" for rate in rates]
+        tail = [[rate.raw for rate in rates], [rate.rate for rate in rates], *[[None] * n] * 7, status]
+        tail += [[None] * n] * 6
+    else:
+        models = [KeyLengthModel(point.network, spec, point.finite, q) for point, spec, q in inputs]
+        optima = [BestFraction([model]).optima[0] for model in models] if points[0].optimize_p_key else []
+        if optima:
+            p_keys = [0.5 if opt.indeterminate else opt.x for opt in optima]
+        yields = [model.per_use for model in models]
+        r = expected_key_length(models, p_keys)
+        status = r.status
+        if optima:
+            status = ["indeterminate" if opt.indeterminate else text for opt, text in zip(optima, status)]
+        tail = [[None] * n, [None] * n, r.rounds, r.m, r.k, [*map(math.floor, r.m)], [*map(math.floor, r.k)]]
+        tail += [r.ell, r.secret_fraction, status, r.q_x_eff, r.q_z_eff, r.pe_term, r.ec_term, r.log_term]
+        tail.append(r.preshared_term)
+    regime = "asymptotic" if asymptotic else "finite"
+    return [p_keys, yields, [q.q_x for q in qbers], [q.q_z for q in qbers], [regime] * n, *tail]
+
+
+def _rate_rows(points: list[Scenario], *lead: list) -> list[tuple]:
+    """The rate rows of the points, each led by its cells of the `lead`
+    columns, point-major: a point's rows follow its specs.  Each spec's
+    rows across the points are built as columns, and a point's error rates
+    are taken once per (formula party count, memories), all they depend on."""
+    n = len(points)
+    head = [[point.network.n_parties for point in points], [point.network.d_a_km for point in points]]
+    head += [[point.network.d_b_km for point in points], [point.noise.f_depol for point in points]]
+    drawn: dict = {}
+    groups = []
+    for specs in zip(*(point.specs for point in points)):
+        qbers = []
+        for index, (point, spec) in enumerate(zip(points, specs)):
+            key = (index, formula_party_count(point.network, spec), spec.memories)
+            if key not in drawn:
+                drawn[key] = scenario_qbers(point.network, spec, point.noise, point.mc_samples, point.seed)
+            qbers.append(drawn[key])
+        spec = specs[0]
+        ids = [[spec.family.value] * n, [spec.memories] * n, [spec.basis_strategy.value] * n]
+        groups.append(zip(*lead, *ids, *head, *_spec_columns(points, specs, qbers)))
+    return [row for rows in zip(*groups) for row in rows]
 
 
 def _emit(table: ResultTable, out: str | None, scenario: Scenario) -> None:
@@ -195,7 +196,7 @@ def command_rows(argv: list[str]) -> list[dict]:
 
 
 def _rate(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[list, list]:
-    return RATE_COLUMNS, [_rate_row(scenario, spec) for spec in scenario.specs]
+    return RATE_COLUMNS, _rate_rows([scenario])
 
 
 def _sweep(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[list, list]:
@@ -214,8 +215,8 @@ def _sweep(items: dict, scenario: Scenario, args: argparse.Namespace) -> tuple[l
     # each point rebuilds only the object its key sets; a point the model
     # rejects is blamed on the sweep.parameter setting
     _, source, line = items["sweep.parameter"]
-    points = ((text, at_point(scenario, items, sweep.parameter, text, source, line)) for text in texts)
-    rows = [[text, *_rate_row(point, spec)] for text, point in points for spec in point.specs]
+    points = [at_point(scenario, items, sweep.parameter, text, source, line) for text in texts]
+    rows = _rate_rows(points, texts)
     return [sweep.parameter] + RATE_COLUMNS, rows
 
 

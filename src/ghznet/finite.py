@@ -86,7 +86,8 @@ STATUS_INSUFFICIENT = "insufficient-detections"
 
 @dataclass(frozen=True)
 class KeyLengthResult:
-    """Expected extractable key length and its term-by-term breakdown."""
+    """Expected extractable key length and its term-by-term breakdown; from
+    `expected_key_length`, each field is a column with one entry per row."""
 
     ell: float
     raw: float
@@ -162,24 +163,15 @@ class KeyLengthModel:
     eps_pe/sqrt(N-1), X takes xi1 at eps_c and no basis string exists to
     replenish.
 
-    `result` evaluates one p_key in float arithmetic with its breakdown (the
-    path of every single-point call); `fraction` returns only the secret
-    fraction (the optimizer's refinement); `stacked_fractions` evaluates the
-    optimizer's UNIT_GRID for several models in one numpy pass.  All three
-    take the counts at p_key to the key length through one expression,
-    `_key_terms`.
+    `expected_key_length` evaluates several models, each at its own p_key,
+    with the breakdown, and `result` is its one-row view; `fraction` returns
+    only the secret fraction (the optimizer's refinement); `stacked_fractions`
+    evaluates the optimizer's UNIT_GRID for several models in one numpy
+    pass.  All of them take the counts at p_key to the key length through
+    one expression, `_key_terms`.
     """
 
-    def __init__(
-        self,
-        cfg: NetworkConfig,
-        family: Family,
-        fsp: FiniteSizeParams,
-        qbers: QberPair,
-        memories: bool = False,
-        basis_strategy: BasisStrategy | None = None,
-    ) -> None:
-        spec = ProtocolSpec(family, memories, basis_strategy)
+    def __init__(self, cfg: NetworkConfig, spec: ProtocolSpec, fsp: FiniteSizeParams, qbers: QberPair) -> None:
         n_formula = formula_party_count(cfg, spec)
         self.strategy = spec.basis_strategy
         self.n_formula = n_formula
@@ -214,41 +206,9 @@ class KeyLengthModel:
         return per_key, eta_check * self.per_use, rounds, charge
 
     def result(self, p_key: float) -> KeyLengthResult:
-        per_key, per_check, rounds, charge = self._counts(p_key)
-        if math.isfinite(rounds):
-            m, k, q_pe_eff, q_ec_eff, pe_pen, ec_pen, raw = _key_terms(
-                self, per_key, per_check, rounds, charge
-            )
-            log_term = self.log_term
-        else:
-            m = k = raw = log_term = charge = 0.0
-        if m <= 0.0 or k <= 0.0:
-            # no detections or no checks: the breakdown shows the unpenalized
-            # error rates and saturated penalties, and raw <= 0 either way
-            q_pe_eff, q_ec_eff, pe_pen, ec_pen = self.q_pe, self.q_ec, 1.0, 1.0
-        ell = raw if raw > 0.0 else 0.0
-        if m < 1.0 or k < 1.0:
-            status = STATUS_INSUFFICIENT
-        elif ell > 0.0:
-            status = STATUS_OK
-        else:
-            status = STATUS_ABORT
-        q_x_eff, q_z_eff = (q_pe_eff, q_ec_eff) if self.preshared else (q_ec_eff, q_pe_eff)
-        return KeyLengthResult(
-            ell=ell,
-            raw=raw,
-            rounds=rounds,
-            secret_fraction=ell / rounds,
-            status=status,
-            m=m,
-            k=k,
-            q_x_eff=q_x_eff,
-            q_z_eff=q_z_eff,
-            pe_term=m * pe_pen,
-            ec_term=m * ec_pen,
-            log_term=log_term,
-            preshared_term=charge,
-        )
+        """The one-row view of `expected_key_length`."""
+        columns = expected_key_length([self], [p_key])
+        return KeyLengthResult(**{name: column[0] for name, column in vars(columns).items()})
 
     def fraction(self, p_key: float) -> float:
         """result(p_key).secret_fraction without building the breakdown."""
@@ -302,6 +262,53 @@ def stacked_fractions(models: Sequence[KeyLengthModel]) -> np.ndarray:
         return np.where(np.isfinite(rounds), np.maximum(raw, 0.0) / rounds, 0.0)
 
 
+def _penalties(q_eff: np.ndarray) -> np.ndarray:
+    # per element through math: numpy's log2 differs in the last place
+    return np.array([_entropy_penalty(q) for q in q_eff.tolist()])
+
+
+def expected_key_length(models: Sequence[KeyLengthModel], p_keys: Sequence[float]) -> KeyLengthResult:
+    """Expected key lengths of several models, model i at p_keys[i], as a
+    KeyLengthResult whose fields are columns of Python scalars, from one
+    numpy pass of `_key_terms`.  Row i is bit for bit the arithmetic of
+    model i on its own: numpy does only the IEEE-exact operations, and
+    every log and pow goes through the scalar math calls, the sifting
+    fractions and h2(p_key) once per distinct (strategy, party count, p_key)
+    and the entropy penalties per element.
+
+    A row without key detections takes infinitely many rounds and reports
+    zero counts and terms.  A row without key or check detections shows the
+    unpenalized error rates and saturated penalties; its raw length is <= 0.
+    """
+    keys = [(model.strategy, model.n_formula, p_key) for model, p_key in zip(models, p_keys)]
+    sifted = {}
+    for strategy, n_formula, p_key in set(keys):
+        entropy = binary_entropy(p_key) if strategy is BasisStrategy.PRESHARED else 0.0
+        sifted[strategy, n_formula, p_key] = (*sifting_fractions(strategy, n_formula, p_key), entropy)
+    eta_key, eta_check, entropy = np.array([sifted[key] for key in keys]).T
+    terms = SimpleNamespace(**dict(zip(_COLUMNS, np.array([_column_values(model) for model in models]).T)))
+    preshared = np.array([model.preshared for model in models])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        per_key = eta_key * terms.per_use
+        rounds = np.where(per_key > 0.0, terms.block_size / per_key, np.inf)
+        charge = rounds * entropy
+        m, k, q_pe_eff, q_ec_eff, pe_pen, ec_pen, raw = _key_terms(
+            terms, per_key, eta_check * terms.per_use, rounds, charge, np.maximum, np.sqrt, _penalties
+        )
+        finite = np.isfinite(rounds)
+        m, k, raw, log_term, charge = (np.where(finite, c, 0.0) for c in (m, k, raw, terms.log_term, charge))
+        dead = (m <= 0.0) | (k <= 0.0)
+        q_pe_eff, q_ec_eff = np.where(dead, terms.q_pe, q_pe_eff), np.where(dead, terms.q_ec, q_ec_eff)
+        pe_pen, ec_pen = np.where(dead, 1.0, pe_pen), np.where(dead, 1.0, ec_pen)
+        ell = np.where(raw > 0.0, raw, 0.0)
+        status = np.where(ell > 0.0, STATUS_OK, STATUS_ABORT)
+        status = np.where((m < 1.0) | (k < 1.0), STATUS_INSUFFICIENT, status)
+        q_x_eff, q_z_eff = np.where(preshared, q_pe_eff, q_ec_eff), np.where(preshared, q_ec_eff, q_pe_eff)
+        columns = (ell, raw, rounds, ell / rounds, status, m, k, q_x_eff, q_z_eff)
+        columns += (m * pe_pen, m * ec_pen, log_term, charge)
+    return KeyLengthResult(*(column.tolist() for column in columns))
+
+
 class BestFraction:
     """The largest secret fraction among several models: each model's p_key
     optimum and, over them, the winning protocol variant, both selected
@@ -332,14 +339,6 @@ class BestFraction:
         return self.models[self.winner].result(0.5 if opt.indeterminate else opt.x)
 
 
-def expected_key_length(
-    cfg: NetworkConfig, spec: ProtocolSpec, fsp: FiniteSizeParams, qbers: QberPair
-) -> KeyLengthResult:
-    """Expected key length of one protocol at the spec's p_key."""
-    model = KeyLengthModel(cfg, spec.family, fsp, qbers, spec.memories, spec.basis_strategy)
-    return model.result(spec.p_key)
-
-
 @dataclass(frozen=True)
 class BipartiteOptimum:
     """Best bipartite baseline over strategy, memory use and p_key."""
@@ -360,7 +359,7 @@ def bipartite_models(
     parallel links runs with security parameter epsilon/(N-1)."""
     fsp_link = replace(fsp, epsilon=fsp.epsilon / (cfg.n_parties - 1))
     return {
-        (family, memories): KeyLengthModel(cfg, family, fsp_link, qbers, memories)
+        (family, memories): KeyLengthModel(cfg, ProtocolSpec(family, memories), fsp_link, qbers)
         for family in (Family.BCKA, Family.BQSS)
         for memories, qbers in modes
     }

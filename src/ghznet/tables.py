@@ -33,6 +33,19 @@ def format_cell(value: Any) -> str:
     return _CELL_FORMATTERS.get(float if isinstance(value, float) else type(value), _text_cell)(value)
 
 
+def _format_column(cells: tuple) -> list[str]:
+    """format_cell of each cell.  A column of one exact formatter type
+    formats each distinct value once: equal values of one type print
+    equal text (0.0 and -0.0 both print 0), and a NaN is found by identity."""
+    types = set(map(type, cells))
+    formatter = _CELL_FORMATTERS.get(types.pop()) if len(types) == 1 else None
+    if formatter is None:
+        lookup = _CELL_FORMATTERS.get
+        return [lookup(type(value), format_cell)(value) for value in cells]
+    texts = {value: formatter(value) for value in set(cells)}
+    return [texts[value] for value in cells]
+
+
 @dataclass
 class ResultTable:
     columns: list[str]
@@ -47,8 +60,7 @@ class ResultTable:
     def render(self) -> str:
         lines = [f"# {key} = {self.metadata[key]}" for key in sorted(self.metadata)]
         lines.append(",".join(self.columns))
-        formatter = _CELL_FORMATTERS.get
-        lines += [",".join([formatter(type(v), format_cell)(v) for v in row]) for row in self.rows]
+        lines += map(",".join, zip(*map(_format_column, zip(*self.rows))))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str) -> None:

@@ -191,7 +191,7 @@ def test_dead_sides_keep_the_half_evaluation(task):
                         assert multi.result().secret_fraction == half
                     if all(opt.indeterminate for opt in bi.optima):
                         dead.add(("bi", target))
-                        link = KeyLengthModel(cfg, Family.BQSS, fsp_link, qb_bi).result(0.5)
+                        link = KeyLengthModel(cfg, ProtocolSpec(Family.BQSS), fsp_link, qb_bi).result(0.5)
                         assert bi.exact() == link.secret_fraction == 0.0
                         assert bi.result() == link
     # at 1% noise every distance up to 40 km leaves both sides a live model

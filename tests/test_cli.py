@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import example, given, strategies as st
 import ghznet
 from ghznet import reproduce
 from ghznet.analysis import advantage_profile
-from ghznet.cli import COMMAND_KEYS, EXIT_CONFIG, EXIT_OK, RATE_COLUMNS, build_parser, main
+from ghznet.cli import COMMAND_KEYS, EXIT_CONFIG, EXIT_OK, RATE_COLUMNS, build_parser, command_rows, main
 from ghznet.config import DEFAULTS, SCHEMA, ConfigError, load_config, parse_kv_text, resolve_scenario
 from ghznet.finite import FiniteSizeParams
 from ghznet.network import NetworkConfig
@@ -277,16 +278,56 @@ def test_cli_rate_runs_past_a_thousand_parties(capsys):
     assert row.split(",")[3] == "1100" and "Traceback" not in captured.err
 
 
-# sha256 of the stdout of four memory sweeps over all four families (the
-# benchmark's N/finite, block/memory, d_A/finite and f_D/asymptotic sweeps:
-# every N from 2 to 30, and the N <= 3 draws at each distance and noise); a
-# change that moves them on purpose re-pins the digest and says why.
+# sha256 of the stdout of sweeps over all four families: the benchmark's nine
+# cli-sweeps sweeps (every N from 2 to 30, and the N <= 3 draws at each
+# distance and noise), a finite sweep of p_key up to 1 and an optimised
+# p_key = opt block-size sweep, so every row shape the key-length columns
+# serve is pinned; a change that moves them on purpose re-pins the digest
+# and says why.
 PINNED_SWEEP_COMMON = [
     "protocol.family=mQSS,mCKA,bQSS,bCKA", "protocol.p_key=0.95", "network.d_A_km=50",
     "network.d_B_km=4", "noise.f_D=0.01", "memory.T2_s=1", "memory.Tp_s=2e-06",
     "mc.samples=1000", "protocol.memories=true",
 ]
+MEMORYLESS = "protocol.memories=false"
 PINNED_SWEEPS = {
+    "d_A/asymptotic": (
+        [*PINNED_SWEEP_COMMON, "sweep.parameter=network.d_A_km", "sweep.from=4", "sweep.to=100",
+         "sweep.steps=97"],
+        "2a574f6d3c45b9a8083eb6b45ca7c5ab161d8cd6456f5b33e5473fbd25b70878",
+    ),
+    "N/asymptotic": (
+        [*PINNED_SWEEP_COMMON, "sweep.parameter=network.N", "sweep.from=2", "sweep.to=30",
+         "sweep.steps=29"],
+        "fef11323923121d773f129b3e3832b1deea335c253e5b88caa8a809ef0bce7b0",
+    ),
+    "N/finite-memoryless": (
+        [*PINNED_SWEEP_COMMON, MEMORYLESS, "finite.block_size=1e8", "sweep.parameter=network.N",
+         "sweep.from=2", "sweep.to=30", "sweep.steps=29"],
+        "76cdf42712a091c3b10f5f5397fce6e94a14ede400ad2dab3f8ba2789b65224a",
+    ),
+    "f_D/finite-memoryless": (
+        [*PINNED_SWEEP_COMMON, MEMORYLESS, "finite.block_size=1e8", "sweep.parameter=noise.f_D",
+         "sweep.from=0", "sweep.to=0.08", "sweep.steps=81"],
+        "7d15276829ffddf7cb093355963769541a8aa7f628e6fe50fe94b0d65d4d9128",
+    ),
+    "block/memoryless": (
+        [*PINNED_SWEEP_COMMON, MEMORYLESS, "sweep.parameter=finite.block_size", "sweep.from=1e4",
+         "sweep.to=1e12", "sweep.steps=65", "sweep.log=true"],
+        "637dc6c060b2a60960fb1796d87706d342a591e7f4749539ab4d821ad7bd3100",
+    ),
+    # a p_key column per row, out to the switching rows with no checks at 1
+    "p_key/finite": (
+        [*PINNED_SWEEP_COMMON, "finite.block_size=1e6", "sweep.parameter=protocol.p_key",
+         "sweep.from=0.5", "sweep.to=1", "sweep.steps=11"],
+        "4e442b217ebe09dfa6a59c7097a553fbb0d559894afb2b45e41e3482f66547ed",
+    ),
+    # each row at its own optimum, indeterminate ones at p_key = 1/2
+    "block/opt": (
+        [*PINNED_SWEEP_COMMON, "protocol.p_key=opt", "sweep.parameter=finite.block_size",
+         "sweep.from=1e3", "sweep.to=1e11", "sweep.steps=9", "sweep.log=true"],
+        "b0e5c15b12610647a311d1cd329759f03279ebb00a880a96a94094e902af5afb",
+    ),
     "N/finite": (
         [*PINNED_SWEEP_COMMON, "finite.block_size=1e8", "sweep.parameter=network.N",
          "sweep.from=2", "sweep.to=30", "sweep.steps=29"],
@@ -735,6 +776,11 @@ def test_format_cell_matches_reference(value):
     assert format_cell(value) == _reference_format_cell(value)
 
 
+def _render_by_cell(table):
+    lines = [",".join(table.columns)] + [",".join(map(format_cell, row)) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
 def test_render_formats_each_cell_as_format_cell():
     # render picks a formatter by each cell's exact type; any other type,
     # a numpy scalar or an enum, must print as format_cell prints it
@@ -742,6 +788,41 @@ def test_render_formats_each_cell_as_format_cell():
     table.add_row(*FORMAT_VALUES)
     row = ",".join(map(format_cell, FORMAT_VALUES))
     assert table.render() == ",".join(table.columns) + "\n" + row + "\n"
+    # a column of one exact type formats each distinct value once: equal
+    # values must still print as each cell prints, both zeros as 0 and
+    # each NaN object as nan; mixed and numpy columns go cell by cell
+    nan, other_nan = float("nan"), float("nan")
+    columns = {
+        "float": [0.0, -0.0, nan, other_nan, math.inf, -math.inf, 1e-300, 0.1 + 0.2, 0.1 + 0.2, -0.0, nan],
+        "int_and_bool": [1, True, 1, False, 0, True, 1, 1, 0, True, False],
+        "float_and_int": [1.0, 1, 1.0, 1, 2.0, 2, 1.0, 0, 0.0, 1, -0.0],
+        "float64": list(map(np.float64, (0.0, -0.0, nan, 1.0, 1.0, 1e-300, -1e300, 0.5, 0.5, math.inf, -0.0))),
+    }
+    table = ResultTable(list(columns))
+    for cells in zip(*columns.values()):
+        table.add_row(*cells)
+    assert table.render() == _render_by_cell(table)
+    assert ResultTable(["a", "b"]).render() == _render_by_cell(ResultTable(["a", "b"])) == "a,b\n"
+
+
+# rate and sweep tables in every regime: finite, asymptotic and p_key = opt
+RATE_ARGV = ["rate", "--set", "protocol.family=mQSS,mCKA,bQSS,bCKA", "--set", "protocol.memories=true"]
+PYTHON_CELL_ARGVS = {
+    "rate/asymptotic": RATE_ARGV,
+    "rate/finite": [*RATE_ARGV, "--set", "finite.block_size=1e6"],
+    "rate/opt": [*RATE_ARGV, "--set", "finite.block_size=1e6", "--set", "protocol.p_key=opt"],
+    **{f"sweep/{name}": _argv("sweep", *PINNED_SWEEPS[name][0]) for name in ("N/asymptotic", "p_key/finite")},
+    "sweep/block/opt": _argv("sweep", *PINNED_SWEEPS["block/opt"][0]),
+}
+
+
+@pytest.mark.parametrize("name", PYTHON_CELL_ARGVS)
+def test_rate_and_sweep_cells_are_python_scalars(name):
+    # the key-length columns leave numpy through tolist: a numpy scalar
+    # would print the same but take the renderer's per-cell path
+    for row in command_rows(PYTHON_CELL_ARGVS[name]):
+        for column, value in row.items():
+            assert type(value) in (str, int, float, bool, type(None)), (column, type(value))
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))

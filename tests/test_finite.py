@@ -14,6 +14,7 @@ from ghznet.finite import (
     BipartiteOptimum,
     FiniteSizeParams,
     KeyLengthModel,
+    KeyLengthResult,
     _GRID_ENTROPY,
     _entropy_penalty,
     _grid_sifting,
@@ -33,6 +34,11 @@ CFG = NetworkConfig(3, 50.0, 4.0)
 NOISE = NoiseParams(0.01, t2_s=1.0, prep_time_s=2e-6)
 QB_MULTI = memoryless_qber(0.01, 3)
 QB_BI = memoryless_qber(0.01, 2)
+
+
+def key_length(cfg, spec, fsp, qbers):
+    """One protocol's key length at its spec's p_key."""
+    return KeyLengthModel(cfg, spec, fsp, qbers).result(spec.p_key)
 
 
 # The penalties take log(1/eps), as KeyLengthModel computes it once per model.
@@ -107,7 +113,7 @@ def test_smallest_config_epsilon_survives_the_link_split():
     for n in (*range(2, 31), 300):
         cfg = NetworkConfig(n, 1.0, 1.0)
         link = FiniteSizeParams(MIN_EPSILON / (n - 1), block_size=1e8)
-        models = [KeyLengthModel(cfg, family, link, qbers) for family in Family]
+        models = [KeyLengthModel(cfg, ProtocolSpec(family), link, qbers) for family in Family]
         models += bipartite_models(cfg, fsp, [(False, qbers)]).values()
         for model in models:
             assert math.isfinite(model.log_term)
@@ -122,7 +128,7 @@ def test_bipartite_models_split_epsilon_over_the_links():
         cfg = NetworkConfig(n, 50.0, 4.0)
         for (family, memories), model in bipartite_models(cfg, fsp, modes).items():
             qbers = dict(modes)[memories]
-            assert vars(model) == vars(KeyLengthModel(cfg, family, link, qbers, memories))
+            assert vars(model) == vars(KeyLengthModel(cfg, ProtocolSpec(family, memories), link, qbers))
             assert model.eps_c == link.eps_c
 
 
@@ -137,8 +143,8 @@ def test_ell_is_positive_zero_without_rounds():
     # no key-basis detections per use means infinitely many rounds for the
     # block; ell must be +0.0, not -0.0 from max(-0.0, 0.0)
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6)
-    no_key = expected_key_length(CFG, ProtocolSpec(Family.MCKA, p_key=0.0), fsp, QB_MULTI)
-    no_yield = expected_key_length(
+    no_key = key_length(CFG, ProtocolSpec(Family.MCKA, p_key=0.0), fsp, QB_MULTI)
+    no_yield = key_length(
         NetworkConfig(3, 2e4, 2e4), ProtocolSpec(Family.MQSS, p_key=0.9), fsp, QB_MULTI
     )
     for result in (no_key, no_yield):
@@ -171,15 +177,15 @@ def test_key_length_model_matches_expected_key_length(n_parties, family, strateg
         for block in (1e4, 1e8, 1e10):
             fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
             for memories in (False, True):
-                model = KeyLengthModel(cfg, family, fsp, qbers, memories, strategy)
+                model = KeyLengthModel(cfg, ProtocolSpec(family, memories, strategy), fsp, qbers)
                 (row,) = stacked_fractions([model])
                 for p_key in P_KEYS:
                     spec = ProtocolSpec(family, memories, strategy, p_key)
-                    expected = expected_key_length(cfg, spec, fsp, qbers).secret_fraction
+                    expected = key_length(cfg, spec, fsp, qbers).secret_fraction
                     assert model.fraction(p_key) == expected
                 for p_key, from_grid in zip(UNIT_GRID[::7].tolist(), row[::7]):
                     spec = ProtocolSpec(family, memories, strategy, p_key)
-                    expected = expected_key_length(cfg, spec, fsp, qbers).secret_fraction
+                    expected = key_length(cfg, spec, fsp, qbers).secret_fraction
                     assert from_grid == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -195,7 +201,7 @@ def test_fraction_is_the_result_fraction_bit_for_bit(n_parties, family, strategy
         for block in (1e4, 1e8, 1e10):
             fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
             for memories in (False, True):
-                model = KeyLengthModel(cfg, family, fsp, qbers, memories, strategy)
+                model = KeyLengthModel(cfg, ProtocolSpec(family, memories, strategy), fsp, qbers)
                 for p_key in p_keys:
                     fraction = model.fraction(p_key)
                     expected = model.result(p_key).secret_fraction
@@ -213,8 +219,8 @@ def test_stacked_rows_equal_single_model_rows(n_parties):
             fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
             models = [
                 KeyLengthModel(
-                    cfg, family, fsp, memoryless_qber(f_depol, 2 if family.bipartite else n_parties),
-                    memories, strategy,
+                    cfg, ProtocolSpec(family, memories, strategy), fsp,
+                    memoryless_qber(f_depol, 2 if family.bipartite else n_parties),
                 )
                 for family, strategy in SPEC_CHOICES
                 for memories in (False, True)
@@ -223,6 +229,89 @@ def test_stacked_rows_equal_single_model_rows(n_parties):
             assert stack.shape == (len(models), len(UNIT_GRID))
             for model, row in zip(models, stack):
                 assert np.array_equal(row, stacked_fractions([model])[0])
+
+
+def _reference_result(model, p_key):
+    # KeyLengthModel.result as one scalar evaluation, the way it was written
+    # before expected_key_length evaluated columns: every row of the column
+    # pass must equal it bit for bit
+    per_key, per_check, rounds, charge = model._counts(p_key)
+    if math.isfinite(rounds):
+        m, k, q_pe_eff, q_ec_eff, pe_pen, ec_pen, raw = _key_terms(model, per_key, per_check, rounds, charge)
+        log_term = model.log_term
+    else:
+        m = k = raw = log_term = charge = 0.0
+    if m <= 0.0 or k <= 0.0:
+        q_pe_eff, q_ec_eff, pe_pen, ec_pen = model.q_pe, model.q_ec, 1.0, 1.0
+    ell = raw if raw > 0.0 else 0.0
+    if m < 1.0 or k < 1.0:
+        status = "insufficient-detections"
+    elif ell > 0.0:
+        status = "ok"
+    else:
+        status = "abort"
+    q_x_eff, q_z_eff = (q_pe_eff, q_ec_eff) if model.preshared else (q_ec_eff, q_pe_eff)
+    return KeyLengthResult(
+        ell, raw, rounds, ell / rounds, status, m, k, q_x_eff, q_z_eff, m * pe_pen, m * ec_pen, log_term, charge
+    )
+
+
+def _bits(result):
+    # each field's type and repr: repr tells every double apart, -0.0 from 0.0
+    values = [getattr(result, field.name) for field in fields(result)]
+    return [(type(value), repr(value)) for value in values]
+
+
+def _row(columns, i):
+    return KeyLengthResult(*(getattr(columns, field.name)[i] for field in fields(KeyLengthResult)))
+
+
+@st.composite
+def _model_rows(draw):
+    """A model and a p_key over the evaluator's whole domain, with the
+    degenerate rows drawn on purpose: no key detections (p_key = 0 or a
+    yield that underflows), m < 1 (a block of 1), k < 1 (p_key at or next
+    to 1) and penalized error rates at or past 1/2 (QBERs up to 0.6)."""
+    family, strategy = draw(st.sampled_from(SPEC_CHOICES))
+    memories = draw(st.booleans())
+    n = draw(st.integers(2, 30))
+    d_b = draw(st.floats(0.0, 200.0))
+    # memories need p_a > 0: 10**(-0.02 d) underflows to 0 past d ~ 16,170 km
+    d_a = draw(st.floats(d_b, 16000.0)) if memories else draw(st.floats(0.0, 20000.0))
+    block = draw(st.one_of(st.just(1.0), st.floats(0.0, 16.0).map(lambda e: 10.0**e)))
+    epsilon = 10.0 ** draw(st.floats(-100.0, -3.0))
+    # half the error rates low enough that some rows yield key
+    qber = st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 0.6))
+    qbers = QberPair(draw(qber), draw(qber))
+    p_key = draw(st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0)))
+    spec = ProtocolSpec(family, memories, strategy)
+    model = KeyLengthModel(NetworkConfig(n, d_a, d_b), spec, FiniteSizeParams(epsilon, block), qbers)
+    return model, p_key
+
+
+# 300 examples of up to 8 rows take about 2.5 s on a 2-core x86-64 VM
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_model_rows(), min_size=1, max_size=8))
+def test_column_pass_is_the_scalar_result_bit_for_bit(rows):
+    models, p_keys = zip(*rows)
+    columns = expected_key_length(models, p_keys)
+    for i, (model, p_key) in enumerate(rows):
+        reference = _bits(_reference_result(model, p_key))
+        assert _bits(_row(columns, i)) == reference, (model.strategy, model.n_formula, p_key)
+        # a row evaluated on its own, through the one-row view
+        assert _bits(model.result(p_key)) == reference
+
+
+def test_column_pass_takes_every_log_from_math():
+    # numpy's log2 and pow differ from math's in the last place on a few
+    # inputs per thousand: a dense p_key grid of live rows finds them if
+    # the column pass ever takes a log or a pow from numpy
+    p_keys = np.linspace(0.3, 1.0, 1001)[:-1].tolist()
+    for family, strategy in SPEC_CHOICES:
+        model = KeyLengthModel(CFG, ProtocolSpec(family, True, strategy), FiniteSizeParams(1e-10, 1e9), QB_MULTI)
+        columns = expected_key_length([model] * len(p_keys), p_keys)
+        for i, p_key in enumerate(p_keys):
+            assert _bits(_row(columns, i)) == _bits(_reference_result(model, p_key)), (family, strategy, p_key)
 
 
 def test_entropy_penalty_saturates_and_matches_binary_entropy():
@@ -257,14 +346,14 @@ def _pointwise_maximum(model):
 def test_array_grid_matches_pointwise_grid(cfg, family, f_depol, block):
     qbers = memoryless_qber(f_depol, 2 if family.bipartite else cfg.n_parties)
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
-    model = KeyLengthModel(cfg, family, fsp, qbers)
+    model = KeyLengthModel(cfg, ProtocolSpec(family), fsp, qbers)
     assert maximize_unit_interval(model.fraction, _array_grid(model)) == _pointwise_maximum(model)
 
 
 def test_qss_abort_without_checks():
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e8)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=1.0)
-    result = expected_key_length(CFG, spec, fsp, QB_MULTI)
+    result = key_length(CFG, spec, fsp, QB_MULTI)
     assert result.status == "insufficient-detections"
     assert result.ell == 0.0
 
@@ -272,7 +361,7 @@ def test_qss_abort_without_checks():
 def test_abort_on_saturated_qber():
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e8)
     spec = ProtocolSpec(Family.MCKA, memories=True, p_key=0.9)
-    result = expected_key_length(CFG, spec, fsp, QberPair(0.5, 0.01))
+    result = key_length(CFG, spec, fsp, QberPair(0.5, 0.01))
     assert result.ell == 0.0
     assert result.status == "abort"
 
@@ -283,7 +372,7 @@ def test_strategy_dispatch_guards():
     # and secret sharing cannot be run with a pre-shared basis string
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e8)
     switching_cka = ProtocolSpec(Family.MCKA, basis_strategy="switching", p_key=0.9)
-    assert expected_key_length(CFG, switching_cka, fsp, QB_MULTI) == expected_key_length(
+    assert key_length(CFG, switching_cka, fsp, QB_MULTI) == key_length(
         CFG, ProtocolSpec(Family.MQSS, p_key=0.9), fsp, QB_MULTI
     )
     with pytest.raises(ValueError):
@@ -293,7 +382,7 @@ def test_strategy_dispatch_guards():
 def test_penalty_terms_non_negative_and_breakdown():
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e9)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=0.95)
-    result = expected_key_length(CFG, spec, fsp, QB_MULTI)
+    result = key_length(CFG, spec, fsp, QB_MULTI)
     assert result.status == "ok"
     assert result.m == pytest.approx(1e9, rel=1e-12)  # the block's key-basis detections
     assert result.pe_term >= 0 and result.ec_term >= 0
@@ -306,10 +395,10 @@ def test_penalty_terms_non_negative_and_breakdown():
 def test_preshared_term_scales_with_rounds():
     # doubling the block doubles the rounds it takes
     spec = ProtocolSpec(Family.MCKA, memories=True, p_key=0.99)
-    small = expected_key_length(
+    small = key_length(
         CFG, spec, FiniteSizeParams(epsilon=1e-10, block_size=1e8), QB_MULTI
     )
-    large = expected_key_length(
+    large = key_length(
         CFG, spec, FiniteSizeParams(epsilon=1e-10, block_size=2e8), QB_MULTI
     )
     assert large.rounds == pytest.approx(2.0 * small.rounds, rel=1e-12)
@@ -323,7 +412,7 @@ def test_key_length_monotone_in_rounds(family, p_key):
     # a larger block takes more rounds
     for block in (1e7, 1e8, 1e9, 1e10):
         fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
-        result = expected_key_length(CFG, spec, fsp, QB_MULTI)
+        result = key_length(CFG, spec, fsp, QB_MULTI)
         assert result.ell >= previous
         previous = result.ell
 
@@ -376,7 +465,7 @@ def test_key_term_duality_at_formula_level():
     # to (1 - eps_c) m (1 - h(q_a) - h(q_b)); the basis roles only swap
     # which error rate takes which penalty
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e6)
-    cka = KeyLengthModel(CFG, Family.MCKA, fsp, QB_MULTI)
+    cka = KeyLengthModel(CFG, ProtocolSpec(Family.MCKA), fsp, QB_MULTI)
     terms = SimpleNamespace(
         eps_c=cka.eps_c, q_pe=0.02, q_ec=0.01, log_pe=cka.log_pe, log_ec=cka.log_ec, log_term=0.0
     )
@@ -387,7 +476,7 @@ def test_key_term_duality_at_formula_level():
     # pre-shared checks X (Serfling) and keys in Z (Hoeffding); switching swaps them
     qbers = QberPair(0.02, 0.01)
     for family, q_pe, q_ec in ((Family.MCKA, "q_x", "q_z"), (Family.MQSS, "q_z", "q_x")):
-        model = KeyLengthModel(CFG, family, fsp, qbers)
+        model = KeyLengthModel(CFG, ProtocolSpec(family), fsp, qbers)
         result = model.result(0.9)
         serfling = _serfling(model.log_pe, result.m, result.k)
         hoeffding = _hoeffding(model.log_ec, result.m)
@@ -400,7 +489,7 @@ def test_two_party_baseline_uses_full_budget():
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e8)
     best = bipartite_optimal(cfg2, NoiseParams(0.01), fsp)
     spec = ProtocolSpec(best.family, p_key=best.p_key)
-    direct = expected_key_length(cfg2, spec, fsp, QB_BI)
+    direct = key_length(cfg2, spec, fsp, QB_BI)
     assert best.result.ell == pytest.approx(direct.ell, rel=1e-12)
 
 
@@ -435,7 +524,7 @@ def test_bipartite_optimal_dead_network():
 def test_raw_length_below_block(p_key, exponent):
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=p_key)
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=10.0**exponent)
-    result = expected_key_length(CFG, spec, fsp, QB_MULTI)
+    result = key_length(CFG, spec, fsp, QB_MULTI)
     assert result.raw <= result.m
     assert result.ell >= 0.0
 
@@ -450,7 +539,7 @@ def _reference_bipartite_optimal(cfg, noise, fsp, memory_qbers=None):
     candidates, best = {}, None
     for family in (Family.BCKA, Family.BQSS):
         for memories, qbers in modes:
-            model = KeyLengthModel(cfg, family, fsp_link, qbers, memories)
+            model = KeyLengthModel(cfg, ProtocolSpec(family, memories), fsp_link, qbers)
             opt = maximize_unit_interval(model.fraction, _array_grid(model))
             candidates[(family.value, memories)] = (opt.x, opt.value)
             if opt.indeterminate:

@@ -20,7 +20,7 @@ from ghznet.finite import (
     bipartite_models,
     stacked_fractions,
 )
-from ghznet.network import Family, NetworkConfig
+from ghznet.network import Family, NetworkConfig, ProtocolSpec
 from ghznet.noise import QberPair, memoryless_qber
 from ghznet.optimize import UNIT_GRID
 
@@ -87,7 +87,7 @@ def _models(block: float) -> list[KeyLengthModel]:
         cfg = NetworkConfig(n, 50.0, 4.0)
         for qbers, memories in ((memoryless_qber(0.0, n), False), (QberPair(0.03, 0.011), True)):
             for family in (Family.MQSS, Family.MCKA):
-                models.append(KeyLengthModel(cfg, family, fsp, qbers, memories))
+                models.append(KeyLengthModel(cfg, ProtocolSpec(family, memories), fsp, qbers))
     modes = [(False, memoryless_qber(0.01, 2)), (True, QberPair(0.0125, 0.00995))]
     models += bipartite_models(NetworkConfig(5, 50.0, 4.0), fsp, modes).values()
     return models
