@@ -1,7 +1,8 @@
 """Command-line surface: scenario evaluation, sweeps, thresholds, player
 profiles, figure-style reproduction tables and the verification oracle.
 
-Exit codes: 0 success, 1 oracle/acceptance mismatch, 2 configuration error.
+Exit codes: 0 success, 1 oracle/acceptance mismatch, 2 configuration error,
+141 (128 + SIGPIPE) when the reader of standard output closes it early.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -31,6 +33,7 @@ from .tables import ResultTable
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
+EXIT_PIPE = 141
 # the configuration keys each command reads; any other key it is given is
 # an error rather than a setting resolved and then ignored
 _SCENARIO_KEYS = frozenset(key for key in SCHEMA if not key.startswith("sweep."))
@@ -78,8 +81,8 @@ RATE_COLUMNS = [
 ]
 
 
-def _metadata(scenario: Scenario, command: str) -> dict[str, str]:
-    meta = {f"config.{key}": value for key, value in scenario.resolved.items()}
+def _metadata(items: dict, scenario: Scenario, command: str) -> dict[str, str]:
+    meta = {f"config.{key}": items[key][0] for key in sorted(items)}
     meta["ghznet.version"] = __version__
     meta["ghznet.command"] = command
     meta["seed"] = str(scenario.seed)
@@ -102,7 +105,7 @@ def _spec_columns(points: list[Scenario], specs: tuple[ProtocolSpec, ...], qbers
         tail += [[None] * n] * 6
     else:
         models = [KeyLengthModel(point.network, spec, point.finite, q) for point, spec, q in inputs]
-        optima = [BestFraction([model]).optima[0] for model in models] if points[0].optimize_p_key else []
+        optima = BestFraction(models).optima if points[0].optimize_p_key else []
         if optima:
             p_keys = [0.5 if opt.indeterminate else opt.x for opt in optima]
         yields = [model.per_use for model in models]
@@ -140,17 +143,16 @@ def _rate_rows(points: list[Scenario], *lead: list) -> list[tuple]:
     return [row for rows in zip(*groups) for row in rows]
 
 
-def _emit(table: ResultTable, out: str | None, scenario: Scenario) -> None:
+def _emit(table: ResultTable, out: str | None, items: dict) -> None:
     """Write the table to --out, else to output.path, else to stdout."""
-    path = out or scenario.output_path
+    path, *source = (out, "--out", None) if out else items.get("output.path", (None,))
     if path is None:
         sys.stdout.write(table.render())
         return
     try:
         table.write(path)
     except OSError as exc:
-        source, line = ("--out", None) if out else scenario.output_source
-        raise ConfigError(f"cannot write {path}: {exc.strerror}", source, line) from exc
+        raise ConfigError(f"cannot write {path}: {exc.strerror}", *source) from exc
 
 
 def _load(args: argparse.Namespace) -> dict:
@@ -170,21 +172,21 @@ def _load(args: argparse.Namespace) -> dict:
     return items
 
 
-def _table(args: argparse.Namespace) -> tuple[ResultTable, Scenario]:
-    """The one path of the table commands: load the command's keys, resolve
-    the scenario, build the columns and rows into a table with its header."""
+def _table(args: argparse.Namespace) -> tuple[ResultTable, dict]:
+    """The one path of the table commands: load the command's items, resolve
+    the scenario, build the table with its header; returns it and the items."""
     items = _load(args)
     scenario = resolve_scenario(items)
     columns, rows = args.build(items, scenario, args)
-    table = ResultTable(columns, metadata=_metadata(scenario, args.command))
+    table = ResultTable(columns, metadata=_metadata(items, scenario, args.command))
     for row in rows:
         table.add_row(*row)
-    return table, scenario
+    return table, items
 
 
 def _run_table(args: argparse.Namespace) -> int:
-    table, scenario = _table(args)
-    _emit(table, args.out, scenario)
+    table, items = _table(args)
+    _emit(table, args.out, items)
     return EXIT_OK
 
 
@@ -418,10 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader is gone: the rest, and the interpreter's final flush, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

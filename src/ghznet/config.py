@@ -116,9 +116,6 @@ class Scenario:
     sweep: SweepSpec | None
     # protocol.p_key = opt: the specs' p_key is a placeholder for each row's optimum
     optimize_p_key: bool
-    output_path: str | None
-    output_source: tuple[str, int] | None
-    resolved: dict[str, str]
 
 
 def parse_kv_text(
@@ -324,19 +321,7 @@ def resolve_scenario(items: dict[str, tuple[str, str, int]]) -> Scenario:
         sweep = SweepSpec(swept, *endpoints, steps, log)
     elif any(key.startswith("sweep.") for key in items):
         _fail_on_first(items, "sweep.", "sweep.* keys need sweep.parameter")
-    return Scenario(
-        network=network,
-        noise=noise,
-        specs=specs,
-        finite=finite,
-        mc_samples=mc_samples,
-        seed=seed,
-        sweep=sweep,
-        optimize_p_key=optimize_p_key,
-        output_path=_value(items, "output.path"),
-        output_source=items["output.path"][1:] if "output.path" in items else None,
-        resolved={key: items[key][0] for key in sorted(items)},
-    )
+    return Scenario(network, noise, specs, finite, mc_samples, seed, sweep, optimize_p_key)
 
 
 def at_point(scenario: Scenario, items: dict, key: str, text: str, source: str, line: int) -> Scenario:

@@ -24,7 +24,7 @@ from .network import (
     yields,
 )
 from .noise import NoiseParams, QberPair, memoryless_qber
-from .optimize import UNIT_GRID, maximize_unit_interval
+from .optimize import UNIT_GRID, ScalarMaximum, maximize_unit_interval
 
 
 # The Hoeffding (xi1: m samples of a pre-characterized distribution) and
@@ -348,7 +348,8 @@ class BipartiteOptimum:
     memories: bool
     p_key: float
     indeterminate: bool
-    candidates: dict
+    # each candidate link's p_key optimum, keyed as bipartite_models keys the links
+    candidates: dict[tuple[Family, bool], ScalarMaximum]
 
 
 def bipartite_models(
@@ -389,8 +390,6 @@ def bipartite_optimal(
         modes.append((True, memory_qbers))
     links = bipartite_models(cfg, fsp, modes)
     best = best_link(links)
-    keys = list(links)
-    candidates = {(f.value, mem): (opt.x, opt.value) for (f, mem), opt in zip(keys, best.optima)}
-    family, memories = keys[best.winner]
+    family, memories = list(links)[best.winner]
     opt = best.optima[best.winner]
-    return BipartiteOptimum(best.result(), family, memories, opt.x, opt.indeterminate, candidates)
+    return BipartiteOptimum(best.result(), family, memories, opt.x, opt.indeterminate, dict(zip(links, best.optima)))

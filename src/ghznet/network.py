@@ -97,18 +97,6 @@ class ProtocolSpec:
         return self.family.bipartite
 
 
-@dataclass(frozen=True)
-class SiftingEfficiencies:
-    eta_key: float
-    eta_check: float
-
-    def __post_init__(self) -> None:
-        check_probability(self.eta_key, "eta_key")
-        check_probability(self.eta_check, "eta_check")
-        if self.eta_key + self.eta_check > 1.0 + 1e-12:
-            raise ValueError("eta_key + eta_check must not exceed 1")
-
-
 def formula_party_count(cfg: NetworkConfig, spec: ProtocolSpec) -> int:
     """Party count entering the QBER/sifting/key-length formulas.
 
@@ -169,25 +157,20 @@ def sifting_fractions(strategy: BasisStrategy, n_parties: int, p_key):
     return p**n_parties, (p - 1.0) * math.expm1((n_parties - 2) * log_p)
 
 
-def sifting(spec: ProtocolSpec, n_parties: int) -> SiftingEfficiencies:
-    """Probability that a delivered round is usable for key / for checks."""
+def sifting(spec: ProtocolSpec, n_parties: int) -> tuple[float, float]:
+    """(eta_key, eta_check): the probability that a delivered round is
+    usable for key / for checks."""
     check_parties(n_parties)
-    return SiftingEfficiencies(*sifting_fractions(spec.basis_strategy, n_parties, spec.p_key))
+    return sifting_fractions(spec.basis_strategy, n_parties, spec.p_key)
 
 
-@dataclass(frozen=True)
-class ExpectedCounts:
-    m: float
-    k: float
-
-
-def expected_counts(cfg: NetworkConfig, spec: ProtocolSpec, rounds: float) -> ExpectedCounts:
-    """Expected key/check detections in `rounds` network uses."""
+def expected_counts(cfg: NetworkConfig, spec: ProtocolSpec, rounds: float) -> tuple[float, float]:
+    """(m, k): the expected key/check detections in `rounds` network uses."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds!r}")
     y = yields(cfg, spec)
-    eta = sifting(spec, formula_party_count(cfg, spec))
-    return ExpectedCounts(eta.eta_key * y * rounds, eta.eta_check * y * rounds)
+    eta_key, eta_check = sifting(spec, formula_party_count(cfg, spec))
+    return eta_key * y * rounds, eta_check * y * rounds
 
 
 def simulate_sifting(

@@ -394,14 +394,14 @@ def sifting_check_rows() -> tuple[list, bool]:
     for n in range(2, 7):
         for p_key in (0.5, 0.9, 0.99):
             exact_key, exact_check = sifting_enumeration(n, p_key)
-            printed = sifting(ProtocolSpec("mQSS", p_key=p_key), n)
+            printed_key, printed_check = sifting(ProtocolSpec("mQSS", p_key=p_key), n)
             # Alice plus at least one of the N-1 Bobs in the check basis
             all_bobs_check = (1.0 - p_key) * (1.0 - p_key ** (n - 1))
-            key_ok = math.isclose(exact_key, printed.eta_key, rel_tol=EXACT_RTOL)
-            match_printed = math.isclose(exact_check, printed.eta_check, rel_tol=EXACT_RTOL)
+            key_ok = math.isclose(exact_key, printed_key, rel_tol=EXACT_RTOL)
+            match_printed = math.isclose(exact_check, printed_check, rel_tol=EXACT_RTOL)
             match_all_bobs = math.isclose(exact_check, all_bobs_check, rel_tol=EXACT_RTOL)
             verdict = CHECK_VERDICTS[match_printed, match_all_bobs]
             ok = key_ok and verdict != "neither"
             all_pass &= ok
-            rows.append((n, p_key, exact_key, printed.eta_key, key_ok, exact_check, printed.eta_check, all_bobs_check, verdict))
+            rows.append((n, p_key, exact_key, printed_key, key_ok, exact_check, printed_check, all_bobs_check, verdict))
     return rows, all_pass

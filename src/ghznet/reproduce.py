@@ -6,7 +6,6 @@ and `profile` commands print for the recipe's invocations."""
 from __future__ import annotations
 
 import functools
-import math
 import os
 
 import numpy as np
@@ -150,9 +149,7 @@ def _block_sweep(seed: int) -> list[dict]:
         # best_cka_fraction's selection, pre-shared strategy first
         cka = BestFraction(multi_models(cfg, "CKA", fsp, qb_multi, memories=True))
         bi = bipartite_optimal(cfg, noise, fsp, memory_qbers=qb_bi)
-        # an indeterminate link optimum has p_key nan: an empty cell
-        pre_p, pre_v = bi.candidates[(Family.BCKA.value, True)]
-        sw_p, sw_v = bi.candidates[(Family.BQSS.value, True)]
+        pre, sw = bi.candidates[Family.BCKA, True], bi.candidates[Family.BQSS, True]
         rows.append({
             "block_size": block,
             "mQSS": res_qss.secret_fraction,
@@ -163,10 +160,10 @@ def _block_sweep(seed: int) -> list[dict]:
             "p_key_mCKA_preshared": _p_key(cka.optima[0]),
             "bipartite_optimal": bi.result.secret_fraction,
             "bipartite_choice": f"{bi.family.value}{'+mem' if bi.memories else ''}",
-            "b_preshared": pre_v,
-            "b_switching": sw_v,
-            "p_key_b_preshared": None if math.isnan(pre_p) else pre_p,
-            "p_key_b_switching": None if math.isnan(sw_p) else sw_p,
+            "b_preshared": pre.value,
+            "b_switching": sw.value,
+            "p_key_b_preshared": _p_key(pre),
+            "p_key_b_switching": _p_key(sw),
             "asymptote_multi": asym_multi,
             "asymptote_bipartite": asym_bi,
         })

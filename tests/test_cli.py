@@ -1242,12 +1242,16 @@ def test_cli_oracle_check_four_parties(capsys):
     assert "oracle-check: PASS" in out
 
 
-def test_python_m_ghznet_runs_the_cli():
+def _child_env() -> dict:
+    """The environment of a child Python that imports this checkout's ghznet."""
     src = str(Path(ghznet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_m_ghznet_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "ghznet", "--version"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert done.returncode == 0
     assert done.stdout.strip() == f"ghznet {ghznet.__version__}"
@@ -1257,9 +1261,25 @@ def test_cli_import_leaves_the_recipes_and_numpy_ma_unloaded():
     # what a fresh `ghznet` process imports before it parses its arguments:
     # the recipes load with `reproduce` only, and numpy.ma, which np.unique
     # pulls in, stays out of start-up
-    src = str(Path(ghznet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, ghznet.cli; print(*(m for m in ('ghznet.reproduce', 'numpy.ma') if m in sys.modules))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["rate"], ["oracle-check", "--verbose"]], ids=["rate", "oracle-check"])
+def test_a_closed_pipe_ends_quietly(argv, unbuffered):
+    # the reader closes the pipe while the child is still importing, as
+    # `ghznet rate | true` does: no traceback, and 128 + SIGPIPE, the code a
+    # shell reports for `cat` cut off the same way, not the mismatch code 1.
+    # Buffered, the write fails only when the output is flushed.
+    env = dict(_child_env(), PYTHONUNBUFFERED=unbuffered)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ghznet", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert stderr == b""

@@ -82,7 +82,6 @@ UNREACHED = {
     "rates.hbb_rate": "the X/Y-basis scheme the paper improves on; tests and the benchmark's tracer call it",
     "rates.cka_equals_qss_check": "the asymptotic CKA = QSS identity; tests and the tracer call it",
     "network.expected_counts": "expected detections; tests and the tracer call it",
-    "network.ExpectedCounts": "the result of expected_counts",
     "network.simulate_sifting": "the sifting Monte Carlo; criterion 6, tests and the tracer call it",
     "noise.memory_qbers_from_exponents": "a shortcut of the analytic chain for tests and the tracer",
     "oracle.validate_density": "a density-matrix sanity check for the oracle tests",

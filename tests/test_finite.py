@@ -168,10 +168,13 @@ P_KEYS = (0.0, 1e-8, 0.5, 0.9999, 1.0)
 @pytest.mark.parametrize("n_parties", [2, 3, 5, 10])
 @pytest.mark.parametrize("family,strategy", SPEC_CHOICES)
 def test_key_length_model_matches_expected_key_length(n_parties, family, strategy):
-    # the array path's UNIT_GRID row agrees with the single-point path to
-    # 1e-12 relative and the scalar objective is the single-point fraction
-    # bit for bit, also at the ends of [0, 1] that the grid leaves out
+    # the array path's UNIT_GRID row agrees with the column pass to 1e-12
+    # relative and the scalar objective is the column pass's fraction bit
+    # for bit, also at the ends of [0, 1] that the grid leaves out.  Row i
+    # of the column pass is the one-row view bit for bit
+    # (test_column_pass_is_the_scalar_result_bit_for_bit).
     cfg = NetworkConfig(n_parties, 50.0, 4.0)
+    p_keys = [*P_KEYS, *UNIT_GRID[::7].tolist()]
     for f_depol in (0.0, 0.01, 0.05, 0.3):
         qbers = memoryless_qber(f_depol, 2 if family.bipartite else n_parties)
         for block in (1e4, 1e8, 1e10):
@@ -179,14 +182,10 @@ def test_key_length_model_matches_expected_key_length(n_parties, family, strateg
             for memories in (False, True):
                 model = KeyLengthModel(cfg, ProtocolSpec(family, memories, strategy), fsp, qbers)
                 (row,) = stacked_fractions([model])
-                for p_key in P_KEYS:
-                    spec = ProtocolSpec(family, memories, strategy, p_key)
-                    expected = key_length(cfg, spec, fsp, qbers).secret_fraction
-                    assert model.fraction(p_key) == expected
-                for p_key, from_grid in zip(UNIT_GRID[::7].tolist(), row[::7]):
-                    spec = ProtocolSpec(family, memories, strategy, p_key)
-                    expected = key_length(cfg, spec, fsp, qbers).secret_fraction
-                    assert from_grid == pytest.approx(expected, rel=1e-12, abs=0.0)
+                expected = expected_key_length([model] * len(p_keys), p_keys).secret_fraction
+                for p_key, value in zip(P_KEYS, expected):
+                    assert model.fraction(p_key) == value
+                assert row[::7].tolist() == pytest.approx(expected[len(P_KEYS):], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n_parties", [2, 3, 5, 10])
@@ -202,9 +201,10 @@ def test_fraction_is_the_result_fraction_bit_for_bit(n_parties, family, strategy
             fsp = FiniteSizeParams(epsilon=1e-10, block_size=block)
             for memories in (False, True):
                 model = KeyLengthModel(cfg, ProtocolSpec(family, memories, strategy), fsp, qbers)
-                for p_key in p_keys:
+                # the column pass's rows are the one-row views bit for bit
+                results = expected_key_length([model] * len(p_keys), p_keys).secret_fraction
+                for p_key, expected in zip(p_keys, results):
                     fraction = model.fraction(p_key)
-                    expected = model.result(p_key).secret_fraction
                     assert type(fraction) is type(expected)
                     assert fraction == expected, (block, f_depol, memories, p_key)
                     assert math.copysign(1.0, fraction) == math.copysign(1.0, expected)
@@ -496,9 +496,9 @@ def test_two_party_baseline_uses_full_budget():
 def test_bipartite_optimal_tracks_strategies():
     fsp = FiniteSizeParams(epsilon=1e-10, block_size=1e8)
     best = bipartite_optimal(CFG, NOISE, fsp)
-    assert set(best.candidates) == {("bCKA", False), ("bQSS", False)}
+    assert set(best.candidates) == {(Family.BCKA, False), (Family.BQSS, False)}
     assert best.result.secret_fraction == pytest.approx(
-        max(v for _, v in best.candidates.values()), rel=1e-9
+        max(opt.value for opt in best.candidates.values()), rel=1e-9
     )
 
 
@@ -541,7 +541,7 @@ def _reference_bipartite_optimal(cfg, noise, fsp, memory_qbers=None):
         for memories, qbers in modes:
             model = KeyLengthModel(cfg, ProtocolSpec(family, memories), fsp_link, qbers)
             opt = maximize_unit_interval(model.fraction, _array_grid(model))
-            candidates[(family.value, memories)] = (opt.x, opt.value)
+            candidates[(family, memories)] = opt
             if opt.indeterminate:
                 continue
             result = model.result(opt.x)

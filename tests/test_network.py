@@ -88,20 +88,19 @@ def test_memory_yield_ratio_is_parties_minus_one(n, d_a):
 
 
 def test_sifting_preshared():
-    eta = sifting(ProtocolSpec(Family.MCKA, p_key=0.9), 3)
-    assert (eta.eta_key, eta.eta_check) == pytest.approx((0.9, 0.1))
+    assert sifting(ProtocolSpec(Family.MCKA, p_key=0.9), 3) == pytest.approx((0.9, 0.1))
 
 
 def test_sifting_switching_printed():
-    eta = sifting(ProtocolSpec(Family.MQSS, p_key=0.9), 3)
-    assert eta.eta_key == pytest.approx(0.729)
-    assert eta.eta_check == pytest.approx(0.01)
+    eta_key, eta_check = sifting(ProtocolSpec(Family.MQSS, p_key=0.9), 3)
+    assert eta_key == pytest.approx(0.729)
+    assert eta_check == pytest.approx(0.01)
 
 
 def test_sifting_switching_two_parties():
-    eta = sifting(ProtocolSpec(Family.BQSS, p_key=0.7), 2)
-    assert eta.eta_key == pytest.approx(0.49)
-    assert eta.eta_check == pytest.approx(0.09)
+    eta_key, eta_check = sifting(ProtocolSpec(Family.BQSS, p_key=0.7), 2)
+    assert eta_key == pytest.approx(0.49)
+    assert eta_check == pytest.approx(0.09)
 
 
 def test_sifting_all_bobs_variant():
@@ -111,11 +110,11 @@ def test_sifting_all_bobs_variant():
     def all_bobs(p, n):
         return (1.0 - p) * (1.0 - p ** (n - 1))
 
-    two = sifting(ProtocolSpec(Family.BQSS, p_key=0.7), 2)
-    assert two.eta_check == pytest.approx(all_bobs(0.7, 2), rel=1e-15)
+    _, two_check = sifting(ProtocolSpec(Family.BQSS, p_key=0.7), 2)
+    assert two_check == pytest.approx(all_bobs(0.7, 2), rel=1e-15)
     for n in range(3, 7):
-        printed = sifting(ProtocolSpec(Family.MQSS, p_key=0.9), n)
-        assert printed.eta_check < all_bobs(0.9, n)
+        _, printed_check = sifting(ProtocolSpec(Family.MQSS, p_key=0.9), n)
+        assert printed_check < all_bobs(0.9, n)
 
 
 @given(
@@ -124,31 +123,32 @@ def test_sifting_all_bobs_variant():
     st.sampled_from([Family.MQSS, Family.MCKA]),
 )
 def test_sifting_efficiencies_bounded(p_key, n, family):
-    eta = sifting(ProtocolSpec(family, p_key=p_key), n)
-    assert 0.0 <= eta.eta_key <= 1.0
-    assert eta.eta_key + eta.eta_check <= 1.0 + 1e-12
+    eta_key, eta_check = sifting(ProtocolSpec(family, p_key=p_key), n)
+    assert 0.0 <= eta_key <= 1.0
+    assert 0.0 <= eta_check <= 1.0
+    assert eta_key + eta_check <= 1.0 + 1e-12
 
 
 def test_sifting_no_checks_at_full_key_bias():
     for family in (Family.MQSS, Family.MCKA):
-        eta = sifting(ProtocolSpec(family, p_key=1.0), 4)
-        assert eta.eta_check == 0.0
+        _, eta_check = sifting(ProtocolSpec(family, p_key=1.0), 4)
+        assert eta_check == 0.0
 
 
 def test_expected_counts_cka_memory():
     cfg = NetworkConfig(3, 50.0, 4.0)
     spec = ProtocolSpec(Family.MCKA, memories=True, p_key=0.5)
-    counts = expected_counts(cfg, spec, 1e6)
-    assert counts.m == pytest.approx(50_000.0)
-    assert counts.k == pytest.approx(50_000.0)
+    m, k = expected_counts(cfg, spec, 1e6)
+    assert m == pytest.approx(50_000.0)
+    assert k == pytest.approx(50_000.0)
 
 
 def test_expected_counts_qss_memory():
     cfg = NetworkConfig(3, 50.0, 4.0)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=0.5)
-    counts = expected_counts(cfg, spec, 1e6)
-    assert counts.m == pytest.approx(12_500.0)
-    assert counts.k == pytest.approx(25_000.0)
+    m, k = expected_counts(cfg, spec, 1e6)
+    assert m == pytest.approx(12_500.0)
+    assert k == pytest.approx(25_000.0)
 
 
 def test_expected_counts_per_pair_option():
@@ -156,16 +156,16 @@ def test_expected_counts_per_pair_option():
     # would give fewer checks than the global count the key length uses
     cfg = NetworkConfig(4, 50.0, 4.0)
     spec = ProtocolSpec(Family.MQSS, memories=True, p_key=0.5)
-    counts = expected_counts(cfg, spec, 1e6)
+    _, k = expected_counts(cfg, spec, 1e6)
     per_pair = (1.0 - spec.p_key) ** 2 * yields(cfg, spec) * 1e6
     assert per_pair == pytest.approx(0.25 * 0.1 * 1e6)
-    assert per_pair < counts.k
+    assert per_pair < k
 
 
 def test_expected_counts_no_checks():
     cfg = NetworkConfig(3, 50.0, 4.0)
-    counts = expected_counts(cfg, ProtocolSpec(Family.MQSS, memories=True, p_key=1.0), 1e6)
-    assert counts.k == 0.0
+    _, k = expected_counts(cfg, ProtocolSpec(Family.MQSS, memories=True, p_key=1.0), 1e6)
+    assert k == 0.0
 
 
 def test_formula_party_count():

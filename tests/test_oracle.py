@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ghznet.oracle
-from ghznet.network import Family, ProtocolSpec, SiftingEfficiencies, sifting, simulate_sifting
+from ghznet.network import Family, ProtocolSpec, sifting, simulate_sifting
 from ghznet.noise import (
     PairCoefficients,
     alpha_beta_closed_form,
@@ -399,8 +399,8 @@ def test_sifting_rows_catch_a_tiny_key_error(monkeypatch):
     # a 1e-6 relative error in eta_key lies inside the 5 sigma band of a
     # sampled check, but far outside the exact count's tolerance
     def skewed(spec, n_parties):
-        eta = sifting(spec, n_parties)
-        return SiftingEfficiencies(eta.eta_key * (1.0 + 1e-6), eta.eta_check)
+        eta_key, eta_check = sifting(spec, n_parties)
+        return eta_key * (1.0 + 1e-6), eta_check
 
     assert sifting_check_rows()[1]
     monkeypatch.setattr(ghznet.oracle, "sifting", skewed)

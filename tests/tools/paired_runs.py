@@ -8,13 +8,15 @@ the root of its own checkout.  The two runs alternate: the parent goes
 first in odd pairs and the change in even ones, so that a drift in the
 machine's speed falls on both sides alike.
 
-The script prints every end-to-end metric of each run, then per metric the
-medians, the relative change of the medians, the change's wins out of n
-pairs (strictly better, in the direction that the change's BENCHMARK.json
-declares) and the interquartile range of the parent's runs.  It reads the
-benchmark only through its command line and the JSON object on the last
-line of its output.  The file is not a test module; pytest does not
-collect it.
+The script prints every end-to-end metric of each run.  A run whose record
+says ``correct: false`` stops it with a non-zero exit that names the side,
+the pair and the seed: timings of wrong output compare nothing.  After the
+last pair it prints per metric the medians, the relative change of the
+medians, the change's wins out of n pairs (strictly better, in the
+direction that the change's BENCHMARK.json declares) and the interquartile
+range of the parent's runs.  It reads the benchmark only through its
+command line and the JSON object on the last line of its output.  The file
+is not a test module; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ def main() -> int:
                 values[side].setdefault(name, []).append(value)
             cells = " ".join(f"{name}={value:.6g}" for name, value in metrics.items())
             print(f"pair {index} seed {seed} {side:6s} correct={record['correct']} {cells}", flush=True)
+            if not record["correct"]:
+                raise SystemExit(f"{side} run of pair {index} (seed {seed}) is incorrect: {getattr(args, side)}")
 
     n = len(args.seeds)
     print(f"\n{args.workload}: {n} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}")
